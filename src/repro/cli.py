@@ -1458,6 +1458,7 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
                     "jobs_released",
                     "jobs_succeeded",
                     "jobs_missed",
+                    "jobs_gave_up",
                     "jobs_shed",
                 ):
                     trk.counters[key] = (

@@ -35,17 +35,15 @@ can never collide with a clean one).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.jamming import Jammer
 from repro.errors import InvalidInstanceError, InvalidParameterError
-from repro.sim.instance import Instance
 from repro.sim.job import Job
 from repro.sim.protocolbase import Protocol
-from repro.sim.rng import RngFactory
 
 __all__ = ["ClockFault", "FaultPlan", "FeedbackFault", "JobFault"]
 
@@ -232,11 +230,11 @@ def job_fault_record(
 ) -> Optional[_JobRecord]:
     """Draw one job's fault decisions from its dedicated stream.
 
-    The single source of the per-job draw order, shared by the closed
-    engine (:class:`BoundFaults` precomputes every record up front) and
-    the streaming engine (records are drawn lazily at arrival).  The
-    stream is keyed on the job id, so the decisions are identical
-    either way — which is what keeps faulted streaming runs
+    The single source of the per-job draw order, used through
+    :meth:`repro.sim.engine.SlotCore.fault_record` by the closed engine
+    (every record up front) and the streaming engine (lazily at
+    arrival).  The stream is keyed on the job id, so the decisions are
+    identical either way — which is what keeps faulted streaming runs
     bit-identical to their closed-instance replays.
 
     Returns ``None`` for a job the plan leaves untouched.
@@ -453,66 +451,6 @@ def fault_wrappers(
     return act, observe
 
 
-class BoundFaults:
-    """A :class:`FaultPlan` bound to one ``(instance, seed)`` run.
-
-    Precomputes every per-job fault decision from the job's dedicated
-    ``"fault-job"`` stream (so decisions are independent of activation
-    order) and hands the engine cheap per-job wrappers.  Engine-facing
-    surface: :attr:`jammer`, :attr:`feedback` (+ :attr:`feedback_rng`),
-    :attr:`has_job_faults`, :meth:`release_of`, and :meth:`activate`.
-    """
-
-    __slots__ = (
-        "plan",
-        "jammer",
-        "feedback",
-        "feedback_rng",
-        "has_job_faults",
-        "_records",
-    )
-
-    def __init__(self, plan: "FaultPlan", instance: Instance, rngs: RngFactory) -> None:
-        self.plan = plan
-        self.jammer = plan.jammer
-        ff = plan.feedback
-        self.feedback = ff if ff is not None and not ff.is_noop else None
-        self.feedback_rng = (
-            rngs.stream("fault-feedback") if self.feedback is not None else None
-        )
-        jf = plan.jobs if plan.jobs is not None and not plan.jobs.is_noop else None
-        cf = plan.clock if plan.clock is not None and not plan.clock.is_noop else None
-        self.has_job_faults = False
-        self._records: Dict[int, _JobRecord] = {}
-        if jf is None and cf is None:
-            return
-        for job in instance.by_release:
-            rng = rngs.stream("fault-job", job.job_id)
-            rec = job_fault_record(jf, cf, job, rng)
-            if rec is not None:
-                self._records[job.job_id] = rec
-                if rec.activation != job.release:
-                    self.has_job_faults = True
-
-    def release_of(self, job: Job) -> int:
-        """The job's effective activation slot under the plan."""
-        rec = self._records.get(job.job_id)
-        return job.release if rec is None else rec.activation
-
-    def activate(
-        self, job: Job, proto: Protocol, t: int
-    ) -> Tuple[Callable[[int], object], Callable[[int, Observation], None]]:
-        """Begin ``proto`` at engine slot ``t`` and return (act, observe).
-
-        The returned callables replace the engine's pre-bound
-        ``proto.act`` / ``proto.observe``: they reconcile engine time
-        with the job's (possibly skewed/drifting) local clock and
-        enforce crash-before-deadline.  Jobs with no per-job faults get
-        the raw bound methods back — zero wrapper overhead.
-        """
-        return fault_wrappers(job, proto, t, self._records.get(job.job_id))
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A composable bundle of channel, feedback, clock, and job faults.
@@ -561,10 +499,6 @@ class FaultPlan:
         """Restore any per-run jammer state (see :meth:`Jammer.reset`)."""
         if self.jammer is not None:
             self.jammer.reset()
-
-    def bind(self, instance: Instance, rngs: RngFactory) -> BoundFaults:
-        """Fix every random fault decision for one ``(instance, seed)``."""
-        return BoundFaults(self, instance, rngs)
 
     def describe(self) -> str:
         """A compact one-line summary for tables and logs."""

@@ -1,8 +1,9 @@
 """The per-run telemetry bundle and its JSONL artifact format.
 
 A :class:`Telemetry` object travels through the stack as one optional
-argument: :func:`repro.sim.engine.simulate` accepts ``telemetry=`` and
-feeds it slot statistics, lifecycle events, and a per-run span;
+argument: :func:`repro.sim.engine.simulate` and
+:func:`repro.stream.engine.stream_simulate` accept ``telemetry=`` and
+feed it slot statistics, lifecycle events, and a per-run span;
 :func:`repro.experiments.parallel.run_seeds`,
 :class:`repro.experiments.sweep.Sweep`, and
 :func:`repro.experiments.robustness.run_robustness` add scheduling-level
@@ -41,13 +42,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.metrics import SimulationResult
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -79,22 +77,23 @@ class SpanRecord:
         }
 
 
-class _SlotStats:
-    """Per-telemetry slot accounting, kept as plain ints for speed."""
+@dataclass(slots=True)
+class _RunStats:
+    """Per-run slot and job accounting, kept as plain ints for speed."""
 
-    __slots__ = (
-        "total", "silence", "success", "collision", "jammed",
-        "transmissions", "max_live",
-    )
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.silence = 0
-        self.success = 0
-        self.collision = 0
-        self.jammed = 0
-        self.transmissions = 0
-        self.max_live = 0
+    total: int = 0
+    silence: int = 0
+    success: int = 0
+    collision: int = 0
+    jammed: int = 0
+    transmissions: int = 0
+    max_live: int = 0
+    jobs: int = 0
+    succeeded: int = 0
+    gave_up: int = 0
+    energy: int = 0
+    energy_jammed: int = 0
+    latencies: List[int] = field(default_factory=list)
 
 
 class Telemetry:
@@ -129,7 +128,7 @@ class Telemetry:
         self.spans: List[SpanRecord] = []
         self.created = time.time()
         self._t0 = time.perf_counter()
-        self._slots = _SlotStats()
+        self._run = _RunStats()
         self._contention = Histogram("contention")
         self._run_started_at = 0.0
 
@@ -158,7 +157,7 @@ class Telemetry:
 
     # -- engine hooks --------------------------------------------------------
     #
-    # The engine calls these three methods (and nothing else).  They are
+    # The engine calls these four methods (and nothing else).  They are
     # deliberately free of any engine imports so repro.obs stays a leaf
     # package the whole stack can depend on.
 
@@ -171,7 +170,7 @@ class Telemetry:
         jammer: Optional[Any] = None,
         faults: Optional[Any] = None,
     ) -> None:
-        """One ``simulate()`` call is starting."""
+        """One run (``simulate()`` or ``stream_simulate()``) is starting."""
         self._run_started_at = time.perf_counter()
         self.metrics.counter("runs.total").inc()
         self.events.emit(
@@ -197,7 +196,7 @@ class Telemetry:
         ``contention`` is the summed live transmit probability, NaN when
         no live protocol reported one this slot.
         """
-        s = self._slots
+        s = self._run
         s.total += 1
         s.transmissions += n_tx
         if n_live > s.max_live:
@@ -214,10 +213,46 @@ class Telemetry:
         if contention == contention:  # nan-free fast check
             self._contention.values.append(contention)
 
-    def on_run_end(self, result: "SimulationResult") -> None:
-        """One ``simulate()`` call finished; fold per-run stats in."""
+    def on_job_end(
+        self, job: Any, status: Any, slot: int, transmissions: int, jammed: int
+    ) -> None:
+        """One job retired (engine hook): its lifecycle event and energy.
+
+        ``status`` is the job's :class:`~repro.sim.job.JobStatus` and
+        ``slot`` its delivery slot (-1 unless it succeeded).
+        """
+        s = self._run
+        s.jobs += 1
+        s.energy += transmissions
+        s.energy_jammed += jammed
+        name = status.name
+        if name == "SUCCEEDED":
+            latency = slot - job.release + 1
+            s.succeeded += 1
+            s.latencies.append(latency)
+            self.events.emit(
+                "job.success",
+                slot,
+                job.job_id,
+                latency=latency,
+                transmissions=transmissions,
+            )
+        elif name == "GAVE_UP":
+            s.gave_up += 1
+            self.events.emit("job.gave_up", -1, job.job_id)
+        else:
+            self.events.emit("job.deadline_miss", job.deadline, job.job_id)
+
+    def on_run_end(self, unstarted: int = 0) -> None:
+        """One run finished; fold its slot and job stats in.
+
+        ``unstarted`` counts the run's jobs that never reached the
+        engine (cut by the horizon, or still queued when a watchdog
+        fired): deadline misses that spent no energy.  A stream's shed
+        jobs are not among the ``jobs.*`` counters.
+        """
         m = self.metrics
-        s = self._slots
+        s = self._run
         m.counter("engine.slots").inc(s.total)
         m.counter("channel.silence").inc(s.silence)
         m.counter("channel.success").inc(s.success)
@@ -225,40 +260,29 @@ class Telemetry:
         m.counter("channel.jammed").inc(s.jammed)
         m.counter("engine.transmissions").inc(s.transmissions)
         m.gauge("engine.max_live").max(s.max_live)
-        self._slots = _SlotStats()
+        self._run = _RunStats()
 
         hist = m.histogram("contention")
         if self._contention.values:
             hist.values.extend(self._contention.values)
             self._contention = Histogram("contention")
 
-        n_ok = result.n_succeeded
-        n_all = len(result)
+        n_all = s.jobs + unstarted
         m.counter("jobs.total").inc(n_all)
-        m.counter("jobs.succeeded").inc(n_ok)
-        gave_up = sum(
-            1 for o in result.outcomes if o.status.name == "GAVE_UP"
-        )
-        m.counter("jobs.gave_up").inc(gave_up)
-        m.counter("jobs.deadline_missed").inc(n_all - n_ok - gave_up)
-        energy = 0
-        energy_jammed = 0
-        lat = m.histogram("latency")
-        for o in result.outcomes:
-            energy += o.transmissions
-            energy_jammed += o.jammed_transmissions
-            if o.succeeded:
-                lat.observe(o.latency)
-        m.counter("jobs.energy").inc(energy)
-        m.counter("jobs.energy_jammed").inc(energy_jammed)
+        m.counter("jobs.succeeded").inc(s.succeeded)
+        m.counter("jobs.gave_up").inc(s.gave_up)
+        m.counter("jobs.deadline_missed").inc(n_all - s.succeeded - s.gave_up)
+        m.histogram("latency").values.extend(s.latencies)
+        m.counter("jobs.energy").inc(s.energy)
+        m.counter("jobs.energy_jammed").inc(s.energy_jammed)
         seconds = time.perf_counter() - self._run_started_at
         self.add_span("simulate", seconds)
         self.events.emit(
             "run.finished",
             -1,
             -1,
-            slots=result.slots_simulated,
-            succeeded=n_ok,
+            slots=s.total,
+            succeeded=s.succeeded,
             jobs=n_all,
         )
 

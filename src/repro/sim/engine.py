@@ -1,16 +1,19 @@
-"""The slot-by-slot simulation engine.
+"""The slot core and the closed-instance driver.
 
-Drives an :class:`~repro.sim.instance.Instance` of jobs, each running its
-own :class:`~repro.sim.protocolbase.Protocol`, over a shared
-multiple-access channel:
+Every run, closed or streaming, advances one :class:`SlotCore`, whose
+:meth:`~SlotCore.step` is one slot of the paper's model:
 
-1. activate jobs whose release slot arrived;
-2. collect each live protocol's action (transmit / listen);
-3. resolve the slot (jammer included);
-4. deliver the resulting observation to every live protocol;
-5. retire jobs that succeeded, gave up, or hit their deadline.
+1. collect each live protocol's action (transmit / listen);
+2. resolve the slot (jammer included);
+3. deliver the resulting observation to every live protocol;
+4. retire jobs that succeeded, gave up, or hit their deadline.
 
-Ground-truth delivery is decided by the engine from channel outcomes — a
+The drivers only decide which jobs join the live set, and when:
+:func:`simulate` admits an :class:`~repro.sim.instance.Instance`'s jobs
+in activation order, :func:`repro.stream.engine.stream_simulate` open
+arrivals under admission control and checkpoints.
+
+Ground-truth delivery is decided by the core from channel outcomes — a
 job succeeded iff a :class:`DataMessage` with its id was delivered (either
 directly or piggybacked on a leader's timekeeper beacon), strictly inside
 its window.  Protocol self-reported success is cross-checked against this
@@ -32,28 +35,28 @@ the suite, so it is written for throughput:
   identical for every listener (silence / noise), so silent slots cost
   one bound-method call per live job and nothing else;
 * contention tracking (the per-slot ``last_p`` sum) runs only when a
-  trace is recorded, with a one-time per-protocol capability check
-  instead of a per-slot ``getattr`` probe;
+  trace or telemetry is recorded, with a one-time per-protocol
+  capability check instead of a per-slot ``getattr`` probe;
 * message delivery dispatches on the :attr:`Message.kind` tag rather
   than ``isinstance`` chains.
 
 Fault and telemetry hooks
 -------------------------
-A :class:`~repro.faults.plan.FaultPlan` (``faults=``) lets the engine
+A :class:`~repro.faults.plan.FaultPlan` (``faults=``) lets the core
 perturb feedback, clocks, and job lifecycles, an
 :class:`~repro.sim.invariants.InvariantChecker` (``invariants=``) audits
 every slot, a :class:`~repro.obs.telemetry.Telemetry` object
 (``telemetry=``) collects metrics, lifecycle events, and spans, and a
 :class:`~repro.sim.watchdog.Watchdog` (``watchdog=``) cancels runaway
-adversarial runs gracefully with a partial result.  All
-four are strictly pay-for-what-you-use: with none attached the hot
-loop executes the exact same statements as before (the hook branches
-collapse to a handful of ``is None`` guards outside the per-listener
-fan-out), so results stay bit-identical to :data:`ENGINE_VERSION` 2 and
-throughput is preserved.  Telemetry draws no randomness and never
-alters results — it only observes — so it is *not* folded into cache
-keys.  Fault randomness draws from dedicated RNG streams, never from
-the channel or job streams.
+adversarial runs gracefully with a partial result.  Both drivers accept
+all four.  All four are strictly pay-for-what-you-use: with none
+attached the hot loop executes the exact same statements as before (the
+hook branches collapse to a handful of ``is None`` guards outside the
+per-listener fan-out), so results stay bit-identical to
+:data:`ENGINE_VERSION` 2 and throughput is preserved.  Telemetry draws
+no randomness and never alters results — it only observes — so it is
+*not* folded into cache keys.  Fault randomness draws from dedicated RNG
+streams, never from the channel or job streams.
 
 Any change that alters simulation *semantics* (outcomes, slot counts,
 randomness consumption) must bump :data:`ENGINE_VERSION`, which the
@@ -64,26 +67,24 @@ attaching a plan never needs a version bump.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.channel.channel import MultipleAccessChannel, SlotOutcome
+from repro.channel.channel import SlotOutcome
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.jamming import Jammer, NoJammer
-from repro.channel.messages import (
-    KIND_BEACON,
-    KIND_DATA,
-    DataMessage,
-    Message,
-    TimekeeperBeacon,
-)
+from repro.channel.messages import KIND_BEACON, KIND_DATA, Message
 from repro.errors import InvalidParameterError, SimulationError
+from repro.faults.plan import FaultPlan, _JobRecord, fault_wrappers, job_fault_record
+from repro.obs.events import EventSink
 from repro.sim.instance import Instance
+from repro.sim.invariants import InvariantChecker
 from repro.sim.job import Job, JobStatus
 from repro.sim.metrics import JobOutcome, SimulationResult
-from repro.sim.protocolbase import Protocol, ProtocolContext
+from repro.sim.protocolbase import Protocol
 from repro.sim.rng import RngFactory
 from repro.sim.trace import TraceRecorder
 from repro.sim.watchdog import (
@@ -96,11 +97,12 @@ from repro.sim.watchdog import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.plan import FaultPlan
     from repro.obs.telemetry import Telemetry
-    from repro.sim.invariants import InvariantChecker
 
-__all__ = ["ENGINE_VERSION", "ProtocolFactory", "SlotObserver", "simulate"]
+__all__ = [
+    "ENGINE_VERSION", "Finalize", "ProtocolFactory", "SlotCore",
+    "SlotObserver", "resolve_adversary", "simulate",
+]
 
 #: Version of the engine's observable simulation semantics.  Bump whenever
 #: a change can alter any :class:`SimulationResult` for some input — the
@@ -117,11 +119,14 @@ ProtocolFactory = Callable[[Job, np.random.Generator], Protocol]
 #: Optional per-slot callback ``(outcome, live_job_ids)`` for instrumentation.
 SlotObserver = Callable[[SlotOutcome, Tuple[int, ...]], None]
 
+#: The driver's retirement callback: ``(job, status, completion_slot,
+#: transmissions, jammed_transmissions)``.
+Finalize = Callable[[Job, JobStatus, int, int, int], None]
+
 # Shared immutable observations; their content is independent of the
 # perceiving job, so one object per (feedback, transmitted) pair serves
 # every listener of every slot.
 _OBS_SILENCE = Observation.silence(False)
-_OBS_SILENCE_TX = Observation.silence(True)
 _OBS_NOISE = Observation.noise(False)
 _OBS_NOISE_TX = Observation.noise(True)
 
@@ -129,25 +134,437 @@ _SILENCE = Feedback.SILENCE
 _SUCCESS = Feedback.SUCCESS
 _NOISE = Feedback.NOISE
 
+#: :class:`SlotCore`'s structural state: what a streaming checkpoint holds.
+_STATE = (
+    "rngs", "ch_rng", "jam", "jam_attempt", "corrupt", "f_rng",
+    "clock_fault", "job_fault", "ids", "jobs", "protos", "act", "observe",
+    "deadline", "has_p", "jammed", "columns", "delivered", "sink", "slots",
+    "attempts", "silence_slots", "success_slots", "collision_slots",
+    "jammed_slots", "progress_mark",
+)
 
-def _delivered_ids(outcome: SlotOutcome) -> Tuple[int, ...]:
-    """Job ids whose data message was delivered in this slot.
+#: What :meth:`SlotCore.attach` installs: the calling driver's hooks,
+#: never pickled into a streaming checkpoint.
+_HOOKS = (
+    "factory", "checker", "tele", "recorder", "observers",
+    "hooked", "track_contention", "wd", "wd_stall_limit", "wd_deadline",
+)
 
-    A delivery is either a bare :class:`DataMessage` or one piggybacked as
-    the ``payload`` of a :class:`TimekeeperBeacon` (PUNCTUAL leaders hand
-    over / abdicate with their data attached).
+
+def resolve_adversary(
+    faults: Optional[FaultPlan], jammer: Optional[Jammer]
+) -> Tuple[Optional[FaultPlan], Optional[Jammer]]:
+    """``(plan, jammer)`` for one run: a no-op plan becomes ``None``, and a
+    plan's own jammer stands in for ``jammer=`` (passing both raises)."""
+    plan = faults if faults is not None and not faults.is_noop else None
+    if plan is not None and plan.jammer is not None:
+        if jammer is not None:
+            raise InvalidParameterError(
+                "got a jammer= argument and a FaultPlan with its own "
+                "jammer; pick one adversary"
+            )
+        jammer = plan.jammer
+    return plan, jammer
+
+
+class _Sink(EventSink):
+    """The event sink protocols are bound to: forwards to the attached
+    telemetry's log, and pickles empty, so a streaming checkpoint never
+    carries the log and a resumed run's protocols emit into its own."""
+
+    log: Optional[EventSink] = None
+
+    def emit(self, kind: str, slot: int = -1, job_id: int = -1, **data) -> None:
+        if self.log is not None:
+            self.log.emit(kind, slot, job_id, **data)
+
+    def __reduce__(self):
+        return (_Sink, ())
+
+
+def _outcome(t: int, n_tx: int, jammed: bool, tx_msg: List[Message]) -> SlotOutcome:
+    """The resolved slot as a :class:`SlotOutcome` (for instrumentation)."""
+    if n_tx == 1:
+        if jammed:
+            return SlotOutcome(t, _NOISE, None, 1, True)
+        return SlotOutcome(t, _SUCCESS, tx_msg[0], 1, False)
+    return SlotOutcome(
+        t, _NOISE if jammed or n_tx else _SILENCE, None, n_tx, jammed
+    )
+
+
+class SlotCore:
+    """One channel's live set and slot step, shared by both drivers.
+
+    The structural state — the live set, the delivered map, the RNG
+    streams, the jammer and the slot counters — is what a streaming
+    checkpoint pickles.  The hooks :meth:`attach` installs (protocol
+    factory, invariant checker, telemetry, trace, observers, watchdog)
+    belong to the calling driver: they are never pickled, and a resumed
+    run attaches its own.
+
+    Counters: :attr:`slots` simulated, :attr:`attempts` (send attempts
+    the channel saw), and the stream's slot kinds
+    (:attr:`silence_slots`, :attr:`success_slots`,
+    :attr:`collision_slots`, :attr:`jammed_slots`).
     """
-    msg = outcome.message
-    if msg is None:
-        return ()
-    kind = msg.kind
-    if kind == KIND_BEACON:
-        if msg.payload is not None:
-            return (msg.payload.sender,)
-        return ()
-    if kind == KIND_DATA:
-        return (msg.sender,)
-    return ()
+
+    __slots__ = _STATE + _HOOKS
+
+    def __init__(
+        self,
+        rngs: RngFactory,
+        jammer: Optional[Jammer] = None,
+        plan: Optional[FaultPlan] = None,
+    ) -> None:
+        def live(family):
+            return None if family is None or family.is_noop else family
+
+        plan = plan or FaultPlan()
+        self.rngs = rngs
+        self.ch_rng = rngs.channel_rng()
+        self.jam: Jammer = jammer if jammer is not None else NoJammer()
+        # The jammer callout, skipped entirely for the benign NoJammer.
+        self.jam_attempt = None
+        if type(self.jam) is not NoJammer:
+            self.jam_attempt = self.jam.attempt
+            self.jam.reset()  # budgeted jammers: restore per-run counters
+        self.corrupt = live(plan.feedback)
+        self.f_rng = None if self.corrupt is None else rngs.stream("fault-feedback")
+        self.clock_fault = live(plan.clock)
+        self.job_fault = live(plan.jobs)
+
+        # The live set: flat parallel lists, one index per live job,
+        # compacted in place (the list objects never change).
+        self.ids: List[int] = []
+        self.jobs: List[Job] = []
+        self.protos: List[Protocol] = []
+        self.act: List[Callable[[int], Optional[Message]]] = []
+        self.observe: List[Callable[[int, Observation], None]] = []
+        self.deadline: List[int] = []
+        self.has_p: List[bool] = []
+        self.jammed: List[int] = []  # per-job attempts spent into jammed slots
+        self.columns = (
+            self.ids, self.jobs, self.protos, self.act, self.observe,
+            self.deadline, self.has_p, self.jammed,
+        )
+        self.delivered: Dict[int, int] = {}  # job id -> first delivery slot
+        self.sink = _Sink()
+
+        self.slots = self.attempts = 0
+        self.silence_slots = self.success_slots = 0
+        self.collision_slots = self.jammed_slots = 0
+        self.progress_mark = 0  # slots at the last sign of progress
+
+    def __getstate__(self) -> tuple:
+        return None, {name: getattr(self, name) for name in _STATE}
+
+    def attach(
+        self,
+        factory: ProtocolFactory,
+        *,
+        invariants: Union[bool, InvariantChecker] = False,
+        telemetry: Optional["Telemetry"] = None,
+        recorder: Optional[TraceRecorder] = None,
+        observers: Sequence[SlotObserver] = (),
+        watchdog: Optional[Watchdog] = None,
+        max_window: int = 1,
+        t: int = 0,
+    ) -> None:
+        """Install the calling driver's hooks (again after a resume).
+
+        ``max_window`` sizes the watchdog's stall budget; a checker is
+        primed with jobs already live at slot ``t`` (a resumed run).
+        """
+        self.factory = factory
+        checker = InvariantChecker() if invariants is True else invariants or None
+        if checker is not None:
+            c = self.corrupt
+            if c is not None and c.p_success_erasure > 0.0 and c.affect_transmitters:
+                # an erased transmitter legitimately re-sends; only the
+                # duplicate-delivery check is relaxed.
+                checker.allow_redelivery = True
+            for job, proto in zip(self.jobs, self.protos):
+                checker.on_activate(job, proto, t)
+        self.checker = checker
+
+        # Telemetry is observational only: it consumes no randomness and
+        # takes no branch a protocol can see, so attaching it keeps results
+        # bit-identical.  With telemetry off, the per-slot cost is a single
+        # ``is None`` check (hooked), matching the recorder discipline.
+        self.tele = telemetry
+        self.sink.log = telemetry.events if telemetry is not None else None
+        self.recorder = recorder
+        self.observers = tuple(observers)
+        self.hooked = (
+            checker is not None
+            or telemetry is not None
+            or recorder is not None
+            or bool(observers)
+        )
+        self.track_contention = recorder is not None or telemetry is not None
+
+        # Watchdog limits (see sim/watchdog.py); with no watchdog the
+        # per-slot cost is a single ``is None`` guard.
+        self.wd = watchdog if watchdog is not None and watchdog.enabled else None
+        if self.wd is not None:
+            self.wd_deadline = (
+                time.perf_counter() + self.wd.max_seconds
+                if self.wd.max_seconds is not None
+                else None
+            )
+            self.wd_stall_limit = self.wd.stall_slots(max_window)
+
+    # -- admission and eviction ----------------------------------------------
+
+    def fault_record(self, job: Job) -> Optional[_JobRecord]:
+        """The job's fault decisions, drawn from its own ``fault-job``
+        stream (``None`` when the plan leaves jobs and clocks alone)."""
+        if self.job_fault is None and self.clock_fault is None:
+            return None
+        return job_fault_record(
+            self.job_fault,
+            self.clock_fault,
+            job,
+            self.rngs.fresh("fault-job", job.job_id),
+        )
+
+    def admit(self, job: Job, t: int, rec: Optional[_JobRecord] = None) -> None:
+        """Activate ``job`` at slot ``t`` under its fault record."""
+        proto = self.factory(job, self.rngs.fresh("job", job.job_id))
+        if self.tele is not None:
+            # Bind before begin(): protocols that construct inner
+            # machines in on_begin propagate the sink to them.
+            bind = getattr(proto, "bind_telemetry", None)
+            if bind is not None:
+                bind(self.sink)
+            self.tele.events.emit("job.activated", t, job.job_id, window=job.window)
+        act_fn, observe_fn = fault_wrappers(job, proto, t, rec)
+        if self.checker is not None:
+            self.checker.on_activate(job, proto, t)
+        self.ids.append(job.job_id)
+        self.jobs.append(job)
+        self.protos.append(proto)
+        self.act.append(act_fn)
+        self.observe.append(observe_fn)
+        self.deadline.append(job.deadline)
+        self.has_p.append(hasattr(proto, "last_p"))
+        self.jammed.append(0)
+
+    def evict(self, i: int) -> Tuple[int, int]:
+        """Drop live job ``i`` unfinished; returns its
+        ``(transmissions, jammed_transmissions)``."""
+        spent = (self.protos[i].transmissions, self.jammed[i])
+        for column in self.columns:
+            del column[i]
+        return spent
+
+    # -- the slot step -------------------------------------------------------
+
+    def step(self, t: int, finalize: Finalize) -> Optional[WatchdogTrip]:
+        """Simulate slot ``t``, then retire the jobs it ended.
+
+        Retired jobs go to ``finalize``.  Returns the
+        :class:`~repro.sim.watchdog.WatchdogTrip` that cancels the run
+        (see :meth:`cancel`), or ``None``.
+        """
+        (
+            live_ids, _, live_protos, live_act, live_observe, live_deadline,
+            live_has_p, live_jammed,
+        ) = self.columns
+        n_live = len(live_protos)
+
+        # 1. collect actions
+        tx_idx: List[int] = []
+        tx_msg: List[Message] = []
+        for i in range(n_live):
+            msg = live_act[i](t)
+            if msg is not None:
+                tx_idx.append(i)
+                tx_msg.append(msg)
+
+        if self.track_contention:
+            # Contention tracking pays for itself only under tracing or
+            # telemetry.  The capability check is one-time per protocol,
+            # upgraded lazily for wrappers that grow ``last_p`` on their
+            # first act().
+            contention = 0.0
+            have_contention = False
+            for i in range(n_live):
+                if live_has_p[i]:
+                    contention += float(live_protos[i].last_p)  # type: ignore[attr-defined]
+                    have_contention = True
+                else:
+                    p = getattr(live_protos[i], "last_p", None)
+                    if p is not None:
+                        live_has_p[i] = True
+                        contention += float(p)
+                        have_contention = True
+
+        # 2. resolve the slot.  Inlined resolve_slot(): silence when
+        # nobody transmits, success when exactly one transmits
+        # un-jammed, noise otherwise.
+        self.slots += 1
+        n_tx = len(tx_idx)
+        self.attempts += n_tx
+        jam_attempt = self.jam_attempt
+        jammed = jam_attempt is not None and jam_attempt(
+            t, n_tx, tx_msg[0] if n_tx == 1 else None, self.ch_rng
+        )
+        delivered_now = -1
+        if jammed:
+            self.jammed_slots += 1
+            for i in tx_idx:
+                live_jammed[i] += 1
+        if n_tx > 1:
+            self.collision_slots += 1
+        if jammed or n_tx > 1:
+            obs_listen = _OBS_NOISE
+            obs_tx = _OBS_NOISE_TX
+        elif n_tx:
+            self.success_slots += 1
+            msg0 = tx_msg[0]
+            kind = msg0.kind
+            if kind == KIND_DATA:
+                self.delivered.setdefault(msg0.sender, t)
+                delivered_now = msg0.sender
+            elif kind == KIND_BEACON and msg0.payload is not None:
+                self.delivered.setdefault(msg0.payload.sender, t)
+                delivered_now = msg0.payload.sender
+            obs_listen = Observation(_SUCCESS, msg0, False, False)
+            obs_tx = Observation(
+                _SUCCESS, msg0, True, msg0.sender == live_ids[tx_idx[0]]
+            )
+        else:
+            self.silence_slots += 1
+            obs_listen = obs_tx = _OBS_SILENCE
+
+        # 3. fan the observation out, in live order: the transmitters
+        # get ``obs_tx``, everyone else ``obs_listen``.
+        corrupt = self.corrupt
+        if corrupt is None:
+            if not tx_idx:
+                for observe in live_observe:
+                    observe(t, obs_listen)
+            else:
+                prev = 0
+                for i in tx_idx:
+                    for observe in live_observe[prev:i]:
+                        observe(t, obs_listen)
+                    live_observe[i](t, obs_tx)
+                    prev = i + 1
+                for observe in live_observe[prev:]:
+                    observe(t, obs_listen)
+        else:
+            f_rng = self.f_rng
+            for i, observe in enumerate(live_observe):
+                obs = obs_tx if i in tx_idx else obs_listen
+                observe(t, corrupt.corrupt(obs, f_rng))
+
+        if self.hooked:
+            if self.checker is not None:
+                self.checker.after_slot(
+                    t, delivered_now, live_ids, live_protos, tx_idx
+                )
+            if self.track_contention:
+                c = contention if have_contention else float("nan")
+            if self.tele is not None:
+                self.tele.record_slot(n_tx, jammed, n_live, c)
+            if self.recorder is not None or self.observers:
+                # SlotOutcome objects are only materialised here.
+                outcome = _outcome(t, n_tx, jammed, tx_msg)
+                if self.recorder is not None:
+                    self.recorder.record(outcome, n_live=n_live, contention=c)
+                if self.observers:
+                    ids = tuple(live_ids)
+                    for cb in self.observers:
+                        cb(outcome, ids)
+
+        # 4. retire: a deadline reached, or a protocol that finished
+        end = t + 1
+        if end >= min(live_deadline):
+            self._retire(end, finalize)
+        else:
+            for p in live_protos:
+                if p.succeeded or p.gave_up:
+                    self._retire(end, finalize)
+                    break
+
+        if self.wd is None:
+            return None
+        return self._watchdog(t, delivered_now)
+
+    def _retire(self, end: float, finalize: Finalize) -> None:
+        """Finalize, in live order, every job that is over by slot
+        ``end``, and compact the live set around the survivors."""
+        ids, jobs, protos, act, observe, deadline, has_p, jammed = self.columns
+        delivered = self.delivered
+        done: List[int] = []
+        for i, p in enumerate(protos):
+            if p.succeeded or p.gave_up or end >= deadline[i]:
+                done.append(i)
+        for i in done:
+            job = jobs[i]
+            proto = protos[i]
+            comp = delivered.pop(job.job_id, -1)
+            if comp >= 0:
+                status = JobStatus.SUCCEEDED
+            elif proto.gave_up:
+                status = JobStatus.GAVE_UP
+            else:
+                status = JobStatus.FAILED
+            if proto.succeeded and status is not JobStatus.SUCCEEDED:
+                raise SimulationError(
+                    f"job {job.job_id} claims success but no delivery was observed"
+                )
+            if self.tele is not None:
+                self.tele.on_job_end(
+                    job, status, comp, proto.transmissions, jammed[i]
+                )
+            finalize(job, status, comp, proto.transmissions, jammed[i])
+        for i in reversed(done):
+            del ids[i], jobs[i], protos[i], act[i], observe[i], deadline[i]
+            del has_p[i], jammed[i]
+
+    def _watchdog(self, t: int, delivered_now: int) -> Optional[WatchdogTrip]:
+        wd = self.wd
+        slots = self.slots
+        if delivered_now >= 0:
+            self.progress_mark = slots
+        if wd.max_slots is not None and slots >= wd.max_slots:
+            reason, detail = REASON_SLOTS, f"max_slots={wd.max_slots}"
+        elif (
+            self.wd_stall_limit is not None
+            and self.protos
+            and slots - self.progress_mark >= self.wd_stall_limit
+        ):
+            reason = REASON_STALL
+            detail = (
+                f"no delivery for {self.wd_stall_limit} slots "
+                f"(stall_factor={wd.stall_factor:g})"
+            )
+        elif (
+            self.wd_deadline is not None
+            and slots % WALL_CHECK_PERIOD == 0
+            and time.perf_counter() > self.wd_deadline
+        ):
+            reason, detail = REASON_WALL, f"max_seconds={wd.max_seconds:g}"
+        else:
+            return None
+        return WatchdogTrip(reason, t, slots, detail)
+
+    def cancel(self, trip: WatchdogTrip, finalize: Finalize) -> None:
+        """Graceful cancellation: jobs still live at the cut become
+        failures (exactly the horizon-cut semantics)."""
+        self._retire(math.inf, finalize)
+        if self.tele is not None:
+            self.tele.events.emit(
+                trip.event_kind,
+                trip.slot,
+                -1,
+                slots_simulated=trip.slots_simulated,
+                detail=trip.detail,
+            )
 
 
 def simulate(
@@ -159,7 +576,7 @@ def simulate(
     trace: bool = False,
     observers: Sequence[SlotObserver] = (),
     horizon: Optional[int] = None,
-    faults: Optional["FaultPlan"] = None,
+    faults: Optional[FaultPlan] = None,
     invariants: Union[bool, "InvariantChecker"] = False,
     telemetry: Optional["Telemetry"] = None,
     watchdog: Optional[Watchdog] = None,
@@ -214,433 +631,81 @@ def simulate(
     -------
     SimulationResult
     """
-    rngs = RngFactory(seed)
-    ch_rng = rngs.channel_rng()
+    plan, jammer = resolve_adversary(faults, jammer)
+    core = SlotCore(RngFactory(seed), jammer, plan)
 
-    bound = None
-    if faults is not None and not faults.is_noop:
-        bound = faults.bind(instance, rngs)
-        if bound.jammer is not None:
-            if jammer is not None:
-                raise InvalidParameterError(
-                    "got a jammer= argument and a FaultPlan with its own "
-                    "jammer; pick one adversary"
-                )
-            jammer = bound.jammer
-
-    jam: Jammer = jammer if jammer is not None else NoJammer()
-    no_jam = type(jam) is NoJammer
-    if not no_jam:
-        jam.reset()  # budgeted jammers: restore per-run counters
-    corrupt = bound.feedback if bound is not None else None
-    f_rng = bound.feedback_rng if corrupt is not None else None
-
-    checker: Optional["InvariantChecker"]
-    if invariants is True:
-        from repro.sim.invariants import InvariantChecker
-
-        checker = InvariantChecker()
-    elif invariants:
-        checker = invariants  # type: ignore[assignment]
-    else:
-        checker = None
-    if checker is not None and corrupt is not None:
-        if corrupt.p_success_erasure > 0.0 and corrupt.affect_transmitters:
-            # an erased transmitter legitimately re-sends; only the
-            # duplicate-delivery check is relaxed.
-            checker.allow_redelivery = True
-
-    recorder = TraceRecorder() if trace else None
-    # SlotOutcome objects are only materialised for instrumentation.
-    need_outcome = recorder is not None or bool(observers)
-
-    jobs_sorted = list(instance.by_release)
-    if bound is not None and bound.has_job_faults:
-        # late releases reorder activation; keep ties in by_release order
-        order = sorted(
-            range(len(jobs_sorted)),
-            key=lambda i: (bound.release_of(jobs_sorted[i]), i),
-        )
-        jobs_sorted = [jobs_sorted[i] for i in order]
-        releases = [bound.release_of(j) for j in jobs_sorted]
-    else:
-        releases = [j.release for j in jobs_sorted]
-    n_total = len(jobs_sorted)
+    # Activation order: by_release, stably re-sorted by the activation
+    # slot when faults release jobs late (ties keep by_release order).
+    jobs = instance.by_release
+    records = [core.fault_record(job) for job in jobs]
+    pending = sorted(
+        (job.release if rec is None else rec.activation, i, job, rec)
+        for i, (job, rec) in enumerate(zip(jobs, records))
+    )
+    n_total = len(pending)
     end = instance.horizon if horizon is None else min(horizon, instance.horizon)
 
-    # Telemetry is observational only: it consumes no randomness and
-    # takes no branch a protocol can see, so attaching it keeps results
-    # bit-identical.  With telemetry off, the per-slot cost is a single
-    # ``is None`` check (tele_slot), matching the recorder discipline.
-    tele = telemetry
-    if tele is not None:
-        tele.on_run_start(
+    recorder = TraceRecorder() if trace else None
+    core.attach(
+        factory,
+        invariants=invariants,
+        telemetry=telemetry,
+        recorder=recorder,
+        observers=observers,
+        watchdog=watchdog,
+        max_window=max((j.window for j in jobs), default=1),
+    )
+    if telemetry is not None:
+        telemetry.on_run_start(
             seed=seed,
             n_jobs=n_total,
             horizon=end,
-            jammer=None if no_jam else jam,
-            faults=faults if bound is not None else None,
+            jammer=None if core.jam_attempt is None else core.jam,
+            faults=plan,
         )
-        tele_slot = tele.record_slot
-        tele_events = tele.events
-    else:
-        tele_slot = None
-        tele_events = None
-    track_contention = recorder is not None or tele_slot is not None
-
-    # Flat parallel views of the live set (same index across all lists).
-    live_ids: List[int] = []
-    live_jobs: List[Job] = []
-    live_protos: List[Protocol] = []
-    live_act: List[Callable[[int], Optional[Message]]] = []
-    live_observe: List[Callable[[int, Observation], None]] = []
-    live_deadline: List[int] = []
-    live_has_p: List[bool] = []
-    live_jammed: List[int] = []  # per-job attempts spent into jammed slots
 
     outcomes: Dict[int, JobOutcome] = {}
-    delivered_slot: Dict[int, int] = {}
 
+    def finalize(job: Job, status: JobStatus, comp: int, tx: int, jammed: int) -> None:
+        outcomes[job.job_id] = JobOutcome(job, status, comp, tx, jammed)
+
+    live = core.protos  # compacted in place, never rebound
+    step = core.step
     next_job = 0
-    t = releases[0] if jobs_sorted else 0
-    slots_simulated = 0
-    channel_attempts = 0  # total send attempts the channel saw
-
-    # Watchdog limits (see sim/watchdog.py).  All state lives in locals;
-    # with no watchdog the per-slot cost is a single ``is None`` guard.
-    wd = watchdog if watchdog is not None and watchdog.enabled else None
-    wd_trip: Optional[WatchdogTrip] = None
-    if wd is not None:
-        wd_slot_limit = wd.max_slots
-        wd_deadline = (
-            time.perf_counter() + wd.max_seconds
-            if wd.max_seconds is not None
-            else None
-        )
-        wd_stall_limit = wd.stall_slots(
-            max((j.window for j in jobs_sorted), default=1)
-        )
-        wd_progress_mark = 0  # slots_simulated at the last progress sign
-
-    def finalize(job: Job, proto: Protocol, jammed_tx: int = 0) -> None:
-        if job.job_id in delivered_slot:
-            status = JobStatus.SUCCEEDED
-            comp = delivered_slot[job.job_id]
-        elif proto.gave_up:
-            status = JobStatus.GAVE_UP
-            comp = -1
-        else:
-            status = JobStatus.FAILED
-            comp = -1
-        if proto.succeeded and status is not JobStatus.SUCCEEDED:
-            raise SimulationError(
-                f"job {job.job_id} claims success but no delivery was observed"
-            )
-        if tele_events is not None:
-            if status is JobStatus.SUCCEEDED:
-                tele_events.emit(
-                    "job.success",
-                    comp,
-                    job.job_id,
-                    latency=comp - job.release + 1,
-                    transmissions=proto.transmissions,
-                )
-            elif status is JobStatus.GAVE_UP:
-                tele_events.emit("job.gave_up", -1, job.job_id)
-            else:
-                tele_events.emit("job.deadline_miss", job.deadline, job.job_id)
-        outcomes[job.job_id] = JobOutcome(
-            job, status, comp, proto.transmissions, jammed_tx
-        )
-
-    while t < end or live_protos:
-        if t >= end and not live_protos:
-            break
-        # 1. activate
-        if wd is not None and next_job < n_total and releases[next_job] == t:
-            wd_progress_mark = slots_simulated  # activation counts as progress
-        while next_job < n_total and releases[next_job] == t:
-            job = jobs_sorted[next_job]
-            proto = factory(job, rngs.job_rng(job.job_id))
-            if tele_events is not None:
-                # Bind before begin(): protocols that construct inner
-                # machines in on_begin propagate the sink to them.
-                bind = getattr(proto, "bind_telemetry", None)
-                if bind is not None:
-                    bind(tele_events)
-                tele_events.emit(
-                    "job.activated", t, job.job_id, window=job.window
-                )
-            if bound is None:
-                proto.begin(t)
-                act_fn = proto.act
-                observe_fn = proto.observe
-            else:
-                act_fn, observe_fn = bound.activate(job, proto, t)
-            if checker is not None:
-                checker.on_activate(job, proto, t)
-            live_ids.append(job.job_id)
-            live_jobs.append(job)
-            live_protos.append(proto)
-            live_act.append(act_fn)
-            live_observe.append(observe_fn)
-            live_deadline.append(job.deadline)
-            live_has_p.append(hasattr(proto, "last_p"))
-            live_jammed.append(0)
+    t = pending[0][0] if pending else 0
+    trip: Optional[WatchdogTrip] = None
+    while t < end or live:
+        while next_job < n_total and pending[next_job][0] == t:
+            _, _, job, rec = pending[next_job]
+            core.admit(job, t, rec)
+            core.progress_mark = core.slots  # activation counts as progress
             next_job += 1
-        if next_job < n_total and not live_protos:
+        if next_job < n_total and not live:
             # jump over idle gaps between batches
-            t = releases[next_job]
+            t = pending[next_job][0]
             continue
-
-        n_live = len(live_protos)
-
-        # 2. collect actions
-        transmissions: List[Tuple[int, Message]] = []
-        tx_idx: List[int] = []
-        for i in range(n_live):
-            msg = live_act[i](t)
-            if msg is not None:
-                transmissions.append((live_ids[i], msg))
-                tx_idx.append(i)
-
-        if track_contention:
-            # Contention tracking pays for itself only under tracing or
-            # telemetry.  The capability check is one-time per protocol,
-            # upgraded lazily for wrappers that grow ``last_p`` on their
-            # first act().
-            contention = 0.0
-            have_contention = False
-            for i in range(n_live):
-                if live_has_p[i]:
-                    contention += float(live_protos[i].last_p)  # type: ignore[attr-defined]
-                    have_contention = True
-                else:
-                    p = getattr(live_protos[i], "last_p", None)
-                    if p is not None:
-                        live_has_p[i] = True
-                        contention += float(p)
-                        have_contention = True
-
-        # 3 + 4. resolve the slot and fan the observation out.  Inlined
-        # resolve_slot(): silence when nobody transmits, success when
-        # exactly one transmits un-jammed, noise otherwise.
-        slots_simulated += 1
-        outcome: Optional[SlotOutcome] = None
-        delivered_now = -1  # consumed only by the invariant checker
-        n_tx = len(transmissions)
-        channel_attempts += n_tx
-        if n_tx == 0:
-            jammed = (not no_jam) and jam.attempt(t, 0, None, ch_rng)
-            obs = _OBS_NOISE if jammed else _OBS_SILENCE
-            if need_outcome:
-                outcome = SlotOutcome(
-                    t, _NOISE if jammed else _SILENCE, None, 0, jammed
-                )
-            if corrupt is None:
-                for observe in live_observe:
-                    observe(t, obs)
-            else:
-                for observe in live_observe:
-                    observe(t, corrupt.corrupt(obs, f_rng))
-        elif n_tx == 1:
-            jid0, msg0 = transmissions[0]
-            i0 = tx_idx[0]
-            jammed = (not no_jam) and jam.attempt(t, 1, msg0, ch_rng)
-            if jammed:
-                live_jammed[i0] += 1
-                if need_outcome:
-                    outcome = SlotOutcome(t, _NOISE, None, 1, True)
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t, _OBS_NOISE_TX if i == i0 else _OBS_NOISE
-                        )
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                _OBS_NOISE_TX if i == i0 else _OBS_NOISE,
-                                f_rng,
-                            ),
-                        )
-            else:
-                if need_outcome:
-                    outcome = SlotOutcome(t, _SUCCESS, msg0, 1, False)
-                kind = msg0.kind
-                if kind == KIND_DATA:
-                    delivered_slot.setdefault(msg0.sender, t)
-                    delivered_now = msg0.sender
-                elif kind == KIND_BEACON and msg0.payload is not None:
-                    delivered_slot.setdefault(msg0.payload.sender, t)
-                    delivered_now = msg0.payload.sender
-                obs_listen = Observation(_SUCCESS, msg0, False, False)
-                obs_tx = Observation(_SUCCESS, msg0, True, msg0.sender == jid0)
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](t, obs_tx if i == i0 else obs_listen)
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                obs_tx if i == i0 else obs_listen, f_rng
-                            ),
-                        )
-        else:
-            jammed = (not no_jam) and jam.attempt(t, n_tx, None, ch_rng)
-            if jammed:
-                for i in tx_idx:
-                    live_jammed[i] += 1
-            if need_outcome:
-                outcome = SlotOutcome(t, _NOISE, None, n_tx, jammed)
-            k = 0
-            if corrupt is None:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, _OBS_NOISE_TX)
-                        k += 1
-                    else:
-                        live_observe[i](t, _OBS_NOISE)
-            else:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE_TX, f_rng))
-                        k += 1
-                    else:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE, f_rng))
-
-        if checker is not None:
-            checker.after_slot(t, delivered_now, live_ids, live_protos, tx_idx)
-
-        if tele_slot is not None:
-            tele_slot(
-                n_tx,
-                jammed,
-                n_live,
-                contention if have_contention else float("nan"),
-            )
-
-        if recorder is not None:
-            assert outcome is not None
-            recorder.record(
-                outcome,
-                n_live=n_live,
-                contention=contention if have_contention else float("nan"),
-            )
-        if observers:
-            assert outcome is not None
-            ids = tuple(live_ids)
-            for cb in observers:
-                cb(outcome, ids)
-
-        # 5. retire
+        trip = step(t, finalize)
         t += 1
-        any_dead = False
-        for i in range(n_live):
-            p = live_protos[i]
-            if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                any_dead = True
-                break
-        if any_dead:
-            keep_ids: List[int] = []
-            keep_jobs: List[Job] = []
-            keep_protos: List[Protocol] = []
-            keep_act: List[Callable[[int], Optional[Message]]] = []
-            keep_observe: List[Callable[[int, Observation], None]] = []
-            keep_deadline: List[int] = []
-            keep_has_p: List[bool] = []
-            keep_jammed: List[int] = []
-            for i in range(n_live):
-                p = live_protos[i]
-                if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                    finalize(live_jobs[i], p, live_jammed[i])
-                else:
-                    keep_ids.append(live_ids[i])
-                    keep_jobs.append(live_jobs[i])
-                    keep_protos.append(p)
-                    keep_act.append(live_act[i])
-                    keep_observe.append(live_observe[i])
-                    keep_deadline.append(live_deadline[i])
-                    keep_has_p.append(live_has_p[i])
-                    keep_jammed.append(live_jammed[i])
-            live_ids = keep_ids
-            live_jobs = keep_jobs
-            live_protos = keep_protos
-            live_act = keep_act
-            live_observe = keep_observe
-            live_deadline = keep_deadline
-            live_has_p = keep_has_p
-            live_jammed = keep_jammed
-
-        if wd is not None:
-            if delivered_now >= 0:
-                wd_progress_mark = slots_simulated
-            if wd_slot_limit is not None and slots_simulated >= wd_slot_limit:
-                wd_trip = WatchdogTrip(
-                    REASON_SLOTS,
-                    t - 1,
-                    slots_simulated,
-                    f"max_slots={wd_slot_limit}",
-                )
-            elif (
-                wd_stall_limit is not None
-                and live_protos
-                and slots_simulated - wd_progress_mark >= wd_stall_limit
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_STALL,
-                    t - 1,
-                    slots_simulated,
-                    f"no delivery for {wd_stall_limit} slots "
-                    f"(stall_factor={wd.stall_factor:g})",
-                )
-            elif (
-                wd_deadline is not None
-                and slots_simulated % WALL_CHECK_PERIOD == 0
-                and time.perf_counter() > wd_deadline
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_WALL,
-                    t - 1,
-                    slots_simulated,
-                    f"max_seconds={wd.max_seconds:g}",
-                )
-            if wd_trip is not None:
-                break
-
-        if next_job >= n_total and not live_protos:
+        if trip is not None or (next_job >= n_total and not live):
             break
 
-    if wd_trip is not None:
-        # Graceful cancellation: jobs still live at the cut become failures
-        # (exactly the horizon-cut semantics) and the result is partial.
-        for i in range(len(live_protos)):
-            finalize(live_jobs[i], live_protos[i], live_jammed[i])
-        if tele_events is not None:
-            tele_events.emit(
-                wd_trip.event_kind,
-                wd_trip.slot,
-                -1,
-                slots_simulated=wd_trip.slots_simulated,
-                detail=wd_trip.detail,
-            )
+    if trip is not None:
+        # The result is partial: live jobs fail as at a horizon cut.
+        core.cancel(trip, finalize)
 
     # Jobs never activated (horizon cut): mark failed with zero attempts.
-    for job in jobs_sorted:
+    for job in jobs:
         if job.job_id not in outcomes:
             outcomes[job.job_id] = JobOutcome(job, JobStatus.FAILED, -1, 0)
 
-    ordered = tuple(outcomes[j.job_id] for j in instance.by_release)
     result = SimulationResult(
         instance=instance,
-        outcomes=ordered,
-        slots_simulated=slots_simulated,
+        outcomes=tuple(outcomes[j.job_id] for j in jobs),
+        slots_simulated=core.slots,
         trace=recorder,
-        watchdog=wd_trip,
-        channel_attempts=channel_attempts,
+        watchdog=trip,
+        channel_attempts=core.attempts,
     )
-    if tele is not None:
-        tele.on_run_end(result)
+    if telemetry is not None:
+        telemetry.on_run_end(unstarted=n_total - next_job)
     return result

@@ -13,6 +13,7 @@ spawning keyed on a stable label.  Two consequences:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Dict, Tuple
 
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = ["RngFactory"]
 
 
+@functools.lru_cache(maxsize=256)
 def _label_key(label: str) -> Tuple[int, int, int, int]:
     """A stable 128-bit key for a stream label, as four 32-bit words.
 
@@ -30,7 +32,9 @@ def _label_key(label: str) -> Tuple[int, int, int, int]:
     two "independent" streams *bit-identical* — silently correlating a
     job's protocol with, say, a fault stream.  128 bits puts collisions
     out of reach.  Changing the key derivation changes every stream, so
-    the switch bumped :data:`repro.sim.engine.ENGINE_VERSION`.
+    the switch bumped :data:`repro.sim.engine.ENGINE_VERSION`.  Labels
+    are a handful of constants, so keys are cached: every job's stream
+    would otherwise re-hash its label.
     """
     digest = hashlib.blake2b(
         label.encode("utf-8"), digest_size=16, person=b"repro-rng-v1"

@@ -1,9 +1,11 @@
 """The open-arrival streaming engine: bounded memory at any offered load.
 
-:func:`stream_simulate` is the open-loop counterpart of
-:func:`repro.sim.engine.simulate`.  Jobs are not materialized up front —
-they are drawn lazily from an :class:`~repro.stream.arrivals.ArrivalProcess`
-— and the engine keeps only a sliding window of live state:
+:func:`stream_simulate` is the open-loop driver of the shared
+:class:`~repro.sim.engine.SlotCore`, the same slot step
+:func:`repro.sim.engine.simulate` drives over a closed instance.  Jobs
+are not materialized up front — they are drawn lazily from an
+:class:`~repro.stream.arrivals.ArrivalProcess` — and the driver keeps
+only a sliding window of live state:
 
 * completed/expired jobs are evicted the slot they retire; their
   outcome collapses into counters, a :class:`~repro.obs.sketches.QuantileSketch`
@@ -16,64 +18,54 @@ they are drawn lazily from an :class:`~repro.stream.arrivals.ArrivalProcess`
 streaming run must agree with the closed engine run on the instance
 frozen by :func:`repro.stream.arrivals.materialize` — same delivery
 slots, same miss set, same number of simulated slots (the
-``streaming-equivalence`` verification corpus enforces this).  The slot
-loop therefore mirrors :func:`repro.sim.engine.simulate` statement for
-statement wherever randomness is consumed:
+``streaming-equivalence`` verification corpus enforces this).  Both
+drivers run the same :meth:`~repro.sim.engine.SlotCore.step`, so
+channel, jammer, feedback-fault and per-job randomness are consumed
+identically by construction; the driver itself only has to keep the
+closed engine's admission order and gap jumps:
 
 * activation order is a heap keyed ``(activation, release, deadline,
   job_id)`` — exactly the closed engine's ``by_release`` order (and its
   fault-shifted stable re-sort) expressed incrementally;
-* per-job streams come from :meth:`RngFactory.fresh`, which yields the
-  same initial state as the closed engine's cached :meth:`stream`
-  without growing the factory cache per job;
-* gap jumps skip idle slots without touching the channel stream, and
-  the jammer draws once per *simulated* slot in the same patterns;
-* feedback corruption draws from the shared ``fault-feedback`` stream
-  in live-list fan-out order, and per-job fault records come from
-  :func:`repro.faults.plan.job_fault_record` on the job's own
+* per-job fault records are drawn at arrival through
+  :meth:`~repro.sim.engine.SlotCore.fault_record`, from the job's own
   ``fault-job`` stream — identical decisions whether drawn up front
-  (closed) or at arrival (here).
+  (closed) or at arrival (here);
+* gap jumps skip idle slots without touching the channel stream.
 
 **Crash recovery.**  With a :class:`~repro.stream.checkpoint.CheckpointConfig`
-attached, the engine snapshots its complete resumable state every
-``every_slots`` simulated slots, *before* the slot is processed; a run
-killed at any point resumes from the last checkpoint and produces
-bit-identical final statistics (pickle memoization preserves the object
-identity between protocols, their RNG streams, and the factory).
+attached, the driver snapshots its resumable state (``_RESUMABLE``: the
+core with its live set, the arrival buffer, the pending heap, the
+result so far) every ``every_slots`` simulated slots, *before* the slot
+is processed; a run killed at any point resumes from the last
+checkpoint and produces bit-identical final statistics (pickle
+memoization preserves the object identity between protocols and their
+RNG streams).  The caller's hooks are never checkpointed: a resumed run
+attaches its own.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
-from repro.channel.feedback import Feedback, Observation
-from repro.channel.jamming import Jammer, NoJammer
-from repro.channel.messages import KIND_BEACON, KIND_DATA, Message
-from repro.errors import InvalidParameterError, SimulationError
-from repro.faults.plan import (
-    FaultPlan,
-    _JobRecord,
-    fault_wrappers,
-    job_fault_record,
-)
+from repro.channel.jamming import Jammer
+from repro.errors import InvalidParameterError
+from repro.faults.plan import FaultPlan, _JobRecord
 from repro.obs.sketches import QuantileSketch, ReservoirSampler
-from repro.sim.engine import ENGINE_VERSION, ProtocolFactory
-from repro.sim.job import Job, JobStatus
-from repro.sim.protocolbase import Protocol
-from repro.sim.rng import RngFactory
-from repro.sim.watchdog import (
-    REASON_SLOTS,
-    REASON_STALL,
-    REASON_WALL,
-    WALL_CHECK_PERIOD,
-    Watchdog,
-    WatchdogTrip,
+from repro.sim.engine import (
+    ENGINE_VERSION,
+    ProtocolFactory,
+    SlotCore,
+    resolve_adversary,
 )
+from repro.sim.invariants import InvariantChecker
+from repro.sim.job import Job, JobStatus
+from repro.sim.rng import RngFactory
+from repro.sim.watchdog import Watchdog, WatchdogTrip
 from repro.stream.arrivals import ArrivalProcess
 from repro.stream.checkpoint import (
     CheckpointConfig,
@@ -81,6 +73,9 @@ from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "POLICIES",
@@ -93,19 +88,27 @@ __all__ = [
 #: Version of the streaming engine's observable semantics *and* its
 #: checkpoint state layout.  Bump on any change that can alter a
 #: :class:`StreamResult` or that breaks resuming an older checkpoint.
-STREAM_VERSION = 1
+#: 2: checkpoints hold the shared :class:`~repro.sim.engine.SlotCore`.
+STREAM_VERSION = 2
 
 #: Admission-control policies for :class:`StreamBudget`.
 POLICIES = ("shed-newest", "shed-loosest-deadline", "block")
 
-# Shared immutable observations, as in the closed engine.
-_OBS_SILENCE = Observation.silence(False)
-_OBS_NOISE = Observation.noise(False)
-_OBS_NOISE_TX = Observation.noise(True)
-_SUCCESS = Feedback.SUCCESS
-
 #: Chunk size for unbounded next-arrival scans (max_jobs mode).
 _SCAN_CHUNK = 1 << 16
+
+#: The driver state a checkpoint holds besides its ``config`` key.
+_RESUMABLE = (
+    "core", "bound", "t", "next_id", "releasing", "pending", "blocked", "result",
+)
+
+#: :class:`StreamResult` counters that add when shards merge.
+_SUMMED = (
+    "jobs_released", "jobs_admitted", "jobs_succeeded", "jobs_missed",
+    "jobs_gave_up", "transmissions", "channel_attempts",
+    "jammed_transmissions", "slots_simulated", "final_slot", "silence_slots",
+    "success_slots", "collision_slots", "jammed_slots", "checkpoints_written",
+)
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,11 @@ class StreamResult:
     shed: Dict[str, int] = field(default_factory=dict)
 
     transmissions: int = 0
+    #: Send attempts the channel saw (equals ``transmissions`` on a
+    #: fault-free run, evicted jobs included).
+    channel_attempts: int = 0
+    #: Attempts that landed in jammed slots.
+    jammed_transmissions: int = 0
     slots_simulated: int = 0
     final_slot: int = 0
     silence_slots: int = 0
@@ -210,6 +218,14 @@ class StreamResult:
     @property
     def jobs_shed(self) -> int:
         return sum(self.shed.values())
+
+    @property
+    def jobs_resolved(self) -> int:
+        """Released jobs with a final fate: succeeded, missed, gave up or shed."""
+        return (
+            self.jobs_succeeded + self.jobs_missed + self.jobs_gave_up
+            + self.jobs_shed
+        )
 
     @property
     def success_rate(self) -> float:
@@ -253,25 +269,12 @@ class StreamResult:
             process=self.process or other.process,
             offered_load=self.offered_load or other.offered_load,
             budget=self.budget,
-            jobs_released=self.jobs_released + other.jobs_released,
-            jobs_admitted=self.jobs_admitted + other.jobs_admitted,
-            jobs_succeeded=self.jobs_succeeded + other.jobs_succeeded,
-            jobs_missed=self.jobs_missed + other.jobs_missed,
-            jobs_gave_up=self.jobs_gave_up + other.jobs_gave_up,
             shed=shed,
-            transmissions=self.transmissions + other.transmissions,
-            slots_simulated=self.slots_simulated + other.slots_simulated,
-            final_slot=self.final_slot + other.final_slot,
-            silence_slots=self.silence_slots + other.silence_slots,
-            success_slots=self.success_slots + other.success_slots,
-            collision_slots=self.collision_slots + other.collision_slots,
-            jammed_slots=self.jammed_slots + other.jammed_slots,
             peak_live=max(self.peak_live, other.peak_live),
-            checkpoints_written=self.checkpoints_written
-            + other.checkpoints_written,
             latency_sketch=sketch,
             latency_sample=sample,
             watchdog=self.watchdog or other.watchdog,
+            **{k: getattr(self, k) + getattr(other, k) for k in _SUMMED},
         )
 
     def to_dict(self) -> dict:
@@ -309,29 +312,6 @@ class StreamResult:
         }
 
 
-def _config_key(
-    seed: int,
-    process: ArrivalProcess,
-    budget: Optional[StreamBudget],
-    max_jobs: Optional[int],
-    max_slots: Optional[int],
-    faults: Optional[FaultPlan],
-    jammer: Optional[Jammer],
-) -> tuple:
-    """What a checkpoint must agree on to be resumable under this call."""
-    return (
-        STREAM_VERSION,
-        ENGINE_VERSION,
-        int(seed),
-        process,
-        budget,
-        max_jobs,
-        max_slots,
-        None if faults is None else faults.describe(),
-        None if jammer is None else repr(jammer),
-    )
-
-
 def stream_simulate(
     process: ArrivalProcess,
     factory: ProtocolFactory,
@@ -349,6 +329,8 @@ def stream_simulate(
     reservoir_capacity: int = 4096,
     sketch_alpha: float = 0.01,
     progress: Optional[Callable[[int, int], None]] = None,
+    invariants: Union[bool, InvariantChecker] = False,
+    telemetry: Optional["Telemetry"] = None,
 ) -> StreamResult:
     """Run one open-arrival streaming simulation.
 
@@ -370,16 +352,18 @@ def stream_simulate(
     budget:
         Optional :class:`StreamBudget`; without one the live set is
         unbounded (pure equivalence mode).
-    jammer / faults / watchdog:
+    jammer / faults / watchdog / invariants / telemetry:
         As in :func:`repro.sim.engine.simulate`; a fault plan's jammer
-        is mutually exclusive with ``jammer=``.
+        is mutually exclusive with ``jammer=``.  Telemetry's ``jobs.*``
+        counters cover the jobs the engine ran, not the shed ones.
     checkpoint:
         Optional :class:`CheckpointConfig` — snapshot the full resumable
         state every ``every_slots`` simulated slots.
     resume:
         Load ``checkpoint.path`` (healing from ``.prev`` if needed) and
         continue instead of starting fresh.  The call's configuration
-        must match the checkpointed one.
+        must match the checkpointed one.  An invariant checker attached
+        to a resumed run starts from the live set at the resume slot.
     record_outcomes:
         Keep a per-job ``{job_id: (status, delivery_slot, transmissions)}``
         dict — unbounded memory, for equivalence verification only.
@@ -388,10 +372,11 @@ def stream_simulate(
     progress:
         Optional ``progress(done, total)`` callback invoked on the
         engine's existing 256-slot housekeeping cadence (and once at
-        the end): finalized jobs against ``max_jobs`` when set,
-        simulated slots against ``max_slots`` otherwise.  Purely
-        observational — it sees counters, never simulation state — so
-        attaching it cannot change results.
+        the end): resolved jobs (:attr:`StreamResult.jobs_resolved`)
+        against ``max_jobs`` when set, simulated slots against
+        ``max_slots`` otherwise.  Purely observational — it sees
+        counters, never simulation state — so attaching it cannot
+        change results.
 
     Returns
     -------
@@ -410,16 +395,18 @@ def stream_simulate(
     if resume and checkpoint is None:
         raise InvalidParameterError("resume=True requires a checkpoint config")
 
-    plan = faults if faults is not None and not faults.is_noop else None
-    if plan is not None and plan.jammer is not None:
-        if jammer is not None:
-            raise InvalidParameterError(
-                "got a jammer= argument and a FaultPlan with its own "
-                "jammer; pick one adversary"
-            )
-        jammer = plan.jammer
-    cfg_key = _config_key(
-        seed, process, budget, max_jobs, max_slots, faults, jammer
+    plan, jammer = resolve_adversary(faults, jammer)
+    # What a checkpoint must agree on to be resumable under this call.
+    cfg_key = (
+        STREAM_VERSION,
+        ENGINE_VERSION,
+        int(seed),
+        process,
+        budget,
+        max_jobs,
+        max_slots,
+        None if faults is None else faults.describe(),
+        None if jammer is None else repr(jammer),
     )
 
     pol = budget.policy if budget is not None else None
@@ -432,54 +419,21 @@ def stream_simulate(
                 f"checkpoint {checkpoint.path} was written by a different "
                 "run configuration; refusing to resume"
             )
-        rngs: RngFactory = state["rngs"]
-        ch_rng = state["ch_rng"]
-        f_rng = state["f_rng"]
-        corrupt = state["corrupt"]
-        jf = state["jf"]
-        cf = state["cf"]
-        jam: Jammer = state["jam"]
-        bound = state["bound"]
-        t: int = state["t"]
-        slots_simulated: int = state["slots_simulated"]
-        next_id: int = state["next_id"]
-        releasing: bool = state["releasing"]
-        pending: list = state["pending"]
-        blocked: deque = deque(state["blocked"])
-        (live_ids, live_jobs, live_protos, live_act, live_observe, live_deadline) = state["live"]
-        delivered: Dict[int, int] = state["delivered"]
-        res: StreamResult = state["result"]
-        wd_progress_mark: int = state["wd_progress_mark"]
+        core, bound, t, next_id, releasing, pending, blocked, res = (
+            state[key] for key in _RESUMABLE
+        )
+        blocked = deque(blocked)
         res.resumed_at_slot = t
         res.healed_checkpoint = res.healed_checkpoint or healed
     else:
         rngs = RngFactory(seed)
-        ch_rng = rngs.channel_rng()
-        corrupt = None
-        jf = cf = None
-        if plan is not None:
-            ff = plan.feedback
-            corrupt = ff if ff is not None and not ff.is_noop else None
-            jf = plan.jobs if plan.jobs is not None and not plan.jobs.is_noop else None
-            cf = plan.clock if plan.clock is not None and not plan.clock.is_noop else None
-        f_rng = rngs.stream("fault-feedback") if corrupt is not None else None
-        jam = jammer if jammer is not None else NoJammer()
-        if type(jam) is not NoJammer:
-            jam.reset()
+        core = SlotCore(rngs, jammer, plan)
         bound = process.bind(rngs.stream("arrivals"))
         t = 0
-        slots_simulated = 0
         next_id = 0
         releasing = True
         pending = []  # heap of (activation, release, deadline, job_id, job, rec)
         blocked = deque()
-        live_ids = []
-        live_jobs = []
-        live_protos = []
-        live_act = []
-        live_observe = []
-        live_deadline = []
-        delivered = {}
         res = StreamResult(
             seed=seed,
             process=process.describe(),
@@ -489,124 +443,93 @@ def stream_simulate(
             latency_sample=ReservoirSampler(reservoir_capacity, seed ^ 0x5EED),
             outcomes={} if record_outcomes else None,
         )
-        wd_progress_mark = 0
 
-    no_jam = type(jam) is NoJammer
-    have_job_faults = jf is not None or cf is not None
-    outcomes = res.outcomes
-
-    wd = watchdog if watchdog is not None and watchdog.enabled else None
-    wd_trip: Optional[WatchdogTrip] = None
-    if wd is not None:
-        wd_slot_limit = wd.max_slots
-        wd_deadline = (
-            time.perf_counter() + wd.max_seconds
-            if wd.max_seconds is not None
-            else None
+    core.attach(
+        factory,
+        invariants=invariants,
+        telemetry=telemetry,
+        watchdog=watchdog,
+        max_window=process.max_window,
+        t=t,
+    )
+    if telemetry is not None:
+        telemetry.on_run_start(
+            seed=seed,
+            n_jobs=-1 if max_jobs is None else max_jobs,
+            horizon=-1 if max_slots is None else max_slots,
+            jammer=None if core.jam_attempt is None else core.jam,
+            faults=plan,
         )
-        wd_stall_limit = wd.stall_slots(process.max_window)
+    outcomes = res.outcomes
 
     ckpt = checkpoint
     if ckpt is not None:
         every = ckpt.every_slots
-        next_mark = (slots_simulated // every + 1) * every
+        next_mark = (core.slots // every + 1) * every
 
     sketch = res.latency_sketch
     sample = res.latency_sample
 
-    def finalize(job: Job, proto: Protocol) -> None:
-        comp = delivered.pop(job.job_id, -1)
-        if comp >= 0:
-            status = JobStatus.SUCCEEDED
+    def finalize(
+        job: Job, status: JobStatus, comp: int, transmissions: int, jammed: int
+    ) -> None:
+        if status is JobStatus.SUCCEEDED:
             res.jobs_succeeded += 1
             latency = comp - job.release + 1
             sketch.offer(latency)
             sample.offer(latency)
-        elif proto.gave_up:
-            status = JobStatus.GAVE_UP
+        elif status is JobStatus.GAVE_UP:
             res.jobs_gave_up += 1
         else:
-            status = JobStatus.FAILED
             res.jobs_missed += 1
-        if proto.succeeded and status is not JobStatus.SUCCEEDED:
-            raise SimulationError(
-                f"job {job.job_id} claims success but no delivery was observed"
-            )
-        res.transmissions += proto.transmissions
+        res.transmissions += transmissions
+        res.jammed_transmissions += jammed
         if outcomes is not None:
-            outcomes[job.job_id] = (status, comp, proto.transmissions)
+            outcomes[job.job_id] = (status, comp, transmissions)
+
+    def report_progress() -> None:
+        if max_jobs is not None:
+            progress(res.jobs_resolved, max_jobs)
+        else:
+            progress(core.slots, max_slots)
 
     def shed(reason: str) -> None:
         res.shed[reason] = res.shed.get(reason, 0) + 1
 
     def admit(job: Job, rec: Optional[_JobRecord], at: int) -> None:
-        planned = rec.activation if rec is not None else job.release
-        if at > planned:
+        if at > (rec.activation if rec is not None else job.release):
             # Blocked admission: the protocol's local clock starts at
             # the admission slot (the deadline does not move) — the same
             # semantics as a late-release JobFault, including the
             # begin() guard for protocols that reject mid-window starts.
-            rec = _JobRecord(
-                activation=at,
-                begin=at,
-                skew_ff=rec.skew_ff if rec is not None else 0,
-                drift=rec.drift if rec is not None else 0.0,
-                crash_slot=rec.crash_slot if rec is not None else -1,
+            rec = replace(
+                rec or _JobRecord(at, at, 0, 0.0, -1), activation=at, begin=at
             )
-        proto = factory(job, rngs.fresh("job", job.job_id))
-        act_fn, observe_fn = fault_wrappers(job, proto, at, rec)
-        live_ids.append(job.job_id)
-        live_jobs.append(job)
-        live_protos.append(proto)
-        live_act.append(act_fn)
-        live_observe.append(observe_fn)
-        live_deadline.append(job.deadline)
+        core.admit(job, at, rec)
         res.jobs_admitted += 1
-        if len(live_ids) > res.peak_live:
-            res.peak_live = len(live_ids)
+        if len(live) > res.peak_live:
+            res.peak_live = len(live)
 
+    live = core.protos  # compacted in place, never rebound
+    step = core.step
+    trip: Optional[WatchdogTrip] = None
     while True:
         # 0. checkpoint — before anything of slot t is processed, so a
         # resumed run re-enters the loop at exactly this point.
-        if ckpt is not None and slots_simulated >= next_mark:
+        if ckpt is not None and core.slots >= next_mark:
             res.final_slot = t
+            resumable = (
+                core, bound, t, next_id, releasing, pending, list(blocked), res,
+            )
             save_checkpoint(
-                ckpt.path,
-                {
-                    "config": cfg_key,
-                    "rngs": rngs,
-                    "ch_rng": ch_rng,
-                    "f_rng": f_rng,
-                    "corrupt": corrupt,
-                    "jf": jf,
-                    "cf": cf,
-                    "jam": jam,
-                    "bound": bound,
-                    "t": t,
-                    "slots_simulated": slots_simulated,
-                    "next_id": next_id,
-                    "releasing": releasing,
-                    "pending": pending,
-                    "blocked": list(blocked),
-                    "live": (
-                        live_ids,
-                        live_jobs,
-                        live_protos,
-                        live_act,
-                        live_observe,
-                        live_deadline,
-                    ),
-                    "delivered": delivered,
-                    "result": res,
-                    "wd_progress_mark": wd_progress_mark,
-                },
+                ckpt.path, {"config": cfg_key, **dict(zip(_RESUMABLE, resumable))}
             )
             res.checkpoints_written += 1
-            next_mark = (slots_simulated // every + 1) * every
+            next_mark = (core.slots // every + 1) * every
 
         # 1a. drain the blocked FIFO into freed live slots.
         if blocked:
-            while blocked and len(live_protos) < max_live:
+            while blocked and len(live) < max_live:
                 job, rec = blocked.popleft()
                 if rec is not None and 0 <= rec.crash_slot <= t:
                     shed("crashed-blocked")
@@ -626,13 +549,7 @@ def stream_simulate(
                         releasing = False
                         break
                     job = Job(next_id, t, t + w)
-                    rec = (
-                        job_fault_record(
-                            jf, cf, job, rngs.fresh("fault-job", next_id)
-                        )
-                        if have_job_faults
-                        else None
-                    )
+                    rec = core.fault_record(job)
                     heapq.heappush(
                         pending,
                         (
@@ -653,29 +570,22 @@ def stream_simulate(
         while pending and pending[0][0] == t:
             _, _, _, _, job, rec = heapq.heappop(pending)
             activated = True
-            if max_live is None or len(live_protos) < max_live:
+            if max_live is None or len(live) < max_live:
                 admit(job, rec, t)
             elif pol == "shed-newest":
                 shed("arrival")
             elif pol == "shed-loosest-deadline":
-                best = -1
-                bk = None
-                for i in range(len(live_protos)):
-                    if live_ids[i] in delivered:
-                        continue
-                    k = (live_deadline[i], live_ids[i])
-                    if bk is None or k > bk:
-                        bk = k
-                        best = i
-                if bk is not None and bk > (job.deadline, job.job_id):
-                    res.transmissions += live_protos[best].transmissions
+                candidates = [
+                    (d, jid, i)
+                    for i, (jid, d) in enumerate(zip(core.ids, core.deadline))
+                    if jid not in core.delivered
+                ]
+                victim = max(candidates, default=None)
+                if victim is not None and victim[:2] > (job.deadline, job.job_id):
+                    spent, jammed = core.evict(victim[2])
+                    res.transmissions += spent
+                    res.jammed_transmissions += jammed
                     shed("evicted")
-                    del live_ids[best]
-                    del live_jobs[best]
-                    del live_protos[best]
-                    del live_act[best]
-                    del live_observe[best]
-                    del live_deadline[best]
                     admit(job, rec, t)
                 else:
                     shed("arrival")
@@ -684,12 +594,12 @@ def stream_simulate(
                     blocked.append((job, rec))
                 else:
                     shed("queue-full")
-        if wd is not None and activated:
-            wd_progress_mark = slots_simulated
+        if activated:
+            core.progress_mark = core.slots
 
         # 1d. jump over idle gaps — no slot simulated, no jam draw,
         # exactly like the closed engine's gap jump.
-        if not live_protos:
+        if not live:
             nxt = pending[0][0] if pending else None
             if releasing:
                 start = t + 1
@@ -715,204 +625,41 @@ def stream_simulate(
             bound.release_before(t)
             continue
 
-        n_live = len(live_protos)
-
-        # 2. collect actions.
-        transmissions: List[Tuple[int, Message]] = []
-        tx_idx: List[int] = []
-        for i in range(n_live):
-            msg = live_act[i](t)
-            if msg is not None:
-                transmissions.append((live_ids[i], msg))
-                tx_idx.append(i)
-
-        # 3 + 4. resolve the slot and fan the observation out — the
-        # closed engine's inlined resolve_slot(), randomness included.
-        slots_simulated += 1
-        delivered_now = -1
-        n_tx = len(transmissions)
-        if n_tx == 0:
-            jammed = (not no_jam) and jam.attempt(t, 0, None, ch_rng)
-            obs = _OBS_NOISE if jammed else _OBS_SILENCE
-            if jammed:
-                res.jammed_slots += 1
-            else:
-                res.silence_slots += 1
-            if corrupt is None:
-                for observe in live_observe:
-                    observe(t, obs)
-            else:
-                for observe in live_observe:
-                    observe(t, corrupt.corrupt(obs, f_rng))
-        elif n_tx == 1:
-            jid0, msg0 = transmissions[0]
-            i0 = tx_idx[0]
-            jammed = (not no_jam) and jam.attempt(t, 1, msg0, ch_rng)
-            if jammed:
-                res.jammed_slots += 1
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t, _OBS_NOISE_TX if i == i0 else _OBS_NOISE
-                        )
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                _OBS_NOISE_TX if i == i0 else _OBS_NOISE,
-                                f_rng,
-                            ),
-                        )
-            else:
-                res.success_slots += 1
-                kind = msg0.kind
-                if kind == KIND_DATA:
-                    delivered.setdefault(msg0.sender, t)
-                    delivered_now = msg0.sender
-                elif kind == KIND_BEACON and msg0.payload is not None:
-                    delivered.setdefault(msg0.payload.sender, t)
-                    delivered_now = msg0.payload.sender
-                obs_listen = Observation(_SUCCESS, msg0, False, False)
-                obs_tx = Observation(_SUCCESS, msg0, True, msg0.sender == jid0)
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](t, obs_tx if i == i0 else obs_listen)
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                obs_tx if i == i0 else obs_listen, f_rng
-                            ),
-                        )
-        else:
-            jammed = (not no_jam) and jam.attempt(t, n_tx, None, ch_rng)
-            res.collision_slots += 1
-            if jammed:
-                res.jammed_slots += 1
-            k = 0
-            if corrupt is None:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, _OBS_NOISE_TX)
-                        k += 1
-                    else:
-                        live_observe[i](t, _OBS_NOISE)
-            else:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE_TX, f_rng))
-                        k += 1
-                    else:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE, f_rng))
-
-        # 5. retire — compaction preserves order, as in the closed engine.
+        # 2. the shared slot step: act, resolve, fan out, retire.
+        trip = step(t, finalize)
         t += 1
-        any_dead = False
-        for i in range(n_live):
-            p = live_protos[i]
-            if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                any_dead = True
-                break
-        if any_dead:
-            keep_ids: List[int] = []
-            keep_jobs: List[Job] = []
-            keep_protos: List[Protocol] = []
-            keep_act: List[Callable[[int], Optional[Message]]] = []
-            keep_observe: List[Callable[[int, Observation], None]] = []
-            keep_deadline: List[int] = []
-            for i in range(n_live):
-                p = live_protos[i]
-                if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                    finalize(live_jobs[i], p)
-                else:
-                    keep_ids.append(live_ids[i])
-                    keep_jobs.append(live_jobs[i])
-                    keep_protos.append(p)
-                    keep_act.append(live_act[i])
-                    keep_observe.append(live_observe[i])
-                    keep_deadline.append(live_deadline[i])
-            live_ids = keep_ids
-            live_jobs = keep_jobs
-            live_protos = keep_protos
-            live_act = keep_act
-            live_observe = keep_observe
-            live_deadline = keep_deadline
 
         if not (t & 0xFF):
             bound.release_before(t)
             if progress is not None:
-                if max_jobs is not None:
-                    progress(
-                        res.jobs_succeeded + res.jobs_missed + res.jobs_shed,
-                        max_jobs,
-                    )
-                else:
-                    progress(slots_simulated, max_slots)
+                report_progress()
 
-        if wd is not None:
-            if delivered_now >= 0:
-                wd_progress_mark = slots_simulated
-            if wd_slot_limit is not None and slots_simulated >= wd_slot_limit:
-                wd_trip = WatchdogTrip(
-                    REASON_SLOTS,
-                    t - 1,
-                    slots_simulated,
-                    f"max_slots={wd_slot_limit}",
-                )
-            elif (
-                wd_stall_limit is not None
-                and live_protos
-                and slots_simulated - wd_progress_mark >= wd_stall_limit
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_STALL,
-                    t - 1,
-                    slots_simulated,
-                    f"no delivery for {wd_stall_limit} slots "
-                    f"(stall_factor={wd.stall_factor:g})",
-                )
-            elif (
-                wd_deadline is not None
-                and slots_simulated % WALL_CHECK_PERIOD == 0
-                and time.perf_counter() > wd_deadline
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_WALL,
-                    t - 1,
-                    slots_simulated,
-                    f"max_seconds={wd.max_seconds:g}",
-                )
-            if wd_trip is not None:
-                break
-
-        if not releasing and not pending and not blocked and not live_protos:
+        if trip is not None:
+            break
+        if not releasing and not pending and not blocked and not live:
             break
 
-    if wd_trip is not None:
+    unstarted = 0
+    if trip is not None:
         # Graceful cancellation: live jobs finalize like a horizon cut;
         # jobs still pending/blocked count as misses with zero attempts.
-        res.watchdog = wd_trip
-        for i in range(len(live_protos)):
-            finalize(live_jobs[i], live_protos[i])
-        for entry in pending:
-            res.jobs_missed += 1
-            if outcomes is not None:
-                outcomes[entry[3]] = (JobStatus.FAILED, -1, 0)
-        for job, _rec in blocked:
-            res.jobs_missed += 1
-            if outcomes is not None:
+        res.watchdog = trip
+        core.cancel(trip, finalize)
+        unstarted = len(pending) + len(blocked)
+        res.jobs_missed += unstarted
+        if outcomes is not None:
+            for job in [e[4] for e in pending] + [job for job, _ in blocked]:
                 outcomes[job.job_id] = (JobStatus.FAILED, -1, 0)
 
-    res.slots_simulated = slots_simulated
+    res.slots_simulated = core.slots
     res.final_slot = t
+    res.channel_attempts = core.attempts
+    res.silence_slots = core.silence_slots
+    res.success_slots = core.success_slots
+    res.collision_slots = core.collision_slots
+    res.jammed_slots = core.jammed_slots
+    if telemetry is not None:
+        telemetry.on_run_end(unstarted=unstarted)
     if progress is not None:
-        if max_jobs is not None:
-            progress(
-                res.jobs_succeeded + res.jobs_missed + res.jobs_shed,
-                max_jobs,
-            )
-        else:
-            progress(slots_simulated, max_slots)
+        report_progress()
     return res

@@ -70,6 +70,7 @@ from repro.fastpath.estimation_fast import (
 from repro.fastpath.anarchist_fast import simulate_anarchists_fast
 from repro.fastpath.uniform_fast import simulate_uniform_fast
 from repro.core.rounds import ROUND_LENGTH
+from repro.obs.telemetry import Telemetry
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.engine import simulate
 from repro.sim.instance import Instance
@@ -695,19 +696,24 @@ def diff_streaming_equivalence(
     live stream (``max_slots=horizon``, no budget) must then agree
     bit-for-bit — per-job status, completion slot, and transmission
     count, plus the headline counts — under the case's jammer and fault
-    plan alike.
+    plan alike.  Both sides run under the invariant checker with a
+    :class:`~repro.obs.telemetry.Telemetry` attached, and must also agree
+    on channel-access energy and on the run's job and channel counters.
     """
     process = case.process()
     assert process is not None, "streaming-equivalence case without process"
     instance = materialize(
         process, RngFactory(seed).stream("arrivals"), case.horizon
     )
+    engine_tele, stream_tele = Telemetry(), Telemetry()
     engine = simulate(
         instance,
         case.factory(),
         jammer=case.jammer(),
         seed=seed,
         faults=case.faults(),
+        invariants=True,
+        telemetry=engine_tele,
     )
     stream = stream_simulate(
         process,
@@ -717,6 +723,8 @@ def diff_streaming_equivalence(
         jammer=case.jammer(),
         faults=case.faults(),
         record_outcomes=True,
+        invariants=True,
+        telemetry=stream_tele,
     )
 
     out: List[Discrepancy] = []
@@ -757,13 +765,28 @@ def diff_streaming_equivalence(
                 got,
                 detail=f"release {job.release}, window {job.window}",
             )
-    if engine.n_succeeded != stream.jobs_succeeded:
-        mismatch("n_succeeded", engine.n_succeeded, stream.jobs_succeeded)
-    if engine.slots_simulated != stream.slots_simulated:
-        mismatch(
-            "slots_simulated", engine.slots_simulated, stream.slots_simulated
-        )
+    pairs = {
+        "n_succeeded": (engine.n_succeeded, stream.jobs_succeeded),
+        "slots_simulated": (engine.slots_simulated, stream.slots_simulated),
+        "channel_attempts": (engine.channel_attempts, stream.channel_attempts),
+        "jammed_transmissions": (engine.jammed_energy, stream.jammed_transmissions),
+    }
+    want, got = _run_counters(engine_tele), _run_counters(stream_tele)
+    pairs.update((k, (want.get(k), got.get(k))) for k in set(want) | set(got))
+    for quantity, (expected, actual) in sorted(pairs.items()):
+        if expected != actual:
+            mismatch(quantity, expected, actual)
     return out
+
+
+def _run_counters(tele: Telemetry) -> Dict[str, int]:
+    """The telemetry counters both engines must agree on."""
+    return {
+        f"telemetry {name}": value
+        for name, value in tele.metrics.snapshot().items()
+        if name.startswith(("jobs.", "channel."))
+        or name in ("engine.slots", "engine.transmissions")
+    }
 
 
 # ---------------------------------------------------------------------------

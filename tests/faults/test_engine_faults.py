@@ -13,6 +13,7 @@ from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
 from repro.faults import ClockFault, FaultPlan, FeedbackFault, JobFault
 from repro.params import AlignedParams, PunctualParams, UniformParams
+from repro.faults.plan import job_fault_record
 from repro.sim.engine import simulate
 from repro.sim.job import JobStatus
 from repro.sim.rng import RngFactory
@@ -20,6 +21,12 @@ from repro.workloads import batch_instance, single_class_instance
 
 UNIFORM = uniform_factory()
 ALIGNED_PARAMS = AlignedParams(lam=1, tau=4, min_level=9)
+
+
+def fault_record(plan, job, seed):
+    """The job's fault record as the engine draws it for ``seed``."""
+    rng = RngFactory(seed).fresh("fault-job", job.job_id)
+    return job_fault_record(plan.jobs, plan.clock, job, rng)
 
 
 def outcome_tuples(result):
@@ -94,20 +101,18 @@ class TestJobFaults:
         inst = batch_instance(8, window=512)
         plan = FaultPlan(jobs=JobFault(p_crash=1.0))
         res = simulate(inst, UNIFORM, seed=4, faults=plan, invariants=True)
-        bound = plan.bind(inst, RngFactory(4))
         for o in res.outcomes:
             if o.status is JobStatus.SUCCEEDED:
-                crash = bound._records[o.job.job_id].crash_slot
+                crash = fault_record(plan, o.job, 4).crash_slot
                 assert o.completion_slot < crash
 
     def test_late_release_delays_first_success(self):
         inst = batch_instance(8, window=4096)
         plan = FaultPlan(jobs=JobFault(p_late=1.0, max_delay=1500))
         res = simulate(inst, UNIFORM, seed=7, faults=plan, invariants=True)
-        bound = plan.bind(inst, RngFactory(7))
         delayed = 0
         for o in res.outcomes:
-            eff = bound.release_of(o.job)
+            eff = fault_record(plan, o.job, 7).activation
             if eff > o.job.release:
                 delayed += 1
             if o.status is JobStatus.SUCCEEDED:

@@ -1,4 +1,4 @@
-"""Unit tests for fault-plan construction, validation, and binding."""
+"""Unit tests for fault-plan construction, validation, and per-job draws."""
 
 from __future__ import annotations
 
@@ -10,8 +10,20 @@ from repro.channel.jamming import BudgetJammer, StochasticJammer
 from repro.channel.messages import DataMessage
 from repro.errors import InvalidParameterError
 from repro.faults import ClockFault, FaultPlan, FeedbackFault, JobFault
+from repro.faults.plan import job_fault_record
 from repro.sim.rng import RngFactory
 from repro.workloads import batch_instance
+
+
+def fault_records(plan, instance, seed):
+    """Each job's fault record, drawn from its own ``fault-job`` stream."""
+    rngs = RngFactory(seed)
+    return {
+        job.job_id: job_fault_record(
+            plan.jobs, plan.clock, job, rngs.fresh("fault-job", job.job_id)
+        )
+        for job in instance.by_release
+    }
 
 
 class TestValidation:
@@ -123,41 +135,40 @@ class TestFeedbackCorrupt:
 class TestBinding:
     def test_job_decisions_independent_of_other_jobs(self):
         # Each job draws from its own spawned stream, so job 3's fault
-        # decisions are identical whether bound alone or with others.
+        # decisions are identical whether drawn alone or with others.
         inst_small = batch_instance(4, window=1024)
         inst_large = batch_instance(8, window=1024)
         plan = FaultPlan(
             jobs=JobFault(p_late=0.5, max_delay=100, p_crash=0.5),
             clock=ClockFault(max_skew=8, drift=0.1),
         )
-        a = plan.bind(inst_small, RngFactory(7))
-        b = plan.bind(inst_large, RngFactory(7))
+        a = fault_records(plan, inst_small, 7)
+        b = fault_records(plan, inst_large, 7)
         for job in inst_small.by_release:
-            assert a.release_of(job) == b.release_of(job)
-            assert a._records.get(job.job_id) == b._records.get(job.job_id)
+            assert a[job.job_id] == b[job.job_id]
 
     def test_crash_slot_inside_window(self):
         inst = batch_instance(16, window=512)
         plan = FaultPlan(jobs=JobFault(p_crash=1.0))
-        bound = plan.bind(inst, RngFactory(3))
+        records = fault_records(plan, inst, 3)
         for job in inst.by_release:
-            rec = bound._records[job.job_id]
+            rec = records[job.job_id]
             assert job.release < rec.crash_slot < job.deadline
 
     def test_late_release_stays_inside_window(self):
         inst = batch_instance(16, window=64)
         plan = FaultPlan(jobs=JobFault(p_late=1.0, max_delay=10_000))
-        bound = plan.bind(inst, RngFactory(3))
+        records = fault_records(plan, inst, 3)
         for job in inst.by_release:
-            assert job.release < bound.release_of(job) < job.deadline
+            assert job.release < records[job.job_id].activation < job.deadline
 
     def test_slow_clock_shifts_activation_not_begin(self):
         inst = batch_instance(8, window=1024)
         plan = FaultPlan(clock=ClockFault(max_skew=32))
-        bound = plan.bind(inst, RngFactory(11))
+        records = fault_records(plan, inst, 11)
         saw_slow = False
         for job in inst.by_release:
-            rec = bound._records.get(job.job_id)
+            rec = records[job.job_id]
             if rec is None:
                 continue
             if rec.activation > job.release:

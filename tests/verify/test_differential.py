@@ -15,6 +15,7 @@ from repro.verify.differential import (
     diff_anarchist_kernel,
     diff_broadcast_kernel,
     diff_estimation_kernel,
+    diff_streaming_equivalence,
     diff_uniform_dominance,
     diff_uniform_exact,
     diff_uniform_statistical,
@@ -213,3 +214,30 @@ class TestShrink:
 
         minimal = shrink_failing_instance(Instance(jobs), 0, fails)
         assert [j.job_id for j in minimal.jobs] == [30]
+
+
+class TestStreamingEquivalence:
+    def test_agreeing_drivers_pass(self):
+        assert diff_streaming_equivalence(corpus_case("stream-diurnal-jammed"), 0) == []
+
+    def test_energy_and_telemetry_drift_is_reported(self, monkeypatch):
+        """A streaming side that miscounts energy is caught even when every
+        per-job outcome still agrees."""
+        import repro.verify.differential as differential
+
+        real = differential.stream_simulate
+
+        def drifted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.channel_attempts += 1
+            res.jammed_transmissions += 1
+            kwargs["telemetry"].metrics.counter("jobs.energy").inc()
+            return res
+
+        monkeypatch.setattr(differential, "stream_simulate", drifted)
+        found = diff_streaming_equivalence(corpus_case("stream-diurnal-jammed"), 0)
+        assert {d.quantity for d in found} == {
+            "channel_attempts",
+            "jammed_transmissions",
+            "telemetry jobs.energy",
+        }
