@@ -9,11 +9,11 @@ implementations ship today:
 * :class:`SerialExecutor` — in-process, deterministic order.  Used by
   tests and crash drills (a SIGKILL lands between cells, never inside a
   half-tracked pool).
-* :class:`LocalPoolExecutor` — a process pool.  A worker exception
-  comes back as a :class:`CellFailure` (the worker entry point never
-  raises); a worker dying *hard* breaks the pool, and every cell whose
-  result had not yet arrived is reported as a ``pool-broken`` failure —
-  the orchestrator's retry loop takes it from there.
+* :class:`LocalPoolExecutor` — the process pool of :mod:`repro.pool`.
+  A worker exception comes back as a :class:`CellFailure` (the worker
+  entry point never raises); a worker dying *hard* breaks the pool, and
+  every cell whose result had not yet arrived is reported as a
+  ``pool-broken`` failure — the orchestrator's retry loop takes it.
 
 The interface deliberately admits remote executors later (a cell task
 is a small picklable value object; an implementation that ships tasks
@@ -27,15 +27,14 @@ works if every way a cell can die is representable as data.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Union
 
 from repro.campaign.spec import CampaignCell
 from repro.experiments.parallel import aggregate, run_seeds
+from repro.pool import TaskFailure, map_outcomes
 from repro.sim.watchdog import Watchdog
 
 __all__ = [
@@ -190,40 +189,23 @@ class LocalPoolExecutor(CellExecutor):
     ) -> Iterator[CellOutcome]:
         """Yield outcomes as cells finish; account for every task.
 
-        On :class:`BrokenProcessPool`, tasks whose outcome never
-        arrived are yielded as ``pool-broken`` :class:`CellFailure`\\ s —
-        a cell that actually finished but whose result was lost with
-        the pool simply re-runs next round (cells are deterministic, and
-        the result cache absorbs the recompute).
+        Tasks whose outcome never arrived because the pool broke are
+        yielded as ``pool-broken`` :class:`CellFailure`\\ s — a cell that
+        actually finished but whose result was lost with the pool simply
+        re-runs next round (cells are deterministic, and the result cache
+        absorbs the recompute).
         """
         tasks = list(tasks)
-        if not tasks:
-            return
-        delivered = set()
-        broken = False
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.workers, len(tasks))
-            ) as pool:
-                futures = {
-                    pool.submit(execute_cell, t): t for t in tasks
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    outcome = fut.result()
-                    delivered.add(futures[fut].key)
-                    yield outcome
-        except BrokenProcessPool:
-            broken = True
-        if broken:
-            for t in tasks:
-                if t.key not in delivered:
-                    yield CellFailure(
-                        key=t.key,
-                        index=t.cell.index,
-                        label=t.cell.label(),
-                        error=(
-                            "process pool broke before this cell's "
-                            "result was received (worker died)"
-                        ),
-                        kind="pool-broken",
-                    )
+        for i, outcome in map_outcomes(
+            execute_cell, tasks, workers=self.workers
+        ):
+            if isinstance(outcome, TaskFailure):
+                t = tasks[i]
+                outcome = CellFailure(
+                    key=t.key,
+                    index=t.cell.index,
+                    label=t.cell.label(),
+                    error=outcome.error,
+                    kind=outcome.kind,
+                )
+            yield outcome

@@ -15,10 +15,10 @@ parallelizing the outer loop):
   counts, per-window tallies, latency sums), not full
   ``SimulationResult`` objects, so IPC stays negligible compared to
   simulation time;
-* tasks are submitted in *chunks* (an explicit ``chunksize`` computed
-  from the seed count) so the pool does not pay one IPC round-trip per
-  seed, and results stream back in order as chunks complete — an
-  optional ``progress`` callback observes every completion;
+* tasks go to the shared pool of :mod:`repro.pool` in *chunks* (an
+  explicit ``chunksize`` computed from the seed count) so it does not
+  pay one IPC round-trip per seed; results stream back as chunks
+  complete, observed by a ``progress`` callback, yet return in seed order;
 * worker exceptions are captured with the failing seed attached and
   re-raised in the parent as :class:`SeedExecutionError`, instead of a
   bare traceback that has forgotten which task died;
@@ -31,10 +31,8 @@ parallelizing the outer loop):
 
 from __future__ import annotations
 
+import functools
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -51,6 +49,7 @@ from typing import (
 from repro.cache import ResultCache, as_cache, run_key, stable_digest
 from repro.channel.jamming import Jammer
 from repro.errors import ReproError
+from repro.pool import TaskFailure, compute_chunksize, run_all
 from repro.retrypolicy import BACKOFF_CAP_SECONDS, RetryPolicy
 from repro.sim.engine import ProtocolFactory, simulate
 from repro.sim.instance import Instance
@@ -181,14 +180,6 @@ class SeedDigest:
         return self.attempts_sum / self.n_jobs
 
 
-@dataclass(frozen=True)
-class _WorkerFailure:
-    """A captured worker exception (picklable, seed attached)."""
-
-    seed: int
-    formatted: str
-
-
 # -- picklable builder adapters ---------------------------------------------
 #
 # run_seeds ships its builders to workers, so they must pickle.  These
@@ -228,25 +219,6 @@ class ConstantFactory:
         return self.factory
 
 
-def compute_chunksize(n_tasks: int, processes: int) -> int:
-    """A chunksize that balances IPC overhead against load balance.
-
-    One task per IPC message is pure overhead for sub-second seeds; one
-    giant chunk per worker straggles.  Aim for ~4 chunks per worker,
-    capped so no chunk exceeds 64 tasks.
-
-    Always returns at least 1 — ``pool.map(chunksize=0)`` raises deep in
-    ``concurrent.futures`` — for every combination of ``n_tasks`` and
-    ``processes``, including ``n_tasks == 0`` (nothing to submit, but a
-    caller that computes the chunksize before noticing must not blow up)
-    and ``processes > n_tasks`` (more workers than work: one task per
-    chunk, surplus workers idle).
-    """
-    if n_tasks <= 0 or processes <= 1 or processes >= n_tasks:
-        return 1
-    return max(1, min(64, -(-n_tasks // (processes * 4))))
-
-
 def _run_one(
     job: ParallelJob, telemetry: Optional["Telemetry"] = None
 ) -> SeedDigest:
@@ -275,26 +247,6 @@ def _run_one(
             result.watchdog.reason if result.watchdog is not None else None
         ),
     )
-
-
-def _run_one_safe(
-    job: ParallelJob, telemetry: Optional["Telemetry"] = None
-) -> Union[SeedDigest, _WorkerFailure]:
-    """Worker entry point: never raises, reports the failing seed."""
-    try:
-        # single-arg call when un-instrumented: _run_one is a documented
-        # monkeypatch seam for failure-injection tests
-        if telemetry is None:
-            return _run_one(job)
-        return _run_one(job, telemetry)
-    except Exception:
-        return _WorkerFailure(seed=job.seed, formatted=traceback.format_exc())
-
-
-def _check(result: Union[SeedDigest, _WorkerFailure]) -> SeedDigest:
-    if isinstance(result, _WorkerFailure):
-        raise SeedExecutionError(result.seed, result.formatted)
-    return result
 
 
 def _instance_digest_of(job: ParallelJob) -> Optional[str]:
@@ -559,8 +511,9 @@ def run_seeds(
     if progress is not None and done:
         progress(done, total)
 
-    def finish(pos: int, key: Optional[str], digest: SeedDigest) -> None:
+    def finish(k: int, digest: SeedDigest) -> None:
         nonlocal done
+        pos, _, key = pending[k]
         results[pos] = digest
         if digest.watchdog_reason is not None and telemetry is not None:
             telemetry.metrics.counter("runs.watchdog_trips").inc()
@@ -570,78 +523,37 @@ def run_seeds(
         if progress is not None:
             progress(done, total)
 
-    attempt = 0
-    while pending:
-        failures: List[
-            Tuple[int, ParallelJob, Optional[str], _WorkerFailure]
-        ] = []
-        if processes <= 1:
-            for pos, job, key in pending:
-                result = _run_one_safe(job, telemetry)
-                if isinstance(result, _WorkerFailure):
-                    failures.append((pos, job, key, result))
-                else:
-                    finish(pos, key, result)
-        else:
-            n_chunk = (
-                chunksize
-                if chunksize is not None
-                else compute_chunksize(len(pending), processes)
-            )
-            jobs = [job for _, job, _ in pending]
-            try:
-                with ProcessPoolExecutor(max_workers=processes) as pool:
-                    # pool.map streams results back in submission order
-                    # as chunks complete; pairing by position keeps
-                    # bookkeeping exact even with cache hits interleaved.
-                    for (pos, job, key), result in zip(
-                        pending,
-                        pool.map(_run_one_safe, jobs, chunksize=n_chunk),
-                    ):
-                        if isinstance(result, _WorkerFailure):
-                            failures.append((pos, job, key, result))
-                        else:
-                            finish(pos, key, result)
-            except BrokenProcessPool:
-                # A worker died hard (signal/OOM): every task whose
-                # result did not come back is unaccounted for — retry
-                # them all.
-                taken = {f[0] for f in failures}
-                failures.extend(
-                    (
-                        pos,
-                        job,
-                        key,
-                        _WorkerFailure(
-                            seed=job.seed,
-                            formatted=(
-                                "process pool broke before this seed's "
-                                "result was received (worker died)"
-                            ),
-                        ),
-                    )
-                    for pos, job, key in pending
-                    if pos not in results and pos not in taken
-                )
-        if not failures:
-            break
+    def count(failures: List[TaskFailure], retrying: bool) -> None:
         if telemetry is not None:
-            telemetry.metrics.counter("runs.worker_failures").inc(
-                len(failures)
-            )
-        if attempt >= retries:
-            pos, job, key, failure = failures[0]
-            raise SeedExecutionError(
-                failure.seed,
-                failure.formatted,
-                protocol=_protocol_label(protocol),
-                instance_digest=_instance_digest_of(job),
-            )
-        attempt += 1
-        if telemetry is not None:
-            telemetry.metrics.counter("runs.retries").inc()
-        policy.sleep(attempt)
-        pending = [(pos, job, key) for pos, job, key, _ in failures]
+            metrics = telemetry.metrics
+            metrics.counter("runs.worker_failures").inc(len(failures))
+            if retrying:
+                metrics.counter("runs.retries").inc()
+
+    # Single-arg call when un-instrumented: _run_one is a documented
+    # monkeypatch seam for failure-injection tests.  Worker processes
+    # cannot share the collector, so only the inline path gets it.
+    run = _run_one
+    if telemetry is not None and processes <= 1:
+        run = functools.partial(_run_one, telemetry=telemetry)
+    failures = run_all(
+        run,
+        [job for _, job, _ in pending],
+        on_result=finish,
+        workers=processes if processes > 1 else 0,
+        chunksize=chunksize,
+        policy=policy,
+        on_retry=functools.partial(count, retrying=True),
+    )
+    if failures:
+        count(failures, retrying=False)
+        job = pending[failures[0].index][1]
+        raise SeedExecutionError(
+            job.seed,
+            failures[0].error,
+            protocol=_protocol_label(protocol),
+            instance_digest=_instance_digest_of(job),
+        )
 
     if telemetry is not None:
         telemetry.add_span("run_seeds", time.perf_counter() - t_started)

@@ -33,7 +33,6 @@ Example
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,40 +300,6 @@ class Sweep:
             key = key + ("fastpath", self.fastpath)
         return stable_digest(key)
 
-    def _load_checkpoint(self) -> Dict[str, SweepPoint]:
-        """Completed points from the checkpoint file (corrupt tail skipped)."""
-        done: Dict[str, SweepPoint] = {}
-        if self.checkpoint is None or not self.checkpoint.exists():
-            return done
-        for line in self.checkpoint.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                done[record["key"]] = SweepPoint.from_json(record["point"])
-            except Exception:
-                # A killed run can leave a truncated final line; the
-                # point is simply recomputed (its cached seeds still hit).
-                continue
-        return done
-
-    def _append_checkpoint(self, key: str, point: SweepPoint) -> None:
-        assert self.checkpoint is not None
-        self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        # A killed run can leave a truncated final line with no newline;
-        # appending straight after it would corrupt this record too.
-        needs_newline = (
-            self.checkpoint.exists()
-            and self.checkpoint.stat().st_size > 0
-            and not self.checkpoint.read_bytes().endswith(b"\n")
-        )
-        with open(self.checkpoint, "a") as f:
-            if needs_newline:
-                f.write("\n")
-            f.write(json.dumps({"key": key, "point": point.to_json()}) + "\n")
-            f.flush()
-
     def run(self, grid: Mapping[str, Iterable[Any]]) -> List[SweepPoint]:
         """Run the full cartesian grid, in deterministic order.
 
@@ -402,7 +367,18 @@ class Sweep:
         total = 1
         for v in values:
             total *= len(v)
-        done = self._load_checkpoint() if self.checkpoint is not None else {}
+        done: Dict[str, SweepPoint] = {}
+        if self.checkpoint is not None:
+            from repro.obs import ledger
+
+            # A killed run can leave a truncated final line: the reader
+            # skips it, that point is recomputed (its cached seeds still
+            # hit), and the next append heals the missing newline.
+            for record in ledger.read_jsonl_tolerant(self.checkpoint):
+                try:
+                    done[record["key"]] = SweepPoint.from_json(record["point"])
+                except Exception:
+                    continue  # a foreign or malformed record: recompute
         points: List[SweepPoint] = []
         resumed = 0
         for combo in itertools.product(*values):
@@ -417,7 +393,9 @@ class Sweep:
                         self.progress(len(points), total)
                     continue
                 point = self.run_point(**params)
-                self._append_checkpoint(pkey, point)
+                ledger.append_jsonl_atomic(
+                    self.checkpoint, {"key": pkey, "point": point.to_json()}
+                )
             else:
                 point = self.run_point(**params)
             points.append(point)

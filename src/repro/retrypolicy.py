@@ -4,9 +4,10 @@ Three layers of this codebase retry work that died for reasons unrelated
 to its inputs — a worker OOM-killed under a process pool, a pool broken
 by a signal, a campaign cell whose executor crashed:
 
-* :func:`repro.experiments.parallel.run_seeds` re-runs failed seeds;
-* :func:`repro.stream.shard.run_stream_shards` re-runs crashed shards;
-* the campaign executor (:mod:`repro.campaign.executor`) re-runs cells.
+* :func:`repro.experiments.parallel.run_seeds` re-runs failed seeds and
+  :func:`repro.stream.shard.run_stream_shards` crashed shards, both in
+  the one retry loop of the shared pool, :func:`repro.pool.run_all`;
+* the campaign orchestrator (:mod:`repro.campaign.run`) re-runs cells.
 
 They must share one policy, or the system's behavior under a recovering
 resource becomes the union of three slightly different curves.  The rule

@@ -15,27 +15,25 @@ discipline :mod:`repro.cli` uses for its sweep workers); a lambda or
 local closure will fail to pickle with a clear error before any work
 starts.
 
-Worker crashes are survivable: a shard whose worker dies (an exception,
-an OOM kill, a :class:`~concurrent.futures.process.BrokenProcessPool`)
-is re-run under the shared :class:`repro.retrypolicy.RetryPolicy` —
+Worker crashes are survivable: through :func:`repro.pool.run_all`, a
+shard whose worker dies (an exception, an OOM kill, a broken pool) is
+re-run under the shared :class:`repro.retrypolicy.RetryPolicy` —
 completed shards are kept, only the unaccounted ones are resubmitted —
 so one flaky worker costs one backoff, not the whole sharded run.
 Deterministic failures still fail after exhausting retries, raising
-:class:`ShardExecutionError` naming the failing shard's seed.
+:class:`ShardExecutionError` naming the lowest-indexed failing shard.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-import traceback
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.channel.jamming import Jammer
 from repro.errors import InvalidParameterError, ReproError
 from repro.faults.plan import FaultPlan
+from repro.pool import run_all
 from repro.retrypolicy import RetryPolicy
 from repro.sim.engine import ProtocolFactory
 from repro.sim.watchdog import Watchdog
@@ -59,14 +57,6 @@ class ShardExecutionError(ReproError):
         )
         self.seed = seed
         self.worker_traceback = worker_traceback
-
-
-@dataclass(frozen=True)
-class _ShardFailure:
-    """A captured worker exception (picklable, seed attached)."""
-
-    seed: int
-    formatted: str
 
 
 @dataclass(frozen=True)
@@ -106,16 +96,6 @@ def _run_shard(
     )
 
 
-def _run_shard_safe(
-    spec: StreamShardSpec,
-) -> Union[StreamResult, _ShardFailure]:
-    """Worker entry point: never raises, reports the failing shard."""
-    try:
-        return _run_shard(spec)
-    except Exception:
-        return _ShardFailure(seed=spec.seed, formatted=traceback.format_exc())
-
-
 def run_stream_shards(
     specs: Sequence[StreamShardSpec],
     *,
@@ -148,9 +128,9 @@ def run_stream_shards(
         pool broken by a dying worker — are resubmitted.  Shards are
         deterministic in their spec, so a re-run merges identically.
         After exhausting retries, :class:`ShardExecutionError` names
-        the failing shard.  Only meaningful on the pool path; the
-        serial path raises immediately (an in-process failure is never
-        a lost worker).
+        the lowest-indexed failing shard.  Only meaningful on the pool
+        path; the serial path raises immediately (an in-process failure
+        is never a lost worker).
     retry_backoff:
         First-retry delay in seconds (see
         :class:`repro.retrypolicy.RetryPolicy`).
@@ -188,57 +168,20 @@ def run_stream_shards(
                 per_shard.append(_run_shard(s, progress=shard_cb))
                 done_before += exp
     else:
-        # Submit one future per shard (not pool.map) so that when a
-        # worker dies hard we know exactly which shards are unaccounted
-        # for, and retry only those — completed results are kept.
+        # One shard per chunk: shards are long, so chunking buys no IPC.
         slots: List[Optional[StreamResult]] = [None] * len(specs)
-        pending = list(range(len(specs)))
-        attempt = 0
-        while pending:
-            failures: List[Tuple[int, _ShardFailure]] = []
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(processes, len(pending))
-                ) as pool:
-                    futures = {
-                        pool.submit(_run_shard_safe, specs[i]): i
-                        for i in pending
-                    }
-                    for fut in concurrent.futures.as_completed(futures):
-                        i = futures[fut]
-                        result = fut.result()
-                        if isinstance(result, _ShardFailure):
-                            failures.append((i, result))
-                        else:
-                            slots[i] = result
-            except BrokenProcessPool:
-                # A worker died hard (signal/OOM): every shard whose
-                # result did not come back is unaccounted for — a shard
-                # that finished but was not yet consumed simply re-runs
-                # (deterministic, so the merge is unchanged).
-                taken = {i for i, _ in failures}
-                failures.extend(
-                    (
-                        i,
-                        _ShardFailure(
-                            seed=specs[i].seed,
-                            formatted=(
-                                "process pool broke before this shard's "
-                                "result was received (worker died)"
-                            ),
-                        ),
-                    )
-                    for i in pending
-                    if slots[i] is None and i not in taken
-                )
-            if not failures:
-                break
-            if attempt >= policy.retries:
-                _, failure = failures[0]
-                raise ShardExecutionError(failure.seed, failure.formatted)
-            attempt += 1
-            policy.sleep(attempt)
-            pending = [i for i, _ in failures]
+        failures = run_all(
+            _run_shard,
+            specs,
+            on_result=slots.__setitem__,
+            workers=processes,
+            chunksize=1,
+            policy=policy,
+        )
+        if failures:
+            raise ShardExecutionError(
+                specs[failures[0].index].seed, failures[0].error
+            )
         per_shard = [r for r in slots if r is not None]
     merged = per_shard[0]
     for r in per_shard[1:]:

@@ -9,6 +9,7 @@ run — after exhausting retries — with an error naming its seed.
 """
 
 import os
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -60,6 +61,17 @@ class AlwaysFailFactory:
         raise RuntimeError("this shard is permanently broken")
 
 
+@dataclass(frozen=True)
+class SlowFailFactory:
+    """Raises deterministically, but only after ``delay`` seconds."""
+
+    delay: float
+
+    def __call__(self, job: Job, rng):
+        time.sleep(self.delay)
+        raise RuntimeError(f"failed after {self.delay}s")
+
+
 def _specs(n, factory_for=None):
     factory_for = factory_for or {}
     return [
@@ -103,3 +115,14 @@ class TestWorkerCrashRetry:
             run_stream_shards(
                 _specs(2, crashy), processes=1, retries=5, retry_backoff=0.0
             )
+
+    def test_failure_names_the_lowest_shard_not_the_first_to_finish(self):
+        # Shard 0 fails last, shard 1 fails at once: the error must still
+        # name shard 0, as run_seeds names the lowest failing position.
+        crashy = {0: SlowFailFactory(0.5), 1: SlowFailFactory(0.0)}
+        with pytest.raises(ShardExecutionError) as excinfo:
+            run_stream_shards(
+                _specs(2, crashy), processes=2, retries=0, retry_backoff=0.0
+            )
+        assert excinfo.value.seed == 0
+        assert "failed after 0.5s" in str(excinfo.value)
