@@ -35,12 +35,12 @@ import functools
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro.durable import write_atomic
 from repro.sim.engine import ENGINE_VERSION
 
 __all__ = [
@@ -316,7 +316,7 @@ class ResultCache:
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out to
     keep directories small).  All operations are safe against concurrent
-    writers: writes go to a temp file and ``os.replace`` into place, and
+    writers: writes go through :func:`repro.durable.write_atomic`, and
     unreadable entries are treated as misses and deleted.
     """
 
@@ -351,19 +351,10 @@ class ResultCache:
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` atomically."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            self.path_for(key),
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         self.puts += 1
 
     def __contains__(self, key: str) -> bool:

@@ -2,7 +2,7 @@
 
 Resumability is the whole point of a campaign, so its state file gets
 the same durability contract as the run ledger (PR 8): every record is
-one :func:`repro.obs.ledger.append_jsonl_atomic` call — a single
+one :func:`repro.durable.append_jsonl_atomic` call — a single
 ``os.write`` on an ``O_APPEND`` descriptor, with the healing newline for
 a torn tail folded into the same write — and reads go through the
 tolerant reader, which skips a half-written final line instead of
@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ReproError
-from repro.obs.ledger import append_jsonl_atomic, read_jsonl_tolerant
+from repro.durable import append_jsonl_atomic, read_jsonl_tolerant
 
 __all__ = [
     "STATE_SCHEMA",

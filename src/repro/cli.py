@@ -61,9 +61,11 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -130,92 +132,106 @@ def _cache_knob(args):
     return value
 
 
-def _telemetry_for(args: argparse.Namespace, command: str):
-    """A :class:`~repro.obs.Telemetry` collector when --telemetry is set."""
-    path = getattr(args, "telemetry", "")
-    if not path:
-        return None
-    from repro.obs import Telemetry
+@dataclass
+class _Observed:
+    """The sinks one command's flags opened; ``None`` where a flag is off."""
 
-    context: Dict[str, Any] = {"command": command}
-    for key in ("workload", "protocol", "protocols", "seed", "seeds", "jam"):
-        value = getattr(args, key, None)
-        if value not in (None, ""):
-            context[key] = value
-    return Telemetry(label=f"repro {command}", context=context)
+    telemetry: Any = None  # Telemetry collector (--telemetry)
+    tracker: Any = None  # heartbeat ProgressTracker (--heartbeat)
+    server: Any = None  # MetricsServer (--metrics-port)
+    ledger: Any = None  # RunLedger (--ledger)
+    record: Any = None  # the command's own ledger record (``record=``)
 
 
-def _write_telemetry(tele, args: argparse.Namespace) -> None:
-    if tele is None:
-        return
-    path = tele.write_jsonl(args.telemetry)
-    print(f"wrote telemetry to {path} (summarize with: repro obs {path})")
+@contextlib.contextmanager
+def _observed(
+    args: argparse.Namespace,
+    command: str,
+    *,
+    total: Optional[int] = None,
+    record: Optional[Dict[str, Any]] = None,
+) -> Iterator[_Observed]:
+    """Open the sinks a command's observability flags ask for.
 
-
-def _ledger_for(args: argparse.Namespace):
-    """A :class:`~repro.obs.ledger.RunLedger` when ``--ledger`` is set."""
-    value = getattr(args, "ledger", "")
-    if not value:
-        return None
-    from repro.obs.ledger import RunLedger
-
-    return RunLedger() if value == "default" else RunLedger(value)
-
-
-def _tracker_for(args: argparse.Namespace, command: str, total=None):
-    """A heartbeat-backed ProgressTracker when ``--heartbeat`` is set."""
-    path = getattr(args, "heartbeat", "")
-    if not path:
-        return None
-    from repro.obs.progress import Heartbeat, ProgressTracker
-
-    return ProgressTracker(
-        total,
-        label=f"repro {command}",
-        heartbeat=Heartbeat(
-            path, every_seconds=getattr(args, "heartbeat_every", 1.0)
-        ),
-    )
-
-
-def _metrics_server_for(args: argparse.Namespace, tele, tracker=None):
-    """An opt-in /metrics endpoint when ``--metrics-port`` is set.
-
-    Serves the telemetry registry when one is attached (a fresh empty
-    registry otherwise) plus the tracker's progress gauges.
+    Yields an :class:`_Observed`.  A clean exit writes the telemetry
+    artifact and says where; every exit marks the heartbeat ``done`` or
+    ``failed`` and stops the ``/metrics`` server.  With a ``record``
+    config and ``--ledger``, the body runs inside
+    :meth:`~repro.obs.ledger.RunLedger.track`, and ``obs.record`` is the
+    command's :class:`~repro.obs.ledger.RunRecord` (which then also
+    lists the telemetry artifact).
     """
-    port = getattr(args, "metrics_port", 0)
-    if not port or port < 0:
-        return None
-    from repro.obs import MetricsRegistry, MetricsServer
+    obs = _Observed()
+    if getattr(args, "telemetry", ""):
+        from repro.obs import Telemetry
 
-    registry = tele.metrics if tele is not None else MetricsRegistry()
-    extra = None
-    if tracker is not None:
+        context: Dict[str, Any] = {"command": command}
+        for key in ("workload", "protocol", "protocols", "seed", "seeds", "jam"):
+            value = getattr(args, key, None)
+            if value not in (None, ""):
+                context[key] = value
+        obs.telemetry = Telemetry(label=f"repro {command}", context=context)
+    if getattr(args, "heartbeat", ""):
+        from repro.obs.progress import Heartbeat, ProgressTracker
 
-        def extra():
-            snap = tracker.snapshot()
-            out = {"progress.done": float(snap["done"])}
-            for key, src in (
-                ("progress.fraction", "fraction"),
-                ("progress.rate_per_s", "rate_per_s"),
-                ("progress.eta_s", "eta_s"),
-            ):
-                if snap.get(src) is not None:
-                    out[key] = float(snap[src])
-            return out
+        obs.tracker = ProgressTracker(
+            total,
+            label=f"repro {command}",
+            heartbeat=Heartbeat(
+                args.heartbeat, every_seconds=args.heartbeat_every
+            ),
+        )
+    ledger = getattr(args, "ledger", "")
+    if ledger:
+        from repro.obs.ledger import RunLedger
 
-    server = MetricsServer(registry, port, extra=extra)
-    server.start()
-    print(f"serving Prometheus metrics on http://127.0.0.1:{server.port}/metrics")
-    return server
+        obs.ledger = RunLedger() if ledger == "default" else RunLedger(ledger)
+    with contextlib.ExitStack() as stack:
+        if obs.tracker is not None:
+            stack.push(
+                lambda exc_type, *_: obs.tracker.finish(
+                    "done" if exc_type is None else "failed"
+                )
+            )
+        if record is not None and obs.ledger is not None:
+            obs.record = stack.enter_context(
+                obs.ledger.track(command, config=record)
+            )
+        if getattr(args, "metrics_port", 0) > 0:
+            from repro.obs import MetricsRegistry, MetricsServer
+
+            tele, tracker = obs.telemetry, obs.tracker
+            obs.server = stack.enter_context(
+                MetricsServer(
+                    tele.metrics if tele is not None else MetricsRegistry(),
+                    args.metrics_port,
+                    extra=tracker.gauges if tracker is not None else None,
+                )
+            )
+            print(
+                "serving Prometheus metrics on "
+                f"http://127.0.0.1:{obs.server.port}/metrics"
+            )
+        yield obs
+        if obs.telemetry is not None:
+            path = obs.telemetry.write_jsonl(args.telemetry)
+            print(f"wrote telemetry to {path} (summarize with: repro obs {path})")
+            if obs.record is not None:
+                obs.record.artifact(args.telemetry)
 
 
-def _finish_obs(tracker, server, status: str = "done") -> None:
-    if tracker is not None:
-        tracker.finish(status)
-    if server is not None:
-        server.stop()
+def _checked_factories(
+    args: argparse.Namespace, instance: Instance, names: list[str]
+) -> Dict[str, Callable]:
+    """The protocol factories for ``instance``; exits when a name is missing."""
+    factories = _protocol_factories(args, instance)
+    for name in names:
+        if name not in factories:
+            raise SystemExit(
+                f"protocol {name!r} unavailable for this workload "
+                f"(choices: {sorted(factories)})"
+            )
+    return factories
 
 
 # -- picklable sweep/compare plumbing ---------------------------------------
@@ -263,6 +279,20 @@ def _protocol_from_state(state: Dict[str, Any], name: str, instance: Instance):
     return _protocol_factories(argparse.Namespace(**state), instance)[name]
 
 
+def _protocol_grid(args: argparse.Namespace):
+    """``--protocols`` as picklable builders: ``(build, {name: protocol})``.
+
+    Exits when a named protocol is unavailable for the workload.
+    """
+    names = [n.strip() for n in args.protocols.split(",") if n.strip()]
+    _checked_factories(args, _build_workload(args), names)
+    state = _args_state(args)
+    return functools.partial(_build_workload_from_state, state), {
+        name: functools.partial(_protocol_from_state, state, name)
+        for name in names
+    }
+
+
 class _StreamProtocol:
     """A picklable per-job protocol factory for sharded streaming runs.
 
@@ -292,11 +322,6 @@ class _StreamProtocol:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    led = _ledger_for(args)
-    if led is None:
-        return _cmd_simulate_impl(args)
-    from repro.sim.engine import ENGINE_VERSION
-
     config = {
         "kind": "simulate",
         "workload": args.workload,
@@ -308,25 +333,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "fault": args.fault or None,
         "fastpath": getattr(args, "fastpath", "off"),
     }
-    with led.track("simulate", config=config) as trk:
-        trk.engine_version = ENGINE_VERSION
-        rc = _cmd_simulate_impl(args, trk)
-        trk.counters.setdefault("exit_code", rc)
-    return rc
-
-
-def _cmd_simulate_impl(args: argparse.Namespace, trk=None) -> int:
-    tele = _telemetry_for(args, "simulate")
-    if tele is not None:
-        with tele.span("build"):
+    with _observed(args, "simulate", record=config) as obs:
+        tele, trk = obs.telemetry, obs.record
+        no_span = contextlib.nullcontext()
+        with tele.span("build") if tele is not None else no_span:
             instance = _build_workload(args)
-    else:
-        instance = _build_workload(args)
-    if trk is not None:
-        from repro.cache import stable_digest
-
-        try:
-            trk.config_digest = stable_digest(
+        if trk is not None:
+            trk.digest(
                 (
                     instance,
                     args.protocol,
@@ -336,55 +349,43 @@ def _cmd_simulate_impl(args: argparse.Namespace, trk=None) -> int:
                     getattr(args, "fastpath", "off"),
                 )
             )
-        except Exception:
-            pass
-        if args.telemetry:
-            trk.artifact(args.telemetry)
-    factories = _protocol_factories(args, instance)
-    if args.protocol not in factories:
-        raise SystemExit(
-            f"protocol {args.protocol!r} unavailable for this workload "
-            f"(choices: {sorted(factories)})"
-        )
-    faults = _fault_plan(args)
-    jammer = _jammer(args)
-    if faults is not None and faults.jammer is not None:
-        if args.jam > 0:
-            raise SystemExit(
-                "--jam conflicts with a --fault family that carries its "
-                "own adversary; pick one"
-            )
-        jammer = None
-    if getattr(args, "fastpath", "off") != "off":
-        # Tracing, CSV export, and single-run telemetry all want the
-        # engine's per-slot / per-job records; the kernels only produce
-        # digests.
-        needs_engine = (
-            args.trace
-            or bool(args.export)
-            or bool(args.export_trace)
-            or tele is not None
-        )
+        factories = _checked_factories(args, instance, [args.protocol])
+        faults = _fault_plan(args)
+        jammer = _jammer(args)
+        if faults is not None and faults.jammer is not None:
+            if args.jam > 0:
+                raise SystemExit(
+                    "--jam conflicts with a --fault family that carries its "
+                    "own adversary; pick one"
+                )
+            jammer = None
         plan = None
-        if not needs_engine:
-            from repro.fastpath.batched import plan_fastpath, simulate_fastpath
+        if getattr(args, "fastpath", "off") != "off":
+            # Tracing, CSV export, and single-run telemetry all want the
+            # engine's per-slot / per-job records; the kernels only
+            # produce digests.
+            if args.trace or args.export or args.export_trace or tele is not None:
+                reason = (
+                    "--trace/--export/--telemetry need the engine's full "
+                    "records"
+                )
+            else:
+                from repro.fastpath.batched import plan_fastpath
 
-            plan, reason = plan_fastpath(
-                instance,
-                factories[args.protocol],
-                jammer=jammer,
-                faults=faults,
-                check_invariants=args.check_invariants,
-            )
-        else:
-            reason = (
-                "--trace/--export/--telemetry need the engine's full records"
-            )
+                plan, reason = plan_fastpath(
+                    instance,
+                    factories[args.protocol],
+                    jammer=jammer,
+                    faults=faults,
+                    check_invariants=args.check_invariants,
+                )
+            if plan is None and args.fastpath == "on":
+                raise SystemExit(f"--fastpath on: {reason}")
         if plan is not None:
+            from repro.fastpath.batched import KERNEL_VERSION, simulate_fastpath
+
             digest = simulate_fastpath(plan, args.seed)
             if trk is not None:
-                from repro.fastpath.batched import KERNEL_VERSION
-
                 trk.kernel_version = KERNEL_VERSION
                 trk.counters.update(
                     jobs=digest.n_jobs,
@@ -401,47 +402,48 @@ def _cmd_simulate_impl(args: argparse.Namespace, trk=None) -> int:
             for w, s, t in digest.by_window:
                 print(f"  window {w:>6}: {s}/{t}")
             print(f"fastpath: {plan.kind} kernel")
-            _write_telemetry(tele, args)
-            return 0 if digest.success_rate >= args.require_success else 1
-        if args.fastpath == "on":
-            raise SystemExit(f"--fastpath on: {reason}")
-    result = simulate(
-        instance,
-        factories[args.protocol],
-        jammer=jammer,
-        seed=args.seed,
-        trace=args.trace or bool(args.export_trace),
-        faults=faults,
-        invariants=args.check_invariants,
-        telemetry=tele,
-    )
-    if trk is not None:
-        trk.counters.update(
-            jobs=len(result.outcomes),
-            succeeded=result.n_succeeded,
-            success_rate=result.success_rate,
-            slots=result.slots_simulated,
-        )
-        if result.watchdog is not None:
-            trk.watchdog_trips = 1
-    if faults is not None:
-        print(f"faults: {faults.describe()}")
-    print(result.summary())
-    if args.trace and result.trace is not None:
-        print(f"utilization: {result.trace.utilization():.3f}")
-        print(f"collisions:  {result.trace.collision_rate():.3f}")
-    if args.export:
-        from repro.analysis.export import result_to_records, write_csv
+            rate = digest.success_rate
+        else:
+            result = simulate(
+                instance,
+                factories[args.protocol],
+                jammer=jammer,
+                seed=args.seed,
+                trace=args.trace or bool(args.export_trace),
+                faults=faults,
+                invariants=args.check_invariants,
+                telemetry=tele,
+            )
+            if trk is not None:
+                trk.counters.update(
+                    jobs=len(result.outcomes),
+                    succeeded=result.n_succeeded,
+                    success_rate=result.success_rate,
+                    slots=result.slots_simulated,
+                )
+                if result.watchdog is not None:
+                    trk.watchdog_trips = 1
+            if faults is not None:
+                print(f"faults: {faults.describe()}")
+            print(result.summary())
+            if args.trace and result.trace is not None:
+                print(f"utilization: {result.trace.utilization():.3f}")
+                print(f"collisions:  {result.trace.collision_rate():.3f}")
+            if args.export:
+                from repro.analysis.export import result_to_records, write_csv
 
-        write_csv(result_to_records(result), args.export)
-        print(f"wrote per-job outcomes to {args.export}")
-    if args.export_trace and result.trace is not None:
-        from repro.analysis.export import trace_to_records, write_csv
+                write_csv(result_to_records(result), args.export)
+                print(f"wrote per-job outcomes to {args.export}")
+            if args.export_trace and result.trace is not None:
+                from repro.analysis.export import trace_to_records, write_csv
 
-        write_csv(trace_to_records(result.trace), args.export_trace)
-        print(f"wrote per-slot trace to {args.export_trace}")
-    _write_telemetry(tele, args)
-    return 0 if result.success_rate >= args.require_success else 1
+                write_csv(trace_to_records(result.trace), args.export_trace)
+                print(f"wrote per-slot trace to {args.export_trace}")
+            rate = result.success_rate
+        rc = 0 if rate >= args.require_success else 1
+        if trk is not None:
+            trk.counters["exit_code"] = rc
+    return rc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -453,73 +455,65 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         token = token.strip()
         values.append(float(token) if "." in token else int(token))
 
-    tele = _telemetry_for(args, "sweep")
-    tracker = _tracker_for(args, "sweep", total=len(values))
-    server = _metrics_server_for(args, tele, tracker)
-    state = _args_state(args)
-    sweep = Sweep(
-        build=functools.partial(_build_workload_from_state, state),
-        protocol=functools.partial(_protocol_from_state, state, args.protocol),
-        seeds=args.seeds,
-        jammer=_jammer(args) if args.jam > 0 else None,
-        processes=args.processes,
-        cache=_cache_knob(args),
-        telemetry=tele,
-        fastpath=getattr(args, "fastpath", "off"),
-        progress=tracker,
-        ledger=_ledger_for(args),
-    )
-    try:
-        points = sweep.run({args.param: values})
-    except BaseException:
-        _finish_obs(tracker, server, status="failed")
-        raise
-    _finish_obs(tracker, server)
-    print(
-        Sweep.table(
-            points,
-            title=(
-                f"{args.protocol} on {args.workload}, sweeping "
-                f"{args.param} over {values} ({args.seeds} seeds/point)"
+    with _observed(args, "sweep", total=len(values)) as obs:
+        state = _args_state(args)
+        sweep = Sweep(
+            build=functools.partial(_build_workload_from_state, state),
+            protocol=functools.partial(
+                _protocol_from_state, state, args.protocol
             ),
+            seeds=args.seeds,
+            jammer=_jammer(args) if args.jam > 0 else None,
+            processes=args.processes,
+            cache=_cache_knob(args),
+            telemetry=obs.telemetry,
+            fastpath=getattr(args, "fastpath", "off"),
+            progress=obs.tracker,
+            ledger=obs.ledger,
         )
-    )
-    _write_telemetry(tele, args)
+        points = sweep.run({args.param: values})
+        print(
+            Sweep.table(
+                points,
+                title=(
+                    f"{args.protocol} on {args.workload}, sweeping "
+                    f"{args.param} over {values} ({args.seeds} seeds/point)"
+                ),
+            )
+        )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments import run_seeds
 
-    tele = _telemetry_for(args, "compare")
-    led = _ledger_for(args)
-    instance = _build_workload(args)
-    factories = _protocol_factories(args, instance)
-    state = _args_state(args)
-    build = functools.partial(_build_workload_from_state, state)
-    rows = []
-    for name in sorted(factories):
-        digests = run_seeds(
-            build,
-            functools.partial(_protocol_from_state, state, name),
-            seeds=range(args.seeds),
-            jammer=_jammer(args),
-            processes=args.processes,
-            cache=_cache_knob(args),
-            telemetry=tele,
-            ledger=led,
+    with _observed(args, "compare") as obs:
+        instance = _build_workload(args)
+        factories = _protocol_factories(args, instance)
+        state = _args_state(args)
+        build = functools.partial(_build_workload_from_state, state)
+        rows = []
+        for name in sorted(factories):
+            digests = run_seeds(
+                build,
+                functools.partial(_protocol_from_state, state, name),
+                seeds=range(args.seeds),
+                jammer=_jammer(args),
+                processes=args.processes,
+                cache=_cache_knob(args),
+                telemetry=obs.telemetry,
+                ledger=obs.ledger,
+            )
+            ok = sum(d.n_succeeded for d in digests)
+            total = sum(d.n_jobs for d in digests)
+            rows.append([name, 1.0 - ok / total, total])
+        print(
+            format_table(
+                ["protocol", "miss rate", "jobs x seeds"],
+                rows,
+                title=f"workload: {instance.summary()}",
+            )
         )
-        ok = sum(d.n_succeeded for d in digests)
-        total = sum(d.n_jobs for d in digests)
-        rows.append([name, 1.0 - ok / total, total])
-    print(
-        format_table(
-            ["protocol", "miss rate", "jobs x seeds"],
-            rows,
-            title=f"workload: {instance.summary()}",
-        )
-    )
-    _write_telemetry(tele, args)
     return 0
 
 
@@ -543,45 +537,29 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         args.severities = "0,0.5"
         args.seeds = 3
 
-    instance = _build_workload(args)
-    factories = _protocol_factories(args, instance)
-    names = [n.strip() for n in args.protocols.split(",") if n.strip()]
-    for name in names:
-        if name not in factories:
-            raise SystemExit(
-                f"protocol {name!r} unavailable for this workload "
-                f"(choices: {sorted(factories)})"
-            )
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for fam in families:
-        if fam not in FAULT_FAMILIES:
-            raise SystemExit(
-                f"unknown fault family {fam!r} "
-                f"(choices: {sorted(FAULT_FAMILIES)})"
-            )
-    severities = [float(tok) for tok in args.severities.split(",")]
-
-    state = _args_state(args)
-    build = functools.partial(_build_workload_from_state, state)
-    protocols = {
-        name: functools.partial(_protocol_from_state, state, name)
-        for name in names
-    }
-    tele = _telemetry_for(args, "robustness")
-    report = run_robustness(
-        build,
-        protocols,
-        families=families,
-        severities=severities,
-        seeds=args.seeds,
-        check_invariants=not args.no_invariants,
-        processes=args.processes,
-        cache=_cache_knob(args),
-        retries=args.retries,
-        telemetry=tele,
-    )
-    print(report.render())
-    _write_telemetry(tele, args)
+    with _observed(args, "robustness") as obs:
+        build, protocols = _protocol_grid(args)
+        families = [f.strip() for f in args.families.split(",") if f.strip()]
+        for fam in families:
+            if fam not in FAULT_FAMILIES:
+                raise SystemExit(
+                    f"unknown fault family {fam!r} "
+                    f"(choices: {sorted(FAULT_FAMILIES)})"
+                )
+        severities = [float(tok) for tok in args.severities.split(",")]
+        report = run_robustness(
+            build,
+            protocols,
+            families=families,
+            severities=severities,
+            seeds=args.seeds,
+            check_invariants=not args.no_invariants,
+            processes=args.processes,
+            cache=_cache_knob(args),
+            retries=args.retries,
+            telemetry=obs.telemetry,
+        )
+        print(report.render())
     if any(s == JAM_THRESHOLD for s in severities) and "jam" in families:
         print(
             f"\nseverity {JAM_THRESHOLD} of family 'jam' is the exact "
@@ -617,42 +595,24 @@ def cmd_certify(args: argparse.Namespace) -> int:
         args.seeds = 12
         args.tol = 0.05
 
-    instance = _build_workload(args)
-    factories = _protocol_factories(args, instance)
-    names = [n.strip() for n in args.protocols.split(",") if n.strip()]
-    for name in names:
-        if name not in factories:
-            raise SystemExit(
-                f"protocol {name!r} unavailable for this workload "
-                f"(choices: {sorted(factories)})"
-            )
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for fam in families:
-        if fam not in ADVERSARY_FAMILIES:
-            raise SystemExit(
-                f"unknown adversary family {fam!r} "
-                f"(choices: {sorted(ADVERSARY_FAMILIES)})"
-            )
+    with _observed(args, "certify") as obs:
+        build, protocols = _protocol_grid(args)
+        families = [f.strip() for f in args.families.split(",") if f.strip()]
+        for fam in families:
+            if fam not in ADVERSARY_FAMILIES:
+                raise SystemExit(
+                    f"unknown adversary family {fam!r} "
+                    f"(choices: {sorted(ADVERSARY_FAMILIES)})"
+                )
+        probe_cb = None
+        if obs.tracker is not None:
 
-    state = _args_state(args)
-    build = functools.partial(_build_workload_from_state, state)
-    protocols = {
-        name: functools.partial(_protocol_from_state, state, name)
-        for name in names
-    }
-    tele = _telemetry_for(args, "certify")
-    tracker = _tracker_for(args, "certify")
-    server = _metrics_server_for(args, tele, tracker)
-    probe_cb = None
-    if tracker is not None:
+            def probe_cb(name: str, family: str, severity: float) -> None:
+                obs.tracker.context.update(
+                    cell=f"{name}/{family}", severity=round(severity, 4)
+                )
+                obs.tracker.add(1)
 
-        def probe_cb(name: str, family: str, severity: float) -> None:
-            tracker.context.update(
-                cell=f"{name}/{family}", severity=round(severity, 4)
-            )
-            tracker.add(1)
-
-    try:
         report = run_certification(
             build,
             protocols,
@@ -663,24 +623,19 @@ def cmd_certify(args: argparse.Namespace) -> int:
             processes=args.processes,
             cache=_cache_knob(args),
             retries=args.retries,
-            telemetry=tele,
+            telemetry=obs.telemetry,
             fastpath=getattr(args, "fastpath", "off"),
             progress=probe_cb,
-            ledger=_ledger_for(args),
+            ledger=obs.ledger,
         )
-    except BaseException:
-        _finish_obs(tracker, server, status="failed")
-        raise
-    _finish_obs(tracker, server)
-    print(report.render())
-    if args.artifact:
-        n = report.to_jsonl(args.artifact)
-        print(f"\nwrote {n} breaking-point records to {args.artifact}")
-    _write_telemetry(tele, args)
+        print(report.render())
+        if args.artifact:
+            n = report.to_jsonl(args.artifact)
+            print(f"\nwrote {n} breaking-point records to {args.artifact}")
 
     status = 0
     if "jam" in families and args.min_jam_threshold > 0:
-        for name in names:
+        for name in protocols:
             dev = report.theorem14_deviation(name)
             if dev is None:
                 continue
@@ -700,7 +655,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 "strictly below the oblivious jam threshold"
             )
             status = 1
-        if "slowfb" in names:
+        if "slowfb" in protocols:
             cell = report.cell("slowfb", "jam")
             if cell.threshold is None:
                 print(
@@ -717,42 +672,28 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     """Deadline-miss × energy frontier under identical jamming budgets."""
     from repro.experiments.frontier import run_frontier
 
-    instance = _build_workload(args)
-    factories = _protocol_factories(args, instance)
-    names = [n.strip() for n in args.protocols.split(",") if n.strip()]
-    for name in names:
-        if name not in factories:
-            raise SystemExit(
-                f"protocol {name!r} unavailable for this workload "
-                f"(choices: {sorted(factories)})"
-            )
-    try:
-        budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip()]
-    except ValueError:
-        raise SystemExit(f"--budgets expects numbers, got {args.budgets!r}")
-
-    state = _args_state(args)
-    build = functools.partial(_build_workload_from_state, state)
-    protocols = {
-        name: functools.partial(_protocol_from_state, state, name)
-        for name in names
-    }
-    tele = _telemetry_for(args, "frontier")
-    report = run_frontier(
-        build,
-        protocols,
-        budgets=budgets,
-        seeds=args.seeds,
-        processes=args.processes,
-        cache=_cache_knob(args),
-        retries=args.retries,
-        telemetry=tele,
-    )
-    print(report.render())
-    if args.artifact:
-        n = report.to_jsonl(args.artifact)
-        print(f"\nwrote {n} frontier points to {args.artifact}")
-    _write_telemetry(tele, args)
+    with _observed(args, "frontier") as obs:
+        build, protocols = _protocol_grid(args)
+        try:
+            budgets = [
+                float(tok) for tok in args.budgets.split(",") if tok.strip()
+            ]
+        except ValueError:
+            raise SystemExit(f"--budgets expects numbers, got {args.budgets!r}")
+        report = run_frontier(
+            build,
+            protocols,
+            budgets=budgets,
+            seeds=args.seeds,
+            processes=args.processes,
+            cache=_cache_knob(args),
+            retries=args.retries,
+            telemetry=obs.telemetry,
+        )
+        print(report.render())
+        if args.artifact:
+            n = report.to_jsonl(args.artifact)
+            print(f"\nwrote {n} frontier points to {args.artifact}")
     return 0
 
 
@@ -763,26 +704,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cases = None
     if args.cases:
         cases = [c.strip() for c in args.cases.split(",") if c.strip()]
-    led = _ledger_for(args)
-    if led is not None:
-        from repro.sim.engine import ENGINE_VERSION
-
-        config = {
-            "kind": "verify",
-            "smoke": args.smoke,
-            "cases": cases,
-        }
-        with led.track("verify", config=config) as trk:
-            trk.engine_version = ENGINE_VERSION
-            report = run_verification(
-                smoke=args.smoke,
-                cases=cases,
-                progress=(
-                    (lambda msg: print(f"  .. {msg}"))
-                    if args.progress
-                    else None
-                ),
-            )
+    config = {"kind": "verify", "smoke": args.smoke, "cases": cases}
+    with _observed(args, "verify", record=config) as obs:
+        report = run_verification(
+            smoke=args.smoke,
+            cases=cases,
+            progress=(
+                (lambda msg: print(f"  .. {msg}")) if args.progress else None
+            ),
+        )
+        trk = obs.record
+        if trk is not None:
             trk.counters.update(
                 checks=len(report.results),
                 failures=len(report.failures),
@@ -792,14 +724,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 trk.status = "failed"
             if args.artifact:
                 trk.artifact(args.artifact)
-    else:
-        report = run_verification(
-            smoke=args.smoke,
-            cases=cases,
-            progress=(
-                (lambda msg: print(f"  .. {msg}")) if args.progress else None
-            ),
-        )
     print(report.render())
     if args.artifact:
         path = report.write_artifact(args.artifact)
@@ -1333,10 +1257,9 @@ def _stream_watchdog(args: argparse.Namespace):
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """Open-arrival streaming runs: sustained load, bounded memory."""
-    led = _ledger_for(args)
-    if led is None:
-        return _cmd_stream_impl(args)
-    from repro.sim.engine import ENGINE_VERSION
+    from repro.stream import CheckpointConfig, stream_simulate
+    from repro.stream.report import SustainedLoadReport
+    from repro.stream.shard import StreamShardSpec, run_stream_shards
 
     config = {
         "kind": "stream",
@@ -1351,66 +1274,50 @@ def cmd_stream(args: argparse.Namespace) -> int:
         "fault": args.fault or None,
         "jam": args.jam or None,
     }
-    with led.track("stream", config=config) as trk:
-        trk.engine_version = ENGINE_VERSION
-        from repro.cache import stable_digest
+    with _observed(args, "stream", record=config) as obs:
+        trk, tracker = obs.record, obs.tracker
+        if trk is not None:
+            trk.digest(config)
+        if args.max_jobs <= 0 and args.max_slots <= 0:
+            raise SystemExit("set --max-jobs and/or --max-slots")
+        rhos = [float(x) for x in args.rho.split(",") if x.strip()]
+        if not rhos:
+            raise SystemExit("--rho needs at least one value")
+        plan = _fault_plan(args)
+        jammer = _jammer(args)
+        if type(jammer) is NoJammer:
+            jammer = None
+        budget = _stream_budget(args)
+        watchdog = _stream_watchdog(args)
+        factory = _StreamProtocol(_args_state(args), args.protocol)
 
-        try:
-            trk.config_digest = stable_digest(config)
-        except Exception:
-            pass
-        rc = _cmd_stream_impl(args, trk)
-        trk.counters.setdefault("exit_code", rc)
-    return rc
-
-
-def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
-    from repro.stream import CheckpointConfig, stream_simulate
-    from repro.stream.report import SustainedLoadReport
-    from repro.stream.shard import StreamShardSpec, run_stream_shards
-
-    if args.max_jobs <= 0 and args.max_slots <= 0:
-        raise SystemExit("set --max-jobs and/or --max-slots")
-    rhos = [float(x) for x in args.rho.split(",") if x.strip()]
-    if not rhos:
-        raise SystemExit("--rho needs at least one value")
-    plan = _fault_plan(args)
-    jammer = _jammer(args)
-    if type(jammer) is NoJammer:
-        jammer = None
-    budget = _stream_budget(args)
-    watchdog = _stream_watchdog(args)
-    factory = _StreamProtocol(_args_state(args), args.protocol)
-
-    checkpoint = None
-    if args.checkpoint:
-        if len(rhos) > 1 or args.shards > 1:
-            raise SystemExit(
-                "--checkpoint applies to a single run: one --rho, --shards 1"
+        checkpoint = None
+        if args.checkpoint:
+            if len(rhos) > 1 or args.shards > 1:
+                raise SystemExit(
+                    "--checkpoint applies to a single run: one --rho, "
+                    "--shards 1"
+                )
+            checkpoint = CheckpointConfig(
+                path=args.checkpoint, every_slots=args.checkpoint_every
             )
-        checkpoint = CheckpointConfig(
-            path=args.checkpoint, every_slots=args.checkpoint_every
-        )
-    elif args.resume:
-        raise SystemExit("--resume requires --checkpoint PATH")
+        elif args.resume:
+            raise SystemExit("--resume requires --checkpoint PATH")
 
-    report = SustainedLoadReport(
-        protocol=args.protocol,
-        title="sustained load (streaming)",
-        meta={
-            "arrivals": args.arrivals,
-            "windows": args.windows,
-            "budget": budget.describe() if budget is not None else "none",
-            "shards": args.shards,
-            "max_jobs": args.max_jobs or None,
-            "max_slots": args.max_slots or None,
-            "fault": args.fault or None,
-            "jam": args.jam or None,
-        },
-    )
-    tracker = _tracker_for(args, "stream")
-    server = _metrics_server_for(args, None, tracker)
-    try:
+        report = SustainedLoadReport(
+            protocol=args.protocol,
+            title="sustained load (streaming)",
+            meta={
+                "arrivals": args.arrivals,
+                "windows": args.windows,
+                "budget": budget.describe() if budget is not None else "none",
+                "shards": args.shards,
+                "max_jobs": args.max_jobs or None,
+                "max_slots": args.max_slots or None,
+                "fault": args.fault or None,
+                "jam": args.jam or None,
+            },
+        )
         for rho in rhos:
             process = _stream_process(args, rho)
             if tracker is not None:
@@ -1480,31 +1387,33 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
             if merged.resumed_at_slot >= 0:
                 line += f" [resumed at slot {merged.resumed_at_slot}]"
             print(line)
-    except BaseException:
-        _finish_obs(tracker, server, status="failed")
-        raise
-    _finish_obs(tracker, server)
 
-    print()
-    print(report.table())
-    if args.report:
-        report.save(args.report)
-        print(f"wrote report to {args.report}")
+        print()
+        print(report.table())
+        if args.report:
+            report.save(args.report)
+            print(f"wrote report to {args.report}")
+            if trk is not None:
+                trk.artifact(args.report)
+        if trk is not None and args.checkpoint:
+            trk.artifact(args.checkpoint)
+
+        rc = 0
+        if args.rss_budget_mb > 0:
+            import resource
+
+            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak_mb = peak_kb / 1024.0
+            print(
+                f"peak RSS: {peak_mb:.1f} MiB "
+                f"(budget {args.rss_budget_mb} MiB)"
+            )
+            if peak_mb > args.rss_budget_mb:
+                print("FAIL: peak RSS exceeded the configured budget")
+                rc = 1
         if trk is not None:
-            trk.artifact(args.report)
-    if trk is not None and args.checkpoint:
-        trk.artifact(args.checkpoint)
-
-    if args.rss_budget_mb > 0:
-        import resource
-
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        peak_mb = peak_kb / 1024.0
-        print(f"peak RSS: {peak_mb:.1f} MiB (budget {args.rss_budget_mb} MiB)")
-        if peak_mb > args.rss_budget_mb:
-            print("FAIL: peak RSS exceeded the configured budget")
-            return 1
-    return 0
+            trk.counters["exit_code"] = rc
+    return rc
 
 
 def _add_telemetry_flag(sp) -> None:

@@ -474,9 +474,7 @@ def run_certification(
     not record their own entries.
     """
     if ledger is not None:
-        from repro.cache import stable_digest
         from repro.obs.ledger import as_ledger
-        from repro.sim.engine import ENGINE_VERSION
 
         led = as_ledger(ledger)
         if led is not None:
@@ -495,23 +493,19 @@ def run_certification(
                 "fastpath": fastpath,
             }
             with led.track("certify", config=config) as trk:
-                trk.engine_version = ENGINE_VERSION
-                try:
-                    trk.config_digest = stable_digest(
-                        (
-                            "certify",
-                            build,
-                            tuple(sorted(protocols)),
-                            tuple(config["families"]),
-                            seeds,
-                            seed_base,
-                            target,
-                            tol,
-                            fastpath,
-                        )
+                trk.digest(
+                    (
+                        "certify",
+                        build,
+                        tuple(sorted(protocols)),
+                        tuple(config["families"]),
+                        seeds,
+                        seed_base,
+                        target,
+                        tol,
+                        fastpath,
                     )
-                except Exception:
-                    pass
+                )
                 report = run_certification(
                     build,
                     protocols,

@@ -116,11 +116,21 @@ class SeedExecutionError(ReproError):
 
 
 def _protocol_label(protocol: FactoryBuilder) -> str:
-    """A short human-readable name for a protocol builder."""
+    """A short human-readable name for a protocol builder.
+
+    A ``functools.partial`` is named by its function and its scalar
+    positional arguments: its ``repr`` carries a memory address, which
+    would make the label differ between processes.
+    """
     name = getattr(protocol, "__qualname__", None)
     if name:
         module = getattr(protocol, "__module__", "")
         return f"{module}.{name}" if module else name
+    if isinstance(protocol, functools.partial):
+        scalars = [
+            repr(a) for a in protocol.args if isinstance(a, (str, int, float))
+        ]
+        return f"{_protocol_label(protocol.func)}({', '.join(scalars)})"
     return repr(protocol)
 
 
@@ -361,7 +371,6 @@ def run_seeds(
         # matter which execution path (engine, fastpath, cache-served)
         # the inner call takes.
         from repro.obs.ledger import as_ledger
-        from repro.sim.engine import ENGINE_VERSION
 
         led = as_ledger(ledger)
         if led is not None:
@@ -376,21 +385,15 @@ def run_seeds(
                 "faults": repr(faults) if faults is not None else None,
             }
             with led.track("run_seeds", config=config) as trk:
-                trk.engine_version = ENGINE_VERSION
                 if fastpath != "off":
                     from repro.fastpath.batched import KERNEL_VERSION
 
                     trk.kernel_version = KERNEL_VERSION
+                # The builder itself, not its label: the label leaves out
+                # bound state such as a partial's protocol parameters.
                 try:
-                    trk.config_digest = stable_digest(
-                        (
-                            build(),
-                            _protocol_label(protocol),
-                            jammer,
-                            faults,
-                            watchdog,
-                            fastpath,
-                        )
+                    trk.digest(
+                        (build(), protocol, jammer, faults, watchdog, fastpath)
                     )
                 except Exception:
                     pass  # an unbuildable instance fails below, attributed

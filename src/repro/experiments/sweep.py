@@ -53,6 +53,7 @@ from repro.analysis.stats import ProportionEstimate, estimate_proportion
 from repro.analysis.tables import format_table
 from repro.cache import ResultCache, stable_digest
 from repro.channel.jamming import Jammer
+from repro.durable import append_jsonl_atomic, read_jsonl_tolerant
 from repro.experiments.parallel import BoundBuilder, run_seeds
 from repro.sim.engine import ProtocolFactory
 from repro.sim.instance import Instance
@@ -312,7 +313,6 @@ class Sweep:
         if self.ledger is None:
             return self._run_grid(grid)[0]
         from repro.obs.ledger import as_ledger
-        from repro.sim.engine import ENGINE_VERSION
 
         led = as_ledger(self.ledger)
         if led is None:
@@ -329,23 +329,19 @@ class Sweep:
             "faults": repr(self.faults) if self.faults is not None else None,
         }
         with led.track("sweep", config=config) as trk:
-            trk.engine_version = ENGINE_VERSION
-            try:
-                trk.config_digest = stable_digest(
-                    (
-                        "sweep",
-                        self.build,
-                        self.protocol,
-                        self.seeds,
-                        self.seed_base,
-                        self.jammer,
-                        self.faults,
-                        self.fastpath,
-                        tuple(sorted((k, tuple(v)) for k, v in grid.items())),
-                    )
+            trk.digest(
+                (
+                    "sweep",
+                    self.build,
+                    self.protocol,
+                    self.seeds,
+                    self.seed_base,
+                    self.jammer,
+                    self.faults,
+                    self.fastpath,
+                    tuple(sorted((k, tuple(v)) for k, v in grid.items())),
                 )
-            except Exception:
-                pass  # unhashable grid values: record without a digest
+            )
             points, resumed = self._run_grid(grid)
             trk.counters = {
                 "points": len(points),
@@ -369,12 +365,10 @@ class Sweep:
             total *= len(v)
         done: Dict[str, SweepPoint] = {}
         if self.checkpoint is not None:
-            from repro.obs import ledger
-
             # A killed run can leave a truncated final line: the reader
             # skips it, that point is recomputed (its cached seeds still
             # hit), and the next append heals the missing newline.
-            for record in ledger.read_jsonl_tolerant(self.checkpoint):
+            for record in read_jsonl_tolerant(self.checkpoint):
                 try:
                     done[record["key"]] = SweepPoint.from_json(record["point"])
                 except Exception:
@@ -393,7 +387,7 @@ class Sweep:
                         self.progress(len(points), total)
                     continue
                 point = self.run_point(**params)
-                ledger.append_jsonl_atomic(
+                append_jsonl_atomic(
                     self.checkpoint, {"key": pkey, "point": point.to_json()}
                 )
             else:

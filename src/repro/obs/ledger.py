@@ -15,7 +15,7 @@ a JSONL ledger file, carrying:
 * outcome counters (jobs, successes, sheds, watchdog trips, ...) and
   artifact paths (telemetry JSONL, reports, checkpoints).
 
-Durability contract (mirrors the streaming checkpoints of PR 7):
+Durability contract (the JSONL half of :mod:`repro.durable`):
 
 * **Appends are a single atomic write.**  One record is one
   ``os.write`` on an ``O_APPEND`` descriptor, so concurrent appenders
@@ -36,7 +36,6 @@ diff between two records.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -44,6 +43,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+
+from repro.durable import append_jsonl_atomic, read_jsonl_tolerant
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -79,61 +80,6 @@ def new_run_id() -> str:
     return os.urandom(6).hex()
 
 
-def append_jsonl_atomic(path: Union[str, Path], record: Dict[str, Any]) -> None:
-    """Append one JSON record to ``path`` as a single atomic write.
-
-    The durability contract shared by the run ledger and the campaign
-    state file (:mod:`repro.campaign.state`): one record is one
-    ``os.write`` on an ``O_APPEND`` descriptor, so concurrent appenders
-    interleave whole lines, never fragments — and when the existing file
-    lacks a trailing newline (a torn tail from a killed writer), the
-    healing newline is folded into the same write so the append stays
-    atomic under concurrency.
-    """
-    path = Path(path)
-    payload = (json.dumps(record) + "\n").encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        size = path.stat().st_size
-    except OSError:
-        size = 0
-    if size > 0:
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                payload = b"\n" + payload
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, payload)
-    finally:
-        os.close(fd)
-
-
-def read_jsonl_tolerant(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every parseable JSON-object line of ``path``, in file order.
-
-    A missing file reads as empty; a torn final line (or foreign
-    garbage) is skipped, never fatal — the reader half of the
-    :func:`append_jsonl_atomic` contract.
-    """
-    records: List[Dict[str, Any]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(rec, dict):
-            records.append(rec)
-    return records
-
-
 @dataclass
 class RunRecord:
     """One ledger line: who ran what, how long, and how it went.
@@ -143,7 +89,8 @@ class RunRecord:
     caller has a richer key — e.g. the streaming engine's resume key —
     the digest of that).  ``counters`` holds flat outcome numbers;
     ``artifacts`` lists paths this run wrote (telemetry, reports,
-    checkpoints) so ``repro runs show`` can point back at them.
+    checkpoints) so ``repro runs show`` can point back at them.  Inside
+    :meth:`RunLedger.track` the running code fills in its own record.
     """
 
     run_id: str
@@ -203,26 +150,24 @@ class RunRecord:
             pid=int(rec.get("pid", 0)),
         )
 
-
-class _Tracker:
-    """Mutable scratchpad handed out by :meth:`RunLedger.track`."""
-
-    def __init__(self) -> None:
-        self.config: Dict[str, Any] = {}
-        self.config_digest: str = ""
-        self.counters: Dict[str, Any] = {}
-        self.watchdog_trips: int = 0
-        self.artifacts: List[str] = []
-        self.context: Dict[str, Any] = {}
-        self.engine_version: Optional[int] = None
-        self.kernel_version: Optional[int] = None
-        self.run_id: str = ""
-
     def artifact(self, path: Union[str, Path]) -> None:
         """Register one artifact path (duplicates collapsed)."""
         s = str(path)
         if s and s not in self.artifacts:
             self.artifacts.append(s)
+
+    def digest(self, obj: Any) -> None:
+        """Set ``config_digest`` to ``stable_digest(obj)``.
+
+        Left empty when ``obj`` cannot be digested: the record is still
+        written, only without its content address.
+        """
+        from repro.cache import stable_digest
+
+        try:
+            self.config_digest = stable_digest(obj)
+        except Exception:
+            self.config_digest = ""
 
 
 class RunLedger:
@@ -258,44 +203,35 @@ class RunLedger:
         *,
         config: Optional[Dict[str, Any]] = None,
         context: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[_Tracker]:
+    ) -> Iterator[RunRecord]:
         """Time a run and append its record on exit.
 
-        The yielded tracker collects counters / artifacts / versions as
-        the run progresses.  An exception flips the record's status to
-        ``"failed"`` (the exception propagates); the record is appended
-        either way, so crashed runs stay visible in ``repro runs list``.
+        The yielded record comes stamped with ``ENGINE_VERSION``; the run
+        fills in counters, artifacts, versions and its ``status`` as it
+        progresses.  An exception flips the status to ``"failed"`` (the
+        exception propagates); the record is appended either way, so
+        crashed runs stay visible in ``repro runs list``.
         """
-        tracker = _Tracker()
-        tracker.config = dict(config or {})
-        tracker.context = dict(context or {})
-        tracker.run_id = new_run_id()
-        started = time.time()
+        from repro.sim.engine import ENGINE_VERSION
+
+        record = RunRecord(
+            run_id=new_run_id(),
+            kind=kind,
+            started=time.time(),
+            wall_seconds=0.0,
+            config=dict(config or {}),
+            engine_version=ENGINE_VERSION,
+            context=dict(context or {}),
+        )
         t0 = time.perf_counter()
-        status = "ok"
         try:
-            yield tracker
+            yield record
         except BaseException:
-            status = "failed"
+            record.status = "failed"
             raise
         finally:
-            self.append(
-                RunRecord(
-                    run_id=tracker.run_id,
-                    kind=kind,
-                    started=started,
-                    wall_seconds=time.perf_counter() - t0,
-                    status=status,
-                    config=tracker.config,
-                    config_digest=tracker.config_digest,
-                    engine_version=tracker.engine_version,
-                    kernel_version=tracker.kernel_version,
-                    counters=tracker.counters,
-                    watchdog_trips=tracker.watchdog_trips,
-                    artifacts=tracker.artifacts,
-                    context=tracker.context,
-                )
-            )
+            record.wall_seconds = time.perf_counter() - t0
+            self.append(record)
 
     # -- reading -------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.analysis.stats import bootstrap_mean_diff
+from repro.durable import write_atomic
 
 __all__ = [
     "DEFAULT_BENCH_PATH",
@@ -175,9 +176,10 @@ def append_history(
 ) -> Dict[str, Any]:
     """Append one timestamped entry to the trajectory; returns the entry.
 
-    The write is atomic (tmp + ``os.replace``) and preserves every
-    non-``history`` key of the existing file — the one-shot ``families``
-    snapshot from ``bench_engine_perf.py`` and this trajectory coexist.
+    The write is atomic (:func:`repro.durable.write_atomic`) and
+    preserves every non-``history`` key of the existing file — the
+    one-shot ``families`` snapshot from ``bench_engine_perf.py`` and
+    this trajectory coexist.
     """
     if engine_version is None or kernel_version is None:
         from repro.fastpath.batched import KERNEL_VERSION
@@ -209,12 +211,8 @@ def append_history(
     data["history"].append(entry)
     if max_entries > 0 and len(data["history"]) > max_entries:
         data["history"] = data["history"][-max_entries:]
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode())
     return entry
 
 

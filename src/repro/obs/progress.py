@@ -12,10 +12,9 @@ signal:
 * **ETA** — remaining work over the current rate, ``None`` when the
   total is unknown or the rate is still zero;
 * **heartbeats** — an attached :class:`Heartbeat` serializes the
-  tracker's snapshot to a small JSON file at a throttled cadence, with
-  the atomic tmp-write + ``os.replace`` discipline of the streaming
-  checkpoints, so ``repro top`` can tail in-flight runs without ever
-  reading a half-written file.
+  tracker's snapshot to a small JSON file at a throttled cadence,
+  through the atomic writer of :mod:`repro.durable`, so ``repro top``
+  can tail in-flight runs without ever reading a half-written file.
 
 The tracker is itself callable with the ``(done, total)`` signature, so
 it drops straight into ``run_seeds(progress=...)``,
@@ -31,6 +30,8 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.durable import write_atomic
 
 __all__ = [
     "Heartbeat",
@@ -164,6 +165,15 @@ class ProgressTracker:
             snap["context"] = dict(self.context)
         return snap
 
+    def gauges(self) -> Dict[str, float]:
+        """The snapshot's progress numbers as ``progress.*`` gauges."""
+        snap = self.snapshot()
+        out = {"progress.done": float(snap["done"])}
+        for key in ("fraction", "rate_per_s", "eta_s"):
+            if snap.get(key) is not None:
+                out[f"progress.{key}"] = float(snap[key])
+        return out
+
     def finish(self, status: str = "done") -> None:
         """Force a final heartbeat write with a terminal status."""
         if self.heartbeat is not None:
@@ -177,9 +187,10 @@ class Heartbeat:
 
     ``offer`` drops snapshots arriving within ``every_seconds`` of the
     last write (the hot loops call it per completion/slot block; disk
-    traffic must not scale with them).  ``write`` always writes —
-    tmp file in the same directory, flush, ``os.replace`` — so readers
-    see either the previous or the new snapshot, never a torn one.
+    traffic must not scale with them).  ``write`` always writes, through
+    :func:`repro.durable.write_atomic`, so readers see either the
+    previous or the new snapshot, never a torn one, and two processes
+    sharing one heartbeat path never collide on a temp file.
     """
 
     def __init__(
@@ -203,13 +214,7 @@ class Heartbeat:
         return True
 
     def write(self, snapshot: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(snapshot, fh)
-            fh.write("\n")
-            fh.flush()
-        os.replace(tmp, self.path)
+        write_atomic(self.path, (json.dumps(snapshot) + "\n").encode())
         self._last_write = time.perf_counter()
         self.writes += 1
 

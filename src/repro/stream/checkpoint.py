@@ -5,19 +5,20 @@ periodically snapshots its *entire* resumable state (engine live set,
 arrival-process buffer, every RNG stream, sketches, counters) and this
 module makes the snapshot crash-safe:
 
-* **Atomicity** — the snapshot is written to a temp file in the target
-  directory, flushed and fsynced, then moved into place with
-  ``os.replace``.  A kill mid-write can never leave a half-written file
-  at the checkpoint path.
+* **Atomicity** — the snapshot goes through
+  :func:`repro.durable.write_atomic`: a unique temp file in the target
+  directory, fsynced, then moved into place with ``os.replace``.  A
+  kill mid-write can never leave a half-written file at the checkpoint
+  path.
 * **Self-validation** — the file carries a magic tag, a format version,
   the payload length, and a CRC-32 of the payload.  A truncated tail
   (the classic torn-write failure on the *previous* generation of a
   file that something less careful wrote) or any bit rot is detected at
   load, not deserialized into garbage.
-* **Healing** — before each rotation the previous checkpoint is kept at
+* **Healing** — before each write the current checkpoint is rotated to
   ``<path>.prev``.  :func:`load_checkpoint` falls back to it when the
-  primary fails validation, so one bad generation costs one checkpoint
-  interval of progress, not the run.
+  primary is missing or fails validation, so one bad generation costs
+  one checkpoint interval of progress, not the run.
 
 The payload is a pickle of the engine's state dict — pickling preserves
 object identity, so a protocol and the RNG stream it shares with the
@@ -34,6 +35,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Tuple
 
+from repro.durable import write_atomic
 from repro.errors import InvalidParameterError, ReproError
 
 __all__ = [
@@ -89,34 +91,19 @@ class CheckpointConfig:
 def save_checkpoint(path: str, state: Any) -> None:
     """Atomically write ``state`` to ``path``, rotating the previous file.
 
-    Write order is crash-safe at every step: temp write + fsync, rotate
-    ``path`` → ``path.prev``, move temp into place.  A kill between the
-    two renames leaves a valid ``.prev``, which
-    :func:`load_checkpoint` heals from.
+    Rotate first: ``path`` moves to ``path.prev``, then the new
+    generation goes through :func:`repro.durable.write_atomic` with
+    ``fsync=True``.  At every instant ``path`` or ``path.prev`` holds a
+    CRC-valid generation, and :func:`load_checkpoint` heals from
+    ``.prev`` when ``path`` is missing or torn.
     """
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     header = _HEADER.pack(
         _MAGIC, CHECKPOINT_VERSION, len(payload), zlib.crc32(payload)
     )
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
     if os.path.exists(path):
         os.replace(path, path + ".prev")
-    os.replace(tmp, path)
-    # Persist the renames themselves where the platform allows it.
-    try:  # pragma: no cover - depends on the filesystem
-        dirfd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
+    write_atomic(path, header + payload, fsync=True)
 
 
 def _read_validated(path: str) -> Any:
