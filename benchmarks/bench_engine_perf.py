@@ -29,7 +29,6 @@ from repro.fastpath import simulate_uniform_fast
 from repro.fastpath.batched import (
     KERNEL_VERSION,
     plan_fastpath,
-    run_batch,
     simulate_fastpath,
 )
 from repro.obs.perftrack import environment_fingerprint, load_bench
@@ -186,7 +185,7 @@ def test_p1_engine_throughput(benchmark, emit, results_dir):
     engine_per_seed = (time.perf_counter() - t0) / engine_seeds
     batched_seeds = 10_000
     t0 = time.perf_counter()
-    run_batch(batch_build, batch_proto, range(batched_seeds))
+    run_seeds(batch_build, batch_proto, range(batched_seeds), fastpath="on")
     batched_per_seed = (time.perf_counter() - t0) / batched_seeds
     batch_speedup = engine_per_seed / batched_per_seed
     rows.append(

@@ -29,7 +29,7 @@ from repro.core.aligned import aligned_factory
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.experiments.parallel import run_seeds
-from repro.fastpath.batched import plan_fastpath, run_batch, simulate_fastpath
+from repro.fastpath.batched import plan_fastpath, simulate_fastpath
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.engine import simulate
 from repro.workloads import batch_instance, single_class_instance
@@ -128,7 +128,10 @@ def main() -> int:
 
     seeds = list(range(6))
     engine = [stable_digest(d) for d in run_seeds(build, proto, seeds=seeds)]
-    batched = [stable_digest(d) for d in run_batch(build, proto, seeds)]
+    batched = [
+        stable_digest(d)
+        for d in run_seeds(build, proto, seeds=seeds, fastpath="on")
+    ]
     if engine == batched:
         print(f"engine agreement  {len(seeds)} seeds bit-exact ok")
     else:

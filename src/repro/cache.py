@@ -10,16 +10,22 @@ module gives that work a stable address:
   and produces a sha256 hex digest that is stable across processes and
   interpreter runs — unlike ``hash()``/``pickle`` it never folds in
   memory addresses or per-process randomization;
-* :func:`run_key` combines the simulation inputs with
-  :data:`repro.sim.engine.ENGINE_VERSION` into one digest, so any change
-  to engine semantics invalidates every cached entry automatically;
+* :func:`run_key_batch` combines the simulation inputs with
+  :data:`repro.sim.engine.ENGINE_VERSION` into one digest per seed (one
+  content walk for the whole seed vector), so any change to engine
+  semantics invalidates every cached entry automatically;
+  :func:`run_key` is the same key for one seed;
 * :class:`ResultCache` maps digests to small pickled records (the
   :class:`~repro.experiments.parallel.SeedDigest` sized results that the
   experiment layer ships between processes) under a cache root, with
   atomic writes and corrupted-entry recovery (a bad entry is deleted and
   reported as a miss — caching may never change results or crash a run).
 
-The experiment layer (:func:`repro.experiments.parallel.run_seeds`,
+Every seed's key is minted in one place,
+:func:`repro.fastpath.batched.seed_route`, which picks the engine or
+kernel namespace; :func:`repro.experiments.parallel.run_seeds` stores
+and serves digests under those keys, and campaign planning predicts
+hits with them.  The experiment layer (``run_seeds``,
 :class:`repro.experiments.sweep.Sweep`,
 :func:`repro.experiments.compare.compare_protocols`) accepts a ``cache=``
 knob: ``None``/``False`` disables caching, ``True`` uses the default
@@ -198,8 +204,31 @@ def run_key(
     faults: Any = None,
     extra: Any = None,
 ) -> str:
-    """The cache key of one simulation run.
+    """The cache key of one simulation run: :func:`run_key_batch` of one seed."""
+    return run_key_batch(
+        instance=instance,
+        protocol=protocol,
+        seeds=[seed],
+        jammer=jammer,
+        faults=faults,
+        extra=extra,
+    )[0]
 
+
+def run_key_batch(
+    *,
+    instance: Any,
+    protocol: Any,
+    seeds: Any,
+    jammer: Any = None,
+    faults: Any = None,
+    extra: Any = None,
+) -> list:
+    """The cache key of every seed's run, hashing the shared prefix once.
+
+    Each key is :func:`stable_digest` of ``("repro-run", ENGINE_VERSION,
+    CACHE_FORMAT, instance, protocol, jammer, seed, extra)``, with
+    ``("faults", faults)`` appended when a fault plan is set.
     ``protocol`` may be anything that pins down the protocol content —
     a factory callable (closures digest their captured parameters), a
     params dataclass, or a builder object.  ``extra`` lets callers fold
@@ -213,49 +242,10 @@ def run_key(
     ``jammer=``) are :meth:`~repro.channel.jamming.Jammer.reset` before
     digesting, so a jammer that already ran digests identically to a
     fresh one (the engine resets it again before simulating anyway).
-    """
-    reset = getattr(jammer, "reset", None)
-    if callable(reset):
-        reset()
-    if faults is not None:
-        if getattr(faults, "is_noop", False):
-            faults = None  # the engine ignores no-op plans; so do keys
-        else:
-            reset = getattr(faults, "reset", None)
-            if callable(reset):
-                reset()
-    key: tuple = (
-        "repro-run",
-        ENGINE_VERSION,
-        CACHE_FORMAT,
-        instance,
-        protocol,
-        jammer,
-        int(seed),
-        extra,
-    )
-    if faults is not None:
-        key = key + ("faults", faults)
-    return stable_digest(key)
 
-
-def run_key_batch(
-    *,
-    instance: Any,
-    protocol: Any,
-    seeds: Any,
-    jammer: Any = None,
-    faults: Any = None,
-    extra: Any = None,
-) -> list:
-    """:func:`run_key` for many seeds, hashing the shared prefix once.
-
-    Returns ``[run_key(..., seed=s, ...) for s in seeds]`` — the keys are
-    *string-equal* to per-seed calls — but the instance/protocol/jammer
-    walk (by far the expensive part for a large instance) happens once:
-    the common tuple prefix is fed into one hasher, which is then forked
-    per seed with ``hash.copy()``.
-
+    The instance/protocol/jammer walk (by far the expensive part for a
+    large instance) happens once: the common tuple prefix is fed into
+    one hasher, which is then forked per seed with ``hash.copy()``.
     Feeding the prefix element-by-element with a fresh ``seen`` set per
     element matches :func:`stable_digest` on the whole tuple because the
     cycle-cut set only retains objects for the duration of their own
@@ -267,7 +257,7 @@ def run_key_batch(
         reset()
     if faults is not None:
         if getattr(faults, "is_noop", False):
-            faults = None
+            faults = None  # the engine ignores no-op plans; so do keys
         else:
             reset = getattr(faults, "reset", None)
             if callable(reset):

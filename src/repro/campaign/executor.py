@@ -35,7 +35,6 @@ from typing import Dict, Iterable, Iterator, Optional, Union
 from repro.campaign.spec import CampaignCell
 from repro.experiments.parallel import aggregate, run_seeds
 from repro.pool import TaskFailure, map_outcomes
-from repro.sim.watchdog import Watchdog
 
 __all__ = [
     "CellExecutor",
@@ -110,18 +109,13 @@ def execute_cell(task: CellTask) -> CellOutcome:
     cell = task.cell
     started = time.perf_counter()
     try:
-        watchdog = (
-            Watchdog(max_seconds=cell.timeout_seconds)
-            if cell.timeout_seconds is not None
-            else None
-        )
         digests = run_seeds(
             cell.workload,
             cell.protocol,
             cell.seeds,
             faults=cell.adversary.faults(),
             jammer=cell.adversary.jammer(),
-            watchdog=watchdog,
+            watchdog=cell.watchdog(),
             check_invariants=task.check_invariants,
             processes=1,
             cache=task.cache,

@@ -4,14 +4,14 @@
 into cells, diffs them against the campaign state file (what already
 ran?) and the result cache (of the cells left, which seeds are already
 content-addressed?), and returns a :class:`CampaignPlan` — the exact
-work a run would do, without doing any of it.  Cache prediction
-replicates :func:`repro.experiments.parallel.run_seeds`'s key routing
-bit for bit (engine keys with the watchdog folded in when enabled;
-fastpath keys in their ``("fastpath", ...)`` namespace when the cell
-qualifies), so ``--dry-run``'s hit/miss counts are the ones the real
-run observes.
+work a run would do, without doing any of it.  Cache prediction asks
+:func:`repro.fastpath.batched.seed_route` for each missing cell's keys:
+``run_seeds`` routes and keys every seed through the same helper, so
+``--dry-run``'s hit/miss counts are the ones the real run observes.  A
+dry run refuses a state file from a different grid, as a run does.
 
-:func:`run_campaign` executes the plan: missing cells go to a pluggable
+:func:`run_campaign` runs every cell the state file does not record as
+done or quarantined: missing cells go to a pluggable
 :class:`~repro.campaign.executor.CellExecutor` in retry rounds under the
 shared :class:`repro.retrypolicy.RetryPolicy`; a cell that fails every
 attempt is *quarantined* — durably recorded, reported, and skipped on
@@ -37,7 +37,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.cache import ResultCache, as_cache, run_key, run_key_batch
+from repro.cache import ResultCache, as_cache
+# Unused here: bench/tracing.py patches these names on this module.
+from repro.cache import run_key, run_key_batch  # noqa: F401
 from repro.campaign.executor import (
     CellExecutor,
     CellFailure,
@@ -51,7 +53,6 @@ from repro.campaign.state import CampaignState, StateView
 from repro.experiments.parallel import SeedDigest
 from repro.obs.report import jsonable
 from repro.retrypolicy import RetryPolicy
-from repro.sim.watchdog import Watchdog
 
 __all__ = [
     "QUARANTINE_EXIT_CODE",
@@ -117,78 +118,36 @@ def _predict_cell_cache(
 ) -> Tuple[int, int]:
     """(hits, misses) the real run would observe for this cell.
 
-    Mirrors ``run_seeds``'s routing exactly: fastpath qualification
-    first (its keys live in the ``("fastpath", ...)`` namespace), the
-    engine path otherwise (watchdog folded into keys when enabled).  A
-    cell that cannot even build (poison, bad knobs) predicts all-miss —
-    the run will fail it, not serve it from cache.
+    The keys come from :func:`~repro.fastpath.batched.seed_route`, the
+    routing ``run_seeds`` executes by.  A cell that cannot even build
+    (poison, bad knobs), or that demands a kernel none provides,
+    predicts all-miss: the run fails it rather than serving it.
     """
     n = len(cell.seeds)
     if cache_obj is None:
         return 0, n
-    try:
-        instance = cell.workload()
-        faults = cell.adversary.faults()
-        jammer = cell.adversary.jammer()
-        watchdog = (
-            Watchdog(max_seconds=cell.timeout_seconds)
-            if cell.timeout_seconds is not None
-            else None
-        )
-        wd = (
-            watchdog
-            if watchdog is not None and watchdog.enabled
-            else None
-        )
-        keys: Optional[List[str]] = None
-        if cell.fastpath != "off":
-            from repro.fastpath.batched import KERNEL_VERSION, plan_fastpath
+    from repro.fastpath.batched import seed_route
 
-            plan, _reason = plan_fastpath(
-                instance,
-                cell.protocol(instance),
-                jammer=jammer,
-                faults=faults,
-                watchdog=watchdog,
-                check_invariants=False,
-            )
-            if plan is not None:
-                extra = (
-                    "fastpath", plan.kind, KERNEL_VERSION, plan.watchdog,
-                )
-                keys = run_key_batch(
-                    instance=plan.instance,
-                    protocol=cell.protocol,
-                    seeds=cell.seeds,
-                    jammer=jammer,
-                    faults=faults,
-                    extra=extra,
-                )
-            elif cell.fastpath == "on":
-                # The run would raise FastpathUnavailableError and the
-                # cell would fail: nothing gets served from cache.
-                return 0, n
-        if keys is None:
-            wd_extra = ("watchdog", wd) if wd is not None else None
-            keys = [
-                run_key(
-                    instance=instance,
-                    protocol=cell.protocol,
-                    jammer=jammer,
-                    seed=s,
-                    faults=faults,
-                    extra=wd_extra,
-                )
-                for s in cell.seeds
-            ]
-        hits = 0
-        for s, key in zip(cell.seeds, keys):
-            found = cache_obj.get(key)
-            if isinstance(found, SeedDigest) and found.seed == s:
-                hits += 1
-        return hits, n - hits
+    try:
+        plan, _, keys = seed_route(
+            cell.workload(),
+            cell.protocol,
+            cell.seeds,
+            jammer=cell.adversary.jammer(),
+            faults=cell.adversary.faults(),
+            watchdog=cell.watchdog(),
+            fastpath=cell.fastpath,
+        )
     except Exception:
         return 0, n
+    if plan is None and cell.fastpath == "on":
+        return 0, n
+    hits = 0
+    for s, key in zip(cell.seeds, keys):
+        found = cache_obj.get(key)
+        if isinstance(found, SeedDigest) and found.seed == s:
+            hits += 1
+    return hits, n - hits
 
 
 def evaluate(
@@ -196,12 +155,10 @@ def evaluate(
 ) -> CampaignPlan:
     """Diff the spec's grid against state and cache; execute nothing.
 
-    ``view`` lets a caller that already loaded (and header-checked) the
-    state reuse it; by default the state file is read fresh — a missing
-    file is simply an empty campaign.  Raises
-    :class:`~repro.campaign.state.CampaignStateError` via
-    ``ensure-header`` semantics only when the caller asks for it; plain
-    evaluation never writes.
+    ``view`` lets a caller that already loaded (and drift-checked, see
+    :meth:`~repro.campaign.state.CampaignState.load`) the state reuse
+    it; by default the state file is read fresh, unchecked — a missing
+    file is simply an empty campaign.  Evaluation never writes.
     """
     if view is None:
         view = CampaignState(spec.state_path).load()
@@ -400,20 +357,19 @@ def run_campaign(
     """
     t0 = time.perf_counter()
     state = CampaignState(spec.state_path)
+    spec_digest = spec.digest()
     if dry_run:
-        plan = evaluate(spec)
+        plan = evaluate(spec, view=state.load(spec_digest))
         return CampaignReport(
             name=spec.name,
-            spec_digest=plan.spec_digest,
+            spec_digest=spec_digest,
             dry_run=True,
             counts=plan.counts,
             wall_seconds=time.perf_counter() - t0,
         )
 
-    view = state.ensure_header(name=spec.name, spec_digest=spec.digest())
-    plan = evaluate(spec, view=view)
+    view = state.ensure_header(name=spec.name, spec_digest=spec_digest)
     started_at = time.time()
-    cells_by_key = {c.key(): c for c in spec.cells()}
     attempts: Dict[str, int] = dict(view.attempts)
     budget = 1 + spec.retries
     cache_knob = (
@@ -423,7 +379,7 @@ def run_campaign(
     policy = RetryPolicy(retries=spec.retries, base_backoff=spec.retry_backoff)
 
     report = CampaignReport(
-        name=spec.name, spec_digest=plan.spec_digest, dry_run=False
+        name=spec.name, spec_digest=spec_digest, dry_run=False
     )
     # Prior quarantines stay reported on every run: a resumed campaign's
     # report must not hide cells an earlier attempt gave up on.
@@ -438,32 +394,30 @@ def run_campaign(
         )
 
     pending: List[CellTask] = []
-    for row in plan.by_status("missing"):
-        cell = cells_by_key[row.key]
-        task = CellTask(key=row.key, cell=cell, cache=cache_knob)
-        if attempts.get(row.key, 0) >= budget:
+    for cell in spec.cells():
+        key = cell.key()
+        if view.is_terminal(key):
+            continue
+        if attempts.get(key, 0) >= budget:
             # Prior (crashed) runs already burned the whole budget
             # without a completion: quarantine without another attempt.
             msg = (
-                f"retry budget exhausted by {attempts[row.key]} prior "
+                f"retry budget exhausted by {attempts[key]} prior "
                 f"attempt(s) with no completion (crashed runs?)"
             )
             state.record_quarantined(
-                row.key,
-                label=row.label,
-                attempts=attempts[row.key],
-                error=msg,
+                key, label=cell.label(), attempts=attempts[key], error=msg
             )
             report.quarantined.append(
                 QuarantineEntry(
-                    key=row.key,
-                    label=row.label,
-                    attempts=attempts[row.key],
+                    key=key,
+                    label=cell.label(),
+                    attempts=attempts[key],
                     error=msg,
                 )
             )
         else:
-            pending.append(task)
+            pending.append(CellTask(key=key, cell=cell, cache=cache_knob))
 
     total_todo = len(pending)
     done_now = 0

@@ -40,6 +40,7 @@ from repro.faults.plan import FaultPlan
 from repro.registry import PROTOCOLS, WORKLOADS, build_workload, protocol_factory
 from repro.sim.engine import ProtocolFactory
 from repro.sim.instance import Instance
+from repro.sim.watchdog import Watchdog
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -174,6 +175,12 @@ class CampaignCell:
             f"{self.workload.name}/{self.protocol.name}"
             f"/{self.adversary.label}"
         )
+
+    def watchdog(self) -> Optional[Watchdog]:
+        """The per-cell wall-clock watchdog; ``None`` without a timeout."""
+        if self.timeout_seconds is None:
+            return None
+        return Watchdog(max_seconds=self.timeout_seconds)
 
     def key(self) -> str:
         """Content address of this cell within its campaign."""

@@ -90,8 +90,13 @@ class CampaignState:
 
     # -- reads ---------------------------------------------------------
 
-    def load(self) -> StateView:
-        """Replay the log into a :class:`StateView` (missing file: empty)."""
+    def load(self, spec_digest: Optional[str] = None) -> StateView:
+        """Replay the log into a :class:`StateView` (missing file: empty).
+
+        With ``spec_digest``, raises :class:`CampaignStateError` when the
+        file belongs to a different grid — a resume, or its dry run,
+        must match the spec it started from.
+        """
         view = StateView()
         for rec in read_jsonl_tolerant(self.path):
             kind = rec.get("type")
@@ -104,6 +109,15 @@ class CampaignState:
                 view.done[str(rec.get("key", ""))] = rec
             elif kind == "cell-quarantined":
                 view.quarantined[str(rec.get("key", ""))] = rec
+        if spec_digest is not None and view.header is not None:
+            found = view.header.get("spec_digest")
+            if found != spec_digest:
+                raise CampaignStateError(
+                    f"state file {self.path} belongs to a different "
+                    f"campaign grid (state digest {str(found)[:12]}…, spec "
+                    f"digest {spec_digest[:12]}…); edit the spec back, or "
+                    f"point 'state' at a fresh file"
+                )
         return view
 
     # -- writes --------------------------------------------------------
@@ -112,10 +126,10 @@ class CampaignState:
         """Open the state for this spec, writing the header if new.
 
         Returns the current :class:`StateView` (after any header write).
-        Raises :class:`CampaignStateError` when the file belongs to a
-        different grid — a resume must match the spec it started from.
+        Raises :class:`CampaignStateError` on grid drift (see
+        :meth:`load`).
         """
-        view = self.load()
+        view = self.load(spec_digest)
         if view.header is None:
             header = {
                 "type": "campaign-header",
@@ -126,15 +140,6 @@ class CampaignState:
             }
             append_jsonl_atomic(self.path, header)
             view.header = header
-            return view
-        found = view.header.get("spec_digest")
-        if found != spec_digest:
-            raise CampaignStateError(
-                f"state file {self.path} belongs to a different campaign "
-                f"grid (state digest {str(found)[:12]}…, spec digest "
-                f"{spec_digest[:12]}…); edit the spec back, or point "
-                f"'state' at a fresh file"
-            )
         return view
 
     def record_attempt(self, key: str, attempt: int) -> None:

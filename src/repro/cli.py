@@ -485,7 +485,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments import run_seeds
+    from repro.experiments import aggregate, run_seeds
 
     with _observed(args, "compare") as obs:
         instance = _build_workload(args)
@@ -504,9 +504,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 telemetry=obs.telemetry,
                 ledger=obs.ledger,
             )
-            ok = sum(d.n_succeeded for d in digests)
-            total = sum(d.n_jobs for d in digests)
-            rows.append([name, 1.0 - ok / total, total])
+            agg = aggregate(digests)
+            rows.append([name, 1.0 - agg["success_rate"], agg["jobs"]])
         print(
             format_table(
                 ["protocol", "miss rate", "jobs x seeds"],

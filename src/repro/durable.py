@@ -3,7 +3,7 @@
 Files rewritten in place (cache entries, heartbeats, the perf trajectory,
 stream checkpoints) go through :func:`write_atomic`, so a reader or a
 crash sees the old file or the new one, never a torn one.  Append-only
-logs (the run ledger, campaign state, sweep checkpoints) go through
+logs (the run ledger, campaign state) go through
 :func:`append_jsonl_atomic` and are read back by
 :func:`read_jsonl_tolerant`.
 """
@@ -61,9 +61,9 @@ def write_atomic(
 def append_jsonl_atomic(path: Union[str, Path], record: Dict[str, Any]) -> None:
     """Append one JSON record to ``path`` as a single atomic write.
 
-    The durability contract shared by the run ledger, the campaign state
-    file (:mod:`repro.campaign.state`) and sweep checkpoints: one record
-    is one ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
+    The durability contract shared by the run ledger and the campaign
+    state file (:mod:`repro.campaign.state`): one record is one
+    ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
     appenders interleave whole lines, never fragments — and when the
     existing file lacks a trailing newline (a torn tail from a killed
     writer), the healing newline is folded into the same write so the

@@ -22,8 +22,10 @@ parallelizing the outer loop):
 * worker exceptions are captured with the failing seed attached and
   re-raised in the parent as :class:`SeedExecutionError`, instead of a
   bare traceback that has forgotten which task died;
-* with a ``cache=``, each seed's digest is looked up by content address
-  first and only uncached seeds are shipped to workers — a warm re-run
+* one call to :func:`repro.fastpath.batched.seed_route` decides the
+  path (engine, or a vectorized kernel under ``fastpath=``) and every
+  seed's cache key; with a ``cache=``, each seed's digest is looked up
+  by that address first and only uncached seeds run — a warm re-run
   performs zero ``simulate`` calls;
 * `processes=1` (the default) runs inline with zero multiprocessing
   overhead — identical results, so tests can compare the two paths.
@@ -46,7 +48,9 @@ from typing import (
     Union,
 )
 
-from repro.cache import ResultCache, as_cache, run_key, stable_digest
+from repro.cache import ResultCache, as_cache, stable_digest
+# Unused here: bench/tracing.py patches this name on this module.
+from repro.cache import run_key  # noqa: F401
 from repro.channel.jamming import Jammer
 from repro.errors import ReproError
 from repro.pool import TaskFailure, compute_chunksize, run_all
@@ -56,6 +60,7 @@ from repro.sim.instance import Instance
 from repro.sim.watchdog import REASON_WALL, Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fastpath.batched import FastpathPlan
     from repro.faults import FaultPlan
     from repro.obs.ledger import RunLedger
     from repro.obs.telemetry import Telemetry
@@ -259,10 +264,10 @@ def _run_one(
     )
 
 
-def _instance_digest_of(job: ParallelJob) -> Optional[str]:
-    """Content digest of the failing job's instance (best effort)."""
+def _instance_digest(build: InstanceBuilder) -> Optional[str]:
+    """Content digest of the failing run's instance (best effort)."""
     try:
-        return stable_digest(job.build())
+        return stable_digest(build())
     except Exception:
         return None  # the build itself may be what failed
 
@@ -347,11 +352,13 @@ def run_seeds(
         qualifies, silently falling back to the engine otherwise;
         ``"on"`` requires a kernel and raises
         :class:`~repro.fastpath.batched.FastpathUnavailableError` when
-        none covers the configuration.  Kernel digests are bit-exact
-        with the engine for single-attempt UNIFORM and statistically
-        equivalent for ALIGNED/PUNCTUAL; their cache keys live in a
-        separate ``("fastpath", ...)`` namespace, so the default keeps
-        every engine-path cache address unchanged.
+        none covers the configuration.  Kernel trials run in this
+        process, seed-major (``processes`` does not apply), through the
+        same cache, progress and retry loop as engine seeds.  Kernel
+        digests are bit-exact with the engine for single-attempt UNIFORM
+        and statistically equivalent for ALIGNED/PUNCTUAL; their cache
+        keys live in a separate ``("fastpath", ...)`` namespace, so the
+        default keeps every engine-path cache address unchanged.
     ledger:
         Optional run-ledger knob (see :func:`repro.obs.ledger.as_ledger`).
         When set, one :class:`~repro.obs.ledger.RunRecord` is appended
@@ -428,40 +435,9 @@ def run_seeds(
                 }
                 trk.watchdog_trips = int(agg["watchdog_trips"])
             return digests
-    if fastpath != "off":
-        # Imported lazily: repro.fastpath.fullproto imports SeedDigest
-        # from this module.
-        from repro.fastpath.batched import (
-            FastpathUnavailableError,
-            plan_fastpath,
-            run_batch,
-        )
-
-        fp_instance = build()
-        plan, reason = plan_fastpath(
-            fp_instance,
-            protocol(fp_instance),
-            jammer=jammer,
-            faults=faults,
-            watchdog=watchdog,
-            check_invariants=check_invariants,
-        )
-        if plan is not None:
-            return run_batch(
-                build,
-                protocol,
-                seeds,
-                jammer=jammer,
-                faults=faults,
-                check_invariants=check_invariants,
-                watchdog=watchdog,
-                cache=cache,
-                progress=progress,
-                telemetry=telemetry,
-                plan=plan,
-            )
-        if fastpath == "on":
-            raise FastpathUnavailableError(reason)
+    # Imported lazily: repro.fastpath.fullproto imports SeedDigest from
+    # this module.
+    from repro.fastpath import batched
 
     seeds = list(seeds)
     total = len(seeds)
@@ -477,38 +453,32 @@ def run_seeds(
             cache_obj.hits, cache_obj.misses, cache_obj.puts,
         )
 
-    results: Dict[int, SeedDigest] = {}  # position -> digest
-    pending: List[Tuple[int, ParallelJob, Optional[str]]] = []
-
-    wd = watchdog if watchdog is not None and watchdog.enabled else None
-
-    def job_for(seed: int) -> ParallelJob:
-        return ParallelJob(
-            build, protocol, seed, jammer, faults, check_invariants, wd
+    plan: Optional["FastpathPlan"] = None
+    keys: List[Optional[str]] = [None] * total
+    if fastpath != "off" or cache_obj is not None:
+        plan, reason, keys = batched.seed_route(
+            build(),
+            protocol,
+            seeds,
+            jammer=jammer,
+            faults=faults,
+            watchdog=watchdog,
+            check_invariants=check_invariants,
+            fastpath=fastpath,
+            keyed=cache_obj is not None,
         )
+        if plan is None and fastpath == "on":
+            raise batched.FastpathUnavailableError(reason)
 
-    if cache_obj is not None:
-        # Content address each seed; only misses become worker tasks.
-        # A watchdog changes results (it can truncate runs), so it joins
-        # the key when set; clean runs keep their historical addresses.
-        instance = build()
-        wd_extra = ("watchdog", wd) if wd is not None else None
-        for pos, s in enumerate(seeds):
-            key = run_key(
-                instance=instance,
-                protocol=protocol,
-                jammer=jammer,
-                seed=s,
-                faults=faults,
-                extra=wd_extra,
-            )
-            hit = cache_obj.get(key)
-            if isinstance(hit, SeedDigest) and hit.seed == s:
-                results[pos] = hit
-            else:
-                pending.append((pos, job_for(s), key))
-    else:
-        pending = [(pos, job_for(s), None) for pos, s in enumerate(seeds)]
+    # Content-addressed seeds are served from the cache; only misses run.
+    results: Dict[int, SeedDigest] = {}  # position -> digest
+    pending: List[Tuple[int, int, Optional[str]]] = []  # (pos, seed, key)
+    for pos, (s, key) in enumerate(zip(seeds, keys)):
+        hit = cache_obj.get(key) if key is not None else None
+        if isinstance(hit, SeedDigest) and hit.seed == s:
+            results[pos] = hit
+        else:
+            pending.append((pos, s, key))
 
     done = len(results)
     if progress is not None and done:
@@ -518,9 +488,12 @@ def run_seeds(
         nonlocal done
         pos, _, key = pending[k]
         results[pos] = digest
-        if digest.watchdog_reason is not None and telemetry is not None:
-            telemetry.metrics.counter("runs.watchdog_trips").inc()
-        if cache_obj is not None and key is not None and digest.cacheable:
+        if telemetry is not None:
+            if plan is not None:
+                batched.record_trial(telemetry, jammer, digest)
+            if digest.watchdog_reason is not None:
+                telemetry.metrics.counter("runs.watchdog_trips").inc()
+        if key is not None and digest.cacheable:
             cache_obj.put(key, digest)
         done += 1
         if progress is not None:
@@ -533,33 +506,51 @@ def run_seeds(
             if retrying:
                 metrics.counter("runs.retries").inc()
 
-    # Single-arg call when un-instrumented: _run_one is a documented
-    # monkeypatch seam for failure-injection tests.  Worker processes
-    # cannot share the collector, so only the inline path gets it.
-    run = _run_one
-    if telemetry is not None and processes <= 1:
-        run = functools.partial(_run_one, telemetry=telemetry)
+    if plan is not None:
+        # A kernel trial is a handful of array operations: run the seed
+        # vector inline, seed-major, whatever ``processes`` says.
+        run: Callable[[Any], SeedDigest] = functools.partial(
+            batched.simulate_fastpath, plan
+        )
+        tasks: List[Any] = [s for _, s, _ in pending]
+        workers = 0
+    else:
+        wd = watchdog if watchdog is not None and watchdog.enabled else None
+        # Single-arg call when un-instrumented: _run_one is a documented
+        # monkeypatch seam for failure-injection tests.  Worker processes
+        # cannot share the collector, so only the inline path gets it.
+        run = _run_one
+        if telemetry is not None and processes <= 1:
+            run = functools.partial(_run_one, telemetry=telemetry)
+        tasks = [
+            ParallelJob(build, protocol, s, jammer, faults, check_invariants, wd)
+            for _, s, _ in pending
+        ]
+        workers = processes if processes > 1 else 0
     failures = run_all(
         run,
-        [job for _, job, _ in pending],
+        tasks,
         on_result=finish,
-        workers=processes if processes > 1 else 0,
+        workers=workers,
         chunksize=chunksize,
         policy=policy,
         on_retry=functools.partial(count, retrying=True),
     )
     if failures:
         count(failures, retrying=False)
-        job = pending[failures[0].index][1]
         raise SeedExecutionError(
-            job.seed,
+            pending[failures[0].index][1],
             failures[0].error,
             protocol=_protocol_label(protocol),
-            instance_digest=_instance_digest_of(job),
+            instance_digest=_instance_digest(build),
         )
 
     if telemetry is not None:
-        telemetry.add_span("run_seeds", time.perf_counter() - t_started)
+        if plan is not None:
+            telemetry.add_span("run_batch", time.perf_counter() - t_started)
+            telemetry.metrics.counter("runs.fastpath_trials").inc(len(pending))
+        else:
+            telemetry.add_span("run_seeds", time.perf_counter() - t_started)
         if cache_obj is not None:
             telemetry.record_cache(
                 cache_obj.hits - c_hits,

@@ -51,9 +51,8 @@ from typing import (
 
 from repro.analysis.stats import ProportionEstimate, estimate_proportion
 from repro.analysis.tables import format_table
-from repro.cache import ResultCache, stable_digest
+from repro.cache import ResultCache
 from repro.channel.jamming import Jammer
-from repro.durable import append_jsonl_atomic, read_jsonl_tolerant
 from repro.experiments.parallel import BoundBuilder, run_seeds
 from repro.sim.engine import ProtocolFactory
 from repro.sim.instance import Instance
@@ -95,38 +94,6 @@ class SweepPoint:
             self.mean_latency,
         ]
 
-    # -- checkpoint serialization (JSON round trip) ------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        """A JSON-serializable dict; inverse of :meth:`from_json`."""
-        est = lambda e: [e.successes, e.trials, e.low, e.high]
-        return {
-            "params": self.params,
-            "n_jobs": self.n_jobs,
-            "n_succeeded": self.n_succeeded,
-            "n_runs": self.n_runs,
-            "success": est(self.success),
-            "by_window": {str(w): est(e) for w, e in self.by_window.items()},
-            "mean_latency": self.mean_latency,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "SweepPoint":
-        est = lambda v: ProportionEstimate(
-            int(v[0]), int(v[1]), float(v[2]), float(v[3])
-        )
-        return cls(
-            params=dict(data["params"]),
-            n_jobs=int(data["n_jobs"]),
-            n_succeeded=int(data["n_succeeded"]),
-            n_runs=int(data["n_runs"]),
-            success=est(data["success"]),
-            by_window={int(w): est(v) for w, v in data["by_window"].items()},
-            mean_latency=float(data["mean_latency"]),
-            wall_seconds=float(data["wall_seconds"]),
-        )
-
 
 class Sweep:
     """Run a protocol over a parameter grid with seed replication.
@@ -149,23 +116,16 @@ class Sweep:
         picklable ``build``/``protocol``).
     cache:
         Result-cache knob (see :func:`repro.cache.as_cache`); cached
-        seeds skip simulation entirely.
+        seeds skip simulation entirely, so re-running a killed sweep
+        with the same cache resumes it seed by seed.
     faults:
         Optional :class:`repro.faults.FaultPlan` applied to every run
-        (folded into cache keys and checkpoint keys).
+        (folded into cache keys).
     check_invariants:
         Run every simulation under the runtime invariant checker.
     retries:
         Per-point transient-failure retries (see
         :func:`repro.experiments.parallel.run_seeds`).
-    checkpoint:
-        Path to a JSONL checkpoint file.  Every completed grid point is
-        appended as one line, keyed by a content digest of the sweep
-        configuration plus the point's parameters; a re-run of the same
-        sweep skips points already on disk (a truncated final line from
-        a killed run is ignored and recomputed).  Combine with
-        ``cache=`` so even the recomputed point replays its finished
-        seeds from cache.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` collector.
         Each grid point is timed as a ``sweep.point`` span, and the
@@ -175,12 +135,10 @@ class Sweep:
     fastpath:
         Kernel routing knob passed to every point's
         :func:`~repro.experiments.parallel.run_seeds` call (``"off"``,
-        ``"auto"``, or ``"on"``; see there).  A non-``"off"`` value also
-        joins the checkpoint point keys, since kernel results are not
-        bit-equal to engine results for ALIGNED/PUNCTUAL.
+        ``"auto"``, or ``"on"``; see there).
     progress:
         Optional ``progress(done_points, total_points)`` callback,
-        invoked after every grid point (checkpoint hits included) —
+        invoked after every grid point —
         drop a :class:`repro.obs.progress.ProgressTracker` in for live
         rate/ETA heartbeats.  Purely observational.
     ledger:
@@ -204,7 +162,6 @@ class Sweep:
         faults: Optional["FaultPlan"] = None,
         check_invariants: bool = False,
         retries: int = 0,
-        checkpoint: Union[None, str, Path] = None,
         telemetry: Optional["Telemetry"] = None,
         fastpath: str = "off",
         progress: Optional[Callable[[int, int], None]] = None,
@@ -222,7 +179,6 @@ class Sweep:
         self.faults = faults
         self.check_invariants = check_invariants
         self.retries = retries
-        self.checkpoint = Path(checkpoint) if checkpoint is not None else None
         self.telemetry = telemetry
         self.fastpath = fastpath
         self.progress = progress
@@ -231,7 +187,6 @@ class Sweep:
     def run_point(self, **params: Any) -> SweepPoint:
         """Run one grid point; aggregates across seeds."""
         t0 = time.perf_counter()
-        instance = self.build(**params)
         point_build = BoundBuilder(
             self.build, tuple(sorted(params.items(), key=lambda kv: kv[0]))
         )
@@ -265,7 +220,7 @@ class Sweep:
         mean_latency = latency_sum / ok if ok else float("nan")
         return SweepPoint(
             params=dict(params),
-            n_jobs=len(instance),
+            n_jobs=digests[0].n_jobs,  # every digest: len(instance)
             n_succeeded=ok,
             n_runs=self.seeds,
             success=estimate_proportion(ok, max(total, 1)),
@@ -277,46 +232,15 @@ class Sweep:
             wall_seconds=time.perf_counter() - t0,
         )
 
-    def _point_key(self, params: Mapping[str, Any]) -> str:
-        """Checkpoint key: sweep configuration + grid point content."""
-        for obj in (self.jammer, self.faults):
-            reset = getattr(obj, "reset", None)
-            if callable(reset):
-                reset()  # canonicalize stateful jammers before digesting
-        key: tuple = (
-            "sweep-point",
-            self.build,
-            self.protocol,
-            self.seeds,
-            self.seed_base,
-            self.jammer,
-            self.faults,
-            tuple(sorted(params.items(), key=lambda kv: kv[0])),
-        )
-        # ALIGNED/PUNCTUAL kernel digests are statistical, not
-        # bit-equal, so a fastpath sweep may not resume an engine
-        # checkpoint (or vice versa).  Appended only when enabled so
-        # every existing engine checkpoint keeps its keys.
-        if self.fastpath != "off":
-            key = key + ("fastpath", self.fastpath)
-        return stable_digest(key)
-
     def run(self, grid: Mapping[str, Iterable[Any]]) -> List[SweepPoint]:
-        """Run the full cartesian grid, in deterministic order.
-
-        With a ``checkpoint=`` configured, grid points already recorded
-        on disk are returned without simulating, and each freshly
-        computed point is appended (and flushed) as soon as it
-        completes — killing and restarting a sweep loses at most the
-        point in flight.
-        """
+        """Run the full cartesian grid, in deterministic order."""
         if self.ledger is None:
-            return self._run_grid(grid)[0]
+            return self._run_grid(grid)
         from repro.obs.ledger import as_ledger
 
         led = as_ledger(self.ledger)
         if led is None:
-            return self._run_grid(grid)[0]
+            return self._run_grid(grid)
         grid = {k: list(v) for k, v in grid.items()}
         config = {
             "kind": "sweep",
@@ -342,60 +266,27 @@ class Sweep:
                     tuple(sorted((k, tuple(v)) for k, v in grid.items())),
                 )
             )
-            points, resumed = self._run_grid(grid)
+            points = self._run_grid(grid)
             trk.counters = {
                 "points": len(points),
-                "resumed_points": resumed,
                 "runs": sum(p.n_runs for p in points),
                 "jobs": sum(p.n_jobs * p.n_runs for p in points),
                 "succeeded": sum(p.n_succeeded for p in points),
             }
-            if self.checkpoint is not None:
-                trk.artifact(self.checkpoint)
         return points
 
-    def _run_grid(
-        self, grid: Mapping[str, Iterable[Any]]
-    ) -> tuple:
-        """The grid loop; returns ``(points, checkpoint_resumed_count)``."""
+    def _run_grid(self, grid: Mapping[str, Iterable[Any]]) -> List[SweepPoint]:
         keys = list(grid)
         values = [list(grid[k]) for k in keys]
         total = 1
         for v in values:
             total *= len(v)
-        done: Dict[str, SweepPoint] = {}
-        if self.checkpoint is not None:
-            # A killed run can leave a truncated final line: the reader
-            # skips it, that point is recomputed (its cached seeds still
-            # hit), and the next append heals the missing newline.
-            for record in read_jsonl_tolerant(self.checkpoint):
-                try:
-                    done[record["key"]] = SweepPoint.from_json(record["point"])
-                except Exception:
-                    continue  # a foreign or malformed record: recompute
         points: List[SweepPoint] = []
-        resumed = 0
         for combo in itertools.product(*values):
-            params = dict(zip(keys, combo))
-            if self.checkpoint is not None:
-                pkey = self._point_key(params)
-                hit = done.get(pkey)
-                if hit is not None:
-                    points.append(hit)
-                    resumed += 1
-                    if self.progress is not None:
-                        self.progress(len(points), total)
-                    continue
-                point = self.run_point(**params)
-                append_jsonl_atomic(
-                    self.checkpoint, {"key": pkey, "point": point.to_json()}
-                )
-            else:
-                point = self.run_point(**params)
-            points.append(point)
+            points.append(self.run_point(**dict(zip(keys, combo))))
             if self.progress is not None:
                 self.progress(len(points), total)
-        return points, resumed
+        return points
 
     @staticmethod
     def table(points: Sequence[SweepPoint], title: str = "") -> str:

@@ -8,8 +8,8 @@ Two tiers live here:
   references in the verify battery;
 * **full-protocol kernels** (``aligned_full``, ``punctual_full``, the
   engine-exact UNIFORM replay in ``batched``) — whole engine runs as
-  array programs, plus the seed-major batched driver (``batched``)
-  that the experiment layer routes to via ``run_seeds(fastpath=...)``.
+  array programs, plus the routing helper ``batched.seed_route`` by
+  which ``run_seeds(fastpath=...)`` runs a seed vector on them.
 """
 
 from repro.fastpath.aligned_fast import ClassRunResult, simulate_class_run_fast
@@ -23,7 +23,7 @@ from repro.fastpath.batched import (
     FastpathPlan,
     FastpathUnavailableError,
     plan_fastpath,
-    run_batch,
+    seed_route,
     simulate_fastpath,
 )
 from repro.fastpath.broadcast_fast import BroadcastFastResult, simulate_broadcast_fast
@@ -50,7 +50,7 @@ __all__ = [
     "FastpathPlan",
     "FastpathUnavailableError",
     "plan_fastpath",
-    "run_batch",
+    "seed_route",
     "simulate_fastpath",
     "BroadcastFastResult",
     "simulate_broadcast_fast",

@@ -1,16 +1,17 @@
-"""Seed-major batched execution through the full-protocol kernels.
+"""Seed routing and the full-protocol kernel trials.
 
-The per-seed experiment loop (:func:`repro.experiments.parallel.run_seeds`)
-pays three per-seed costs that dwarf a vectorized kernel trial: a fresh
-instance build, a full :func:`repro.cache.run_key` content walk, and the
-engine's per-slot Python stepping.  :func:`run_batch` makes the *seed
-vector* the unit of work instead: the instance is built once, the plan is
-qualified once, cache keys for every seed come from one shared-prefix
-hash walk (:func:`repro.cache.run_key_batch`), and each trial runs a
-whole protocol execution as a handful of array operations
+:func:`seed_route` decides, once per seed vector, which path runs the
+seeds and under which cache key each result lives:
+:func:`repro.experiments.parallel.run_seeds` executes by it and campaign
+planning predicts cache hits by it.  The instance is built once, the
+plan is qualified once, and cache keys for every seed come from one
+shared-prefix hash walk (:func:`repro.cache.run_key_batch`).  A kernel
+trial (:func:`simulate_fastpath`) runs a whole protocol execution as a
+handful of array operations
 (:func:`~repro.fastpath.aligned_full.simulate_aligned_full`,
 :func:`~repro.fastpath.punctual_full.simulate_punctual_full`, or the
-engine-exact UNIFORM replay below).
+engine-exact UNIFORM replay below); ``run_seeds`` runs them inline,
+seed-major, through its own cache, progress and retry loop.
 
 Qualification is explicit and conservative: :func:`plan_fastpath`
 returns a :class:`FastpathPlan` only when the kernel provably models the
@@ -39,21 +40,15 @@ kernel bug from ever poisoning engine-path results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.cache import ResultCache, as_cache, run_key_batch
+from repro.cache import run_key_batch
 from repro.channel.jamming import Jammer, NoJammer, StochasticJammer
 from repro.errors import ReproError
-from repro.experiments.parallel import (
-    FactoryBuilder,
-    InstanceBuilder,
-    ProgressCallback,
-    SeedDigest,
-)
+from repro.experiments.parallel import FactoryBuilder, SeedDigest
 from repro.fastpath.aligned_full import simulate_aligned_full
 from repro.fastpath.fullproto import (
     FullProtocolResult,
@@ -76,7 +71,7 @@ __all__ = [
     "FastpathUnavailableError",
     "plan_fastpath",
     "record_trial",
-    "run_batch",
+    "seed_route",
     "simulate_fastpath",
 ]
 
@@ -93,11 +88,11 @@ class FastpathUnavailableError(ReproError):
 class FastpathPlan:
     """A qualified kernel execution: everything a trial needs but the seed.
 
-    Produced by :func:`plan_fastpath`; consumed by
-    :func:`simulate_fastpath` and :func:`run_batch`.  ``watchdog`` is the
-    caller's enabled-but-vacuous watchdog (or ``None``) — the kernel
-    never trips it, but it must still join cache keys because the
-    engine path folds it into its own keys.
+    Produced by :func:`plan_fastpath` (for a seed vector, through
+    :func:`seed_route`); consumed by :func:`simulate_fastpath`.
+    ``watchdog`` is the caller's enabled-but-vacuous watchdog (or
+    ``None``) — the kernel never trips it, but it must still join cache
+    keys because the engine path folds it into its own keys.
     """
 
     kind: str  # "uniform" | "aligned" | "punctual"
@@ -208,6 +203,61 @@ def plan_fastpath(
     return FastpathPlan(kind, instance, params, p_jam, wd), ""
 
 
+def seed_route(
+    instance: Instance,
+    protocol: FactoryBuilder,
+    seeds: Sequence[int],
+    *,
+    jammer: Optional[Jammer] = None,
+    faults: Optional["FaultPlan"] = None,
+    watchdog: Optional[Watchdog] = None,
+    check_invariants: bool = False,
+    fastpath: str = "off",
+    keyed: bool = True,
+) -> Tuple[Optional[FastpathPlan], str, List[Optional[str]]]:
+    """Which path runs these seeds, and the cache key of each.
+
+    The experiment layer's one routing decision:
+    :func:`~repro.experiments.parallel.run_seeds` executes by it and
+    campaign planning predicts cache hits by it, so the two agree by
+    construction.  Returns ``(plan, reason, keys)``: the kernel plan, or
+    ``None`` plus the reason no kernel qualified (``fastpath="off"``
+    never plans); and one key per seed from a single
+    :func:`~repro.cache.run_key_batch` walk (all ``None`` unless
+    ``keyed``).  Kernel keys live in the ``("fastpath", kind,
+    KERNEL_VERSION, watchdog)`` namespace; engine keys fold in the
+    watchdog only when it is enabled, so clean runs keep their
+    historical addresses.
+    """
+    plan, reason = None, "fastpath is off"
+    if fastpath != "off":
+        plan, reason = plan_fastpath(
+            instance,
+            protocol(instance),
+            jammer=jammer,
+            faults=faults,
+            watchdog=watchdog,
+            check_invariants=check_invariants,
+        )
+    if not keyed:
+        return plan, reason, [None] * len(seeds)
+    if plan is not None:
+        extra: Any = ("fastpath", plan.kind, KERNEL_VERSION, plan.watchdog)
+    elif watchdog is not None and watchdog.enabled:
+        extra = ("watchdog", watchdog)
+    else:
+        extra = None
+    keys = run_key_batch(
+        instance=instance,
+        protocol=protocol,
+        seeds=seeds,
+        jammer=jammer,
+        faults=faults,
+        extra=extra,
+    )
+    return plan, reason, keys
+
+
 # ---------------------------------------------------------------------------
 # per-kind trials
 # ---------------------------------------------------------------------------
@@ -308,112 +358,3 @@ def record_trial(
     m.counter("jobs.gave_up").inc(digest.n_jobs - digest.n_succeeded)
     if digest.attempts_sum >= 0:
         m.counter("jobs.energy").inc(digest.attempts_sum)
-
-
-# ---------------------------------------------------------------------------
-# the batched driver
-# ---------------------------------------------------------------------------
-
-
-def run_batch(
-    build: InstanceBuilder,
-    protocol: FactoryBuilder,
-    seeds: Sequence[int],
-    *,
-    jammer: Optional[Jammer] = None,
-    faults: Optional["FaultPlan"] = None,
-    check_invariants: bool = False,
-    watchdog: Optional[Watchdog] = None,
-    cache: Union[None, bool, str, ResultCache] = None,
-    progress: Optional[ProgressCallback] = None,
-    telemetry: Optional["Telemetry"] = None,
-    plan: Optional[FastpathPlan] = None,
-) -> List[SeedDigest]:
-    """Run every seed through the qualified kernel, seed-major.
-
-    The drop-in batched counterpart of
-    :func:`repro.experiments.parallel.run_seeds` for configurations a
-    kernel covers: same builder/protocol/seed signature, same ordered
-    ``SeedDigest`` list back, same ``cache``/``progress``/``telemetry``
-    contracts.  Raises :class:`FastpathUnavailableError` when no kernel
-    qualifies (callers wanting a silent fallback use
-    :func:`plan_fastpath` first, or ``run_seeds(..., fastpath="auto")``).
-
-    ``plan`` lets a caller that already qualified the configuration skip
-    re-planning; it must match the other arguments.
-    """
-    seeds = list(seeds)
-    total = len(seeds)
-    cache_obj = as_cache(cache)
-    t_started = time.perf_counter()
-    if telemetry is not None and cache_obj is not None:
-        c_hits, c_misses, c_puts = (
-            cache_obj.hits, cache_obj.misses, cache_obj.puts,
-        )
-
-    if plan is None:
-        instance = build()
-        plan, reason = plan_fastpath(
-            instance,
-            protocol(instance),
-            jammer=jammer,
-            faults=faults,
-            watchdog=watchdog,
-            check_invariants=check_invariants,
-        )
-        if plan is None:
-            raise FastpathUnavailableError(reason)
-
-    results: List[Optional[SeedDigest]] = [None] * total
-    done = 0
-
-    def tick() -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total)
-
-    pending: List[Tuple[int, int, Optional[str]]] = []  # (pos, seed, key)
-    if cache_obj is not None:
-        # One shared-prefix walk covers the whole seed vector; the extra
-        # namespaces kernel digests away from engine digests and pins
-        # the kernel semantics version (plus the vacuous watchdog, which
-        # the engine path also folds into its keys when enabled).
-        extra = ("fastpath", plan.kind, KERNEL_VERSION, plan.watchdog)
-        keys = run_key_batch(
-            instance=plan.instance,
-            protocol=protocol,
-            seeds=seeds,
-            jammer=jammer,
-            faults=faults,
-            extra=extra,
-        )
-        for pos, (s, key) in enumerate(zip(seeds, keys)):
-            hit = cache_obj.get(key)
-            if isinstance(hit, SeedDigest) and hit.seed == s:
-                results[pos] = hit
-                tick()
-            else:
-                pending.append((pos, s, key))
-    else:
-        pending = [(pos, s, None) for pos, s in enumerate(seeds)]
-
-    for pos, s, key in pending:
-        digest = simulate_fastpath(plan, s)
-        results[pos] = digest
-        if telemetry is not None:
-            record_trial(telemetry, jammer, digest)
-        if cache_obj is not None and key is not None:
-            cache_obj.put(key, digest)
-        tick()
-
-    if telemetry is not None:
-        telemetry.add_span("run_batch", time.perf_counter() - t_started)
-        telemetry.metrics.counter("runs.fastpath_trials").inc(len(pending))
-        if cache_obj is not None:
-            telemetry.record_cache(
-                cache_obj.hits - c_hits,
-                cache_obj.misses - c_misses,
-                cache_obj.puts - c_puts,
-            )
-    return results  # type: ignore[return-value]  # every slot filled above

@@ -212,8 +212,8 @@ class VerifyCase:
     replay), ``"uniform-dominance"`` (attempts > 1: kernel success must
     imply engine success), ``"statistical"`` (mean success rates must
     agree within Monte-Carlo tolerance), ``"fastpath-exact"`` (engine ↔
-    the batched fastpath trial *and* the seed-major ``run_batch``
-    driver, bit-exact digests, clean or jammed), ``"fastpath-statistical"``
+    the fastpath trial *and* the seed-major ``run_seeds(fastpath="on")``
+    path, bit-exact digests, clean or jammed), ``"fastpath-statistical"``
     (engine ↔ ALIGNED/PUNCTUAL full-protocol kernel, mean success rates
     within Monte-Carlo tolerance), ``"streaming-equivalence"`` (closed
     engine on the materialized stream prefix ↔ open streaming engine on

@@ -38,7 +38,7 @@ empirically derived tolerance.
 strengths: the engine-exact UNIFORM replay must match the engine's
 ``SeedDigest`` field-for-field per seed — clean *and* jammed, and both
 through :func:`~repro.fastpath.batched.simulate_fastpath` and through
-the :func:`~repro.fastpath.batched.run_batch` driver — while the
+``run_seeds(fastpath="on")``, the seed-major kernel path — while the
 ALIGNED/PUNCTUAL kernels
 (:func:`~repro.fastpath.aligned_full.simulate_aligned_full`,
 :func:`~repro.fastpath.punctual_full.simulate_punctual_full`) consume
@@ -61,7 +61,7 @@ from repro.channel.feedback import Feedback
 from repro.core.broadcast import BroadcastSchedule
 from repro.core.estimation import resolve_estimate
 from repro.experiments.parallel import SeedDigest, run_seeds
-from repro.fastpath.batched import plan_fastpath, run_batch, simulate_fastpath
+from repro.fastpath.batched import plan_fastpath, simulate_fastpath
 from repro.fastpath.broadcast_fast import simulate_broadcast_fast
 from repro.fastpath.estimation_fast import (
     estimation_success_counts,
@@ -513,7 +513,7 @@ def diff_aligned_kernel(seed: int) -> List[Discrepancy]:
 
 
 # ---------------------------------------------------------------------------
-# full-protocol kernels and the batched driver
+# full-protocol kernels and the seed-major kernel path
 # ---------------------------------------------------------------------------
 
 _DIGEST_FIELDS = (
@@ -594,20 +594,20 @@ def diff_fastpath_exact(case: VerifyCase, seed: int) -> List[Discrepancy]:
 
 
 def diff_fastpath_batched(case: VerifyCase) -> List[Discrepancy]:
-    """Seed-major ``run_batch`` vs the per-seed engine loop, all seeds.
+    """Seed-major ``run_seeds(fastpath="on")`` vs the engine, all seeds.
 
-    Exercises the batched driver itself — one plan, one shared-prefix
-    key walk, ordered results — on top of the per-trial exactness that
-    :func:`diff_fastpath_exact` already pins.
+    Exercises the kernel path of ``run_seeds`` itself — one plan, one
+    shared-prefix key walk, ordered results — on top of the per-trial
+    exactness that :func:`diff_fastpath_exact` already pins.
     """
     engine = run_seeds(
         case.build, lambda _i: case.factory(),
         seeds=list(case.seeds), jammer=case.jammer(),
     )
     try:
-        batched = run_batch(
+        batched = run_seeds(
             case.build, lambda _i: case.factory(),
-            case.seeds, jammer=case.jammer(),
+            case.seeds, jammer=case.jammer(), fastpath="on",
         )
     except Exception as exc:  # FastpathUnavailableError included
         return [_plan_discrepancy(case, "fastpath-batched", str(exc))]
@@ -616,7 +616,7 @@ def diff_fastpath_batched(case: VerifyCase) -> List[Discrepancy]:
         out.extend(
             _digest_mismatches(
                 case, seed, "fastpath-batched", e, k,
-                detail="run_batch vs per-seed engine run_seeds",
+                detail="run_seeds fastpath='on' vs per-seed engine run_seeds",
             )
         )
     return out

@@ -2,8 +2,8 @@
 
 :func:`run_verification` walks the corpus and applies every applicable
 check — differential (exact / dominance / statistical / paired-draw
-kernel references / the full-protocol fastpath kernels and the
-seed-major batched driver), metamorphic (time shift, presentation
+kernel references / the full-protocol fastpath kernels and
+``run_seeds(fastpath="on")``), metamorphic (time shift, presentation
 order, zero jammer, observational toggles), and the determinism audit
 (in-process, subprocess, cache round-trip) — collecting everything into
 a :class:`~repro.verify.report.VerifyReport`.

@@ -70,6 +70,32 @@ class TestDryRun:
             run_campaign(warm_engine, dry_run=True).counts["cache_hits"] == 0
         )
 
+    def test_dry_run_refuses_a_drifted_grid(self, tmp_path):
+        spec = _spec(tmp_path)
+        run_campaign(spec)
+        before = spec.state_path.read_bytes()
+        with pytest.raises(CampaignStateError, match="different campaign"):
+            run_campaign(_spec(tmp_path, seeds=3), dry_run=True)
+        assert spec.state_path.read_bytes() == before
+
+
+class TestCacheReads:
+    def test_cold_run_reads_each_seed_once(self, tmp_path, monkeypatch):
+        from repro.cache import ResultCache
+
+        gets = []
+        real_get = ResultCache.get
+
+        def counting_get(self, key):
+            gets.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        report = run_campaign(_spec(tmp_path))
+        assert report.counts["done"] == 2
+        assert len(gets) == 4  # 2 cells x 2 seeds, one lookup each
+        assert len(set(gets)) == 4
+
 
 class TestRunAndResume:
     def test_clean_run_executes_every_cell_once(self, tmp_path):

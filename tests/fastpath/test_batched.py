@@ -11,12 +11,13 @@ from repro.channel.jamming import (
 from repro.core.aligned import aligned_factory
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
-from repro.experiments.parallel import run_seeds
+from repro.experiments.parallel import SeedExecutionError, run_seeds
+from repro.fastpath import batched as batched_mod
 from repro.fastpath.batched import (
     FastpathUnavailableError,
     KERNEL_VERSION,
     plan_fastpath,
-    run_batch,
+    seed_route,
     simulate_fastpath,
 )
 from repro.faults import FaultPlan, FeedbackFault
@@ -156,11 +157,123 @@ class TestRunKeyBatch:
             assert batch == singles
 
 
+def _entries(cache):
+    """The keys of every entry in ``cache``."""
+    return sorted(p.stem for p in cache.root.glob("*/*.pkl"))
+
+
+class TestSeedKeyContract:
+    """``run_seeds`` stores each digest at ``run_key``'s address."""
+
+    SEEDS = [0, 1, 2]
+
+    def _run_keys(self, extra, jammer=None):
+        inst = _batch()
+        return sorted(
+            run_key(
+                instance=inst, protocol=_uniform, jammer=jammer, seed=s,
+                extra=extra,
+            )
+            for s in self.SEEDS
+        )
+
+    def test_engine_without_watchdog(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_seeds(_batch, _uniform, self.SEEDS, cache=cache)
+        assert _entries(cache) == self._run_keys(None)
+
+    def test_engine_with_enabled_watchdog(self, tmp_path):
+        # A wall-clock budget declines every kernel: "auto" falls back
+        # to the engine, whose keys fold the watchdog in.
+        wd = Watchdog(max_seconds=600.0)
+        cache = ResultCache(tmp_path)
+        run_seeds(
+            _batch, _uniform, self.SEEDS, watchdog=wd, cache=cache,
+            fastpath="auto",
+        )
+        assert _entries(cache) == self._run_keys(("watchdog", wd))
+
+    def test_uniform_kernel(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_seeds(_batch, _uniform, self.SEEDS, cache=cache, fastpath="on")
+        assert _entries(cache) == self._run_keys(
+            ("fastpath", "uniform", KERNEL_VERSION, None)
+        )
+
+    def test_declined_route_keys_the_engine(self):
+        jam = PeriodicJammer(3, [0])
+        plan, reason, keys = seed_route(
+            _batch(), _uniform, self.SEEDS, jammer=jam, fastpath="auto"
+        )
+        assert plan is None and "PeriodicJammer" in reason
+        assert sorted(keys) == self._run_keys(None, jammer=jam)
+        _, _, unkeyed = seed_route(
+            _batch(), _uniform, self.SEEDS, fastpath="auto", keyed=False
+        )
+        assert unkeyed == [None] * len(self.SEEDS)
+
+    def test_mixed_cache_serves_a_second_run_with_zero_puts(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for fastpath in ("off", "on"):
+            run_seeds(
+                _batch, _uniform, self.SEEDS, cache=cache, fastpath=fastpath
+            )
+        puts = cache.puts
+        assert puts == 2 * len(self.SEEDS)  # disjoint namespaces
+        for fastpath in ("off", "on"):
+            run_seeds(
+                _batch, _uniform, self.SEEDS, cache=cache, fastpath=fastpath
+            )
+        assert cache.puts == puts
+        assert cache.hits == 2 * len(self.SEEDS)
+
+
+class TestKernelFailures:
+    """Kernel trials fail and retry like engine seeds."""
+
+    def test_failing_trial_names_its_seed(self, monkeypatch):
+        real = batched_mod.simulate_fastpath
+
+        def broken(plan, seed):
+            if seed == 2:
+                raise RuntimeError("kernel blew up")
+            return real(plan, seed)
+
+        monkeypatch.setattr(batched_mod, "simulate_fastpath", broken)
+        with pytest.raises(SeedExecutionError) as err:
+            run_seeds(_batch, _uniform, [0, 1, 2, 3], fastpath="on")
+        assert err.value.seed == 2
+        assert "kernel blew up" in err.value.worker_traceback
+
+    def test_retry_recovers_a_transient_failure(self, monkeypatch):
+        real = batched_mod.simulate_fastpath
+        failed = []
+
+        def flaky(plan, seed):
+            if seed == 1 and not failed:
+                failed.append(seed)
+                raise RuntimeError("transient")
+            return real(plan, seed)
+
+        monkeypatch.setattr(batched_mod, "simulate_fastpath", flaky)
+        tele = Telemetry()
+        out = run_seeds(
+            _batch, _uniform, [0, 1, 2], fastpath="on", retries=1,
+            retry_backoff=0.0, telemetry=tele,
+        )
+        assert failed == [1]
+        engine = run_seeds(_batch, _uniform, [0, 1, 2])
+        assert [stable_digest(d) for d in out] == [
+            stable_digest(d) for d in engine
+        ]
+        assert tele.metrics.counter("runs.retries").value == 1
+
+
 class TestBatchedExecution:
     def test_uniform_bit_exact_vs_engine(self):
         seeds = list(range(8))
         engine = run_seeds(_batch, _uniform, seeds=seeds)
-        batched = run_batch(_batch, _uniform, seeds)
+        batched = run_seeds(_batch, _uniform, seeds, fastpath="on")
         assert [stable_digest(d) for d in batched] == [
             stable_digest(d) for d in engine
         ]
@@ -170,8 +283,9 @@ class TestBatchedExecution:
         engine = run_seeds(
             _batch, _uniform, seeds=seeds, jammer=StochasticJammer(0.3)
         )
-        batched = run_batch(
-            _batch, _uniform, seeds, jammer=StochasticJammer(0.3)
+        batched = run_seeds(
+            _batch, _uniform, seeds, jammer=StochasticJammer(0.3),
+            fastpath="on",
         )
         assert [stable_digest(d) for d in batched] == [
             stable_digest(d) for d in engine
@@ -179,15 +293,20 @@ class TestBatchedExecution:
 
     def test_unqualified_raises(self):
         with pytest.raises(FastpathUnavailableError):
-            run_batch(_batch, _uniform, [0], jammer=PeriodicJammer(3, [0]))
+            run_seeds(
+                _batch, _uniform, [0], jammer=PeriodicJammer(3, [0]),
+                fastpath="on",
+            )
 
     def test_vacuous_watchdog_parity(self):
         """An enabled-but-vacuous watchdog must not change the digests."""
         wd = Watchdog(stall_factor=8.0)
         seeds = [0, 1, 2]
         engine = run_seeds(_batch, _uniform, seeds=seeds, watchdog=wd)
-        batched = run_batch(_batch, _uniform, seeds, watchdog=wd)
-        bare = run_batch(_batch, _uniform, seeds)
+        batched = run_seeds(
+            _batch, _uniform, seeds, watchdog=wd, fastpath="on"
+        )
+        bare = run_seeds(_batch, _uniform, seeds, fastpath="on")
         assert [stable_digest(d) for d in batched] == [
             stable_digest(d) for d in engine
         ]
@@ -200,8 +319,10 @@ class TestBatchedExecution:
         """Telemetry is observation-only: digests identical with it on."""
         seeds = [0, 1, 2, 3]
         tele = Telemetry()
-        with_tele = run_batch(_batch, _uniform, seeds, telemetry=tele)
-        without = run_batch(_batch, _uniform, seeds)
+        with_tele = run_seeds(
+            _batch, _uniform, seeds, telemetry=tele, fastpath="on"
+        )
+        without = run_seeds(_batch, _uniform, seeds, fastpath="on")
         assert [stable_digest(d) for d in with_tele] == [
             stable_digest(d) for d in without
         ]
@@ -219,9 +340,9 @@ class TestBatchedExecution:
     def test_cache_roundtrip_serves_warm_runs(self, tmp_path):
         cache = ResultCache(tmp_path)
         seeds = [0, 1, 2]
-        cold = run_batch(_batch, _uniform, seeds, cache=cache)
+        cold = run_seeds(_batch, _uniform, seeds, cache=cache, fastpath="on")
         puts = cache.puts
-        warm = run_batch(_batch, _uniform, seeds, cache=cache)
+        warm = run_seeds(_batch, _uniform, seeds, cache=cache, fastpath="on")
         assert cache.puts == puts
         assert cache.hits >= len(seeds)
         assert [stable_digest(d) for d in warm] == [
@@ -233,7 +354,7 @@ class TestBatchedExecution:
         cache = ResultCache(tmp_path)
         run_seeds(_batch, _uniform, seeds=[0], cache=cache)
         hits_before = cache.hits
-        run_batch(_batch, _uniform, [0], cache=cache)
+        run_seeds(_batch, _uniform, [0], cache=cache, fastpath="on")
         assert cache.hits == hits_before  # kernel key missed engine entry
 
     def test_statistical_kinds_return_sane_digests(self):

@@ -106,6 +106,15 @@ class TestCompare:
         for name in ("aligned", "beb", "uniform", "edf"):
             assert name in out
 
+    def test_empty_workload_has_zero_miss_rate(self, capsys):
+        rc = main(["compare", "--workload", "batch", "--n", "0", "--seeds", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = [line.split("|") for line in out.splitlines() if "|" in line]
+        assert rows[0][1].strip() == "miss rate"
+        assert {r[1].strip() for r in rows[1:]} == {"0.0000"}
+        assert {r[2].strip() for r in rows[1:]} == {"0"}
+
 
 class TestFeasibility:
     def test_harmonic_certificate(self, capsys):

@@ -52,6 +52,17 @@ class TestDryRun:
         assert rc == 0
         assert "campaign plan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd", ["run", "resume"])
+    def test_dry_run_refuses_a_drifted_grid(self, tmp_path, capsys, cmd):
+        p = tmp_path / "clean.json"
+        p.write_text(json.dumps({**SPEC, "workloads": ["batch"]}))
+        assert main(["campaign", "run", str(p)]) == 0
+        state = (tmp_path / "state.jsonl").read_bytes()
+        p.write_text(json.dumps({**SPEC, "workloads": ["batch"], "seeds": 3}))
+        with pytest.raises(SystemExit, match="different campaign grid"):
+            main(["campaign", cmd, str(p), "--dry-run"])
+        assert (tmp_path / "state.jsonl").read_bytes() == state
+
 
 class TestRun:
     def test_degraded_run_exits_with_quarantine_code(self, spec_file, capsys):

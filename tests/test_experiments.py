@@ -109,90 +109,6 @@ class TestOptions:
             Sweep(build=sparse_build, protocol=lambda i: uniform_factory(), seeds=0)
 
 
-class TestCheckpoint:
-    def make_sweep(self, tmp_path, **kw):
-        from repro.cache import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        kw.setdefault("seeds", 3)
-        sweep = Sweep(
-            build=sparse_build,
-            protocol=lambda inst: uniform_factory(),
-            cache=cache,
-            checkpoint=tmp_path / "sweep.jsonl",
-            **kw,
-        )
-        return sweep, cache
-
-    def test_resume_skips_completed_points(self, tmp_path):
-        sweep, cache = self.make_sweep(tmp_path)
-        first = sweep.run({"n": [4, 8]})
-        assert cache.puts == 6  # 2 points x 3 seeds simulated
-
-        sweep2, cache2 = self.make_sweep(tmp_path)
-        second = sweep2.run({"n": [4, 8]})
-        # every point replayed from the checkpoint: nothing simulated,
-        # not even a cache lookup.
-        assert cache2.puts == 0 and cache2.hits == 0 and cache2.misses == 0
-        assert [p.params for p in second] == [p.params for p in first]
-        assert [p.success for p in second] == [p.success for p in first]
-
-    def test_new_grid_points_computed_and_appended(self, tmp_path):
-        sweep, _ = self.make_sweep(tmp_path)
-        sweep.run({"n": [4]})
-        sweep2, cache2 = self.make_sweep(tmp_path)
-        points = sweep2.run({"n": [4, 8]})
-        assert len(points) == 2
-        assert cache2.puts == 3  # only n=8's seeds ran
-        lines = (tmp_path / "sweep.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-
-    def test_truncated_tail_recomputed_from_cache(self, tmp_path):
-        # Simulate a kill mid-append: the final checkpoint line is cut
-        # short.  The damaged point is recomputed, but every one of its
-        # seeds replays from the result cache — zero new simulation.
-        sweep, _ = self.make_sweep(tmp_path)
-        sweep.run({"n": [4, 8]})
-        ckpt = tmp_path / "sweep.jsonl"
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-
-        sweep2, cache2 = self.make_sweep(tmp_path)
-        points = sweep2.run({"n": [4, 8]})
-        assert len(points) == 2
-        assert cache2.puts == 0  # zero recomputed seeds
-        assert cache2.hits == 3  # the damaged point replayed its 3 seeds
-        # and the checkpoint healed: a third run is pure checkpoint.
-        sweep3, cache3 = self.make_sweep(tmp_path)
-        sweep3.run({"n": [4, 8]})
-        assert cache3.hits == 0 and cache3.puts == 0
-
-    def test_key_depends_on_configuration(self, tmp_path):
-        # Changing seeds/jammer/faults must not reuse stale checkpoints.
-        from repro.faults import FaultPlan, JobFault
-
-        sweep, _ = self.make_sweep(tmp_path)
-        base = sweep._point_key({"n": 4})
-        more_seeds, _ = self.make_sweep(tmp_path, seeds=5)
-        faulted, _ = self.make_sweep(
-            tmp_path, faults=FaultPlan(jobs=JobFault(p_crash=0.5))
-        )
-        assert base != more_seeds._point_key({"n": 4})
-        assert base != faulted._point_key({"n": 4})
-        assert base == sweep._point_key({"n": 4})  # stable across calls
-
-    def test_checkpoint_without_cache(self, tmp_path):
-        sweep = Sweep(
-            build=sparse_build,
-            protocol=lambda inst: uniform_factory(),
-            seeds=2,
-            checkpoint=tmp_path / "sweep.jsonl",
-        )
-        a = sweep.run({"n": [4]})
-        b = sweep.run({"n": [4]})
-        assert [p.success for p in a] == [p.success for p in b]
-
-
 class TestFaultedSweep:
     def test_fault_plan_degrades_grid(self):
         from repro.faults import FaultPlan, JobFault
