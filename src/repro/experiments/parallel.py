@@ -490,7 +490,7 @@ def run_seeds(
         results[pos] = digest
         if telemetry is not None:
             if plan is not None:
-                batched.record_trial(telemetry, jammer, digest)
+                batched.record_trial(telemetry, jammer, digest, plan.kind)
             if digest.watchdog_reason is not None:
                 telemetry.metrics.counter("runs.watchdog_trips").inc()
         if key is not None and digest.cacheable:

@@ -279,6 +279,7 @@ def _uniform_exact(
     jobs = instance.by_release
     n = len(jobs)
     factory = RngFactory(seed)
+    factory.prepare("job", [job.job_id for job in jobs])
     releases = np.array([j.release for j in jobs], dtype=np.int64)
     offsets = np.empty(n, dtype=np.int64)
     for i, job in enumerate(jobs):
@@ -337,7 +338,10 @@ def simulate_fastpath(plan: FastpathPlan, seed: int) -> SeedDigest:
 
 
 def record_trial(
-    telemetry: "Telemetry", jammer: Optional[Jammer], digest: SeedDigest
+    telemetry: "Telemetry",
+    jammer: Optional[Jammer],
+    digest: SeedDigest,
+    kind: str,
 ) -> None:
     """Mirror the engine's run-level telemetry counters for one trial.
 
@@ -345,7 +349,10 @@ def record_trial(
     :meth:`~repro.obs.telemetry.Telemetry.record_slot`, but the run- and
     job-level counters (``runs.total``, ``runs.jammed``, ``jobs.*``)
     keep the same meaning, so observability reports stay comparable
-    across execution paths.
+    across execution paths.  A miss of the ``kind`` kernel counts as
+    ``jobs.gave_up`` for ``uniform`` (engine-exact: a single-attempt job
+    gives up after its one send) and as ``jobs.deadline_missed`` for
+    ``aligned``/``punctual``, where the engine files almost every miss.
     """
     m = telemetry.metrics
     m.counter("runs.total").inc()
@@ -353,8 +360,11 @@ def record_trial(
         # The engine normalizes NoJammer to "no adversary" before
         # telemetry (sim/engine.py); match it.
         m.counter("runs.jammed").inc()
+    missed = digest.n_jobs - digest.n_succeeded
+    gave_up = missed if kind == "uniform" else 0
     m.counter("jobs.total").inc(digest.n_jobs)
     m.counter("jobs.succeeded").inc(digest.n_succeeded)
-    m.counter("jobs.gave_up").inc(digest.n_jobs - digest.n_succeeded)
+    m.counter("jobs.gave_up").inc(gave_up)
+    m.counter("jobs.deadline_missed").inc(missed - gave_up)
     if digest.attempts_sum >= 0:
         m.counter("jobs.energy").inc(digest.attempts_sum)

@@ -64,7 +64,7 @@ from repro.sim.engine import (
 )
 from repro.sim.invariants import InvariantChecker
 from repro.sim.job import Job, JobStatus
-from repro.sim.rng import RngFactory
+from repro.sim.rng import PREPARE_BLOCK, RngFactory
 from repro.sim.watchdog import Watchdog, WatchdogTrip
 from repro.stream.arrivals import ArrivalProcess
 from repro.stream.checkpoint import (
@@ -548,6 +548,10 @@ def stream_simulate(
                     if max_jobs is not None and res.jobs_released >= max_jobs:
                         releasing = False
                         break
+                    if not next_id % PREPARE_BLOCK:
+                        # Derive the job streams of the next block of ids.
+                        block = range(next_id, next_id + PREPARE_BLOCK)
+                        core.rngs.prepare("job", block)
                     job = Job(next_id, t, t + w)
                     rec = core.fault_record(job)
                     heapq.heappush(

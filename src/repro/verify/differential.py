@@ -8,7 +8,10 @@ depending on whether the draw orders can be made to coincide:
 which window slot each job picks, and the engine's per-job draw is
 replayable: job ``j`` draws from ``RngFactory(seed).fresh("job", j)``
 exactly what :class:`~repro.core.uniform.UniformProtocol` draws in
-``on_begin``.  Feeding those replayed offsets into
+``on_begin``.  The replay builds each stream's ``SeedSequence`` (it
+prepares no block), so it also checks the engine's block-derived job
+streams against the reference derivation.  Feeding those replayed
+offsets into
 :func:`~repro.fastpath.uniform_fast.simulate_uniform_fast` (its
 ``offsets=`` parameter) makes the kernel bit-comparable to the engine:
 per-job success flags, success counts, and the engine's slot count (the
