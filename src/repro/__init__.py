@@ -11,10 +11,10 @@ from scratch:
 
 * :mod:`repro.channel` — the slotted channel with collision detection,
   trinary feedback, and jamming adversaries;
-* :mod:`repro.adversary` — *reactive* adversaries that observe trinary
-  channel feedback through a sanctioned read-only view and adapt their
-  jamming, plus the breaking-point certification harness in
-  :mod:`repro.experiments.certify`;
+* :mod:`repro.adversary` — the one ``family@severity`` adversary
+  catalogue, and *reactive* adversaries that observe trinary channel
+  feedback through a sanctioned read-only view and adapt their jamming
+  (certified by :mod:`repro.experiments.certify`);
 * :mod:`repro.sim` — jobs, instances, γ-slack feasibility, the slot
   engine, traces, and metrics;
 * :mod:`repro.core` — the paper's protocols: **UNIFORM** (Section 2),

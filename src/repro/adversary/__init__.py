@@ -1,6 +1,10 @@
-"""Reactive, feedback-aware adversaries beyond the paper's oblivious model.
+"""Adversaries: the one ``family@severity`` catalogue and the reactive jammers.
 
-The attackers here listen to the channel through the sanctioned
+:mod:`repro.adversary.catalogue` names every adversary the experiments
+run (:data:`FAMILIES`, each a ``severity -> FaultPlan`` builder, and
+:func:`fault_plan`), from the paper's oblivious stochastic jammer to
+clock and job faults.  The reactive attackers here listen to the
+channel through the sanctioned
 :class:`~repro.adversary.view.ChannelView` (trinary feedback, decoded
 successes, own jam history — nothing else) and aim their budget where it
 hurts: at recent activity, at PUNCTUAL's structural slots, at the
@@ -11,6 +15,12 @@ decoded leader, or in banked bursts.  They are ordinary
 frontier against smarter-than-analysed interference.
 """
 
+from repro.adversary.catalogue import (
+    FAMILIES,
+    REACTIVE,
+    check_family,
+    fault_plan,
+)
 from repro.adversary.reactive import (
     AdaptiveBudgetJammer,
     FeedbackReactiveJammer,
@@ -23,8 +33,12 @@ from repro.adversary.view import ChannelView
 __all__ = [
     "AdaptiveBudgetJammer",
     "ChannelView",
+    "FAMILIES",
     "FeedbackReactiveJammer",
     "LeaderAssassinJammer",
+    "REACTIVE",
     "ReactiveAdversary",
     "StructureTargetedJammer",
+    "check_family",
+    "fault_plan",
 ]

@@ -31,8 +31,11 @@ Severity convention
 -------------------
 Every constructor takes a single ``severity`` in ``[0, 1]``: the
 adversary's *sustained channel budget*, i.e. the expected fraction of
-slots it may corrupt, matching the oblivious families of
-:data:`repro.experiments.robustness.FAULT_FAMILIES`.  A reactive
+slots it may corrupt, matching the oblivious families (``jam``,
+``rate``, ``burst``) of the catalogue :data:`repro.adversary.FAMILIES`,
+where these attackers are the reactive families ``reactive``,
+``struct-control``, ``struct-delivery``, ``assassin`` and ``banked``
+(:data:`repro.adversary.REACTIVE`).  A reactive
 attacker is "smarter, not stronger": at equal severity it never spends
 more energy than the oblivious stochastic jammer, only places it
 better.  Severity above 1/2 triggers the same

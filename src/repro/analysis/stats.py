@@ -60,14 +60,20 @@ class ProportionEstimate:
 
     @property
     def point(self) -> float:
-        return self.successes / self.trials
+        """The success rate; 1.0 for no trials (nothing could fail)."""
+        return self.successes / self.trials if self.trials else 1.0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.point:.4f} [{self.low:.4f}, {self.high:.4f}] ({self.successes}/{self.trials})"
 
 
 def estimate_proportion(successes: int, trials: int, z: float = 1.96) -> ProportionEstimate:
-    """A :class:`ProportionEstimate` with its Wilson score interval."""
+    """A :class:`ProportionEstimate` with its Wilson score interval.
+
+    No trials is a vacuous success: point and interval 1.0.
+    """
+    if trials == 0 and successes == 0:
+        return ProportionEstimate(0, 0, 1.0, 1.0)
     lo, hi = wilson_interval(successes, trials, z)
     return ProportionEstimate(successes, trials, lo, hi)
 
@@ -136,13 +142,16 @@ def bootstrap_proportion(
     *runs* — ``per_run`` is a sequence of ``(successes, trials)`` pairs,
     one per seed — and returns the pooled estimate with percentile
     bounds, packaged as a :class:`ProportionEstimate` so callers can
-    swap it in wherever a Wilson estimate is reported.
+    swap it in wherever a Wilson estimate is reported.  Runs without
+    jobs are a vacuous success, as in :func:`estimate_proportion`.
     """
     pairs = np.asarray(per_run, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("per_run must be a non-empty sequence of (ok, n)")
     ok = int(pairs[:, 0].sum())
     n = int(pairs[:, 1].sum())
+    if n == 0 and ok == 0:
+        return ProportionEstimate(0, 0, 1.0, 1.0)
     if n <= 0:
         raise ValueError("total trials must be positive")
     n_runs = pairs.shape[0]

@@ -114,7 +114,6 @@ def execute_cell(task: CellTask) -> CellOutcome:
             cell.protocol,
             cell.seeds,
             faults=cell.adversary.faults(),
-            jammer=cell.adversary.jammer(),
             watchdog=cell.watchdog(),
             check_invariants=task.check_invariants,
             processes=1,

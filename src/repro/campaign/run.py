@@ -133,7 +133,6 @@ def _predict_cell_cache(
             cell.workload(),
             cell.protocol,
             cell.seeds,
-            jammer=cell.adversary.jammer(),
             faults=cell.adversary.faults(),
             watchdog=cell.watchdog(),
             fastpath=cell.fastpath,

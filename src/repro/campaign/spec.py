@@ -32,10 +32,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.adversary import check_family, fault_plan
 from repro.cache import stable_digest
-from repro.channel.jamming import Jammer
 from repro.errors import InvalidParameterError
-from repro.experiments.robustness import FAULT_FAMILIES, fault_plan
 from repro.faults.plan import FaultPlan
 from repro.registry import PROTOCOLS, WORKLOADS, build_workload, protocol_factory
 from repro.sim.engine import ProtocolFactory
@@ -123,12 +122,13 @@ class GridProtocol:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """One adversary column of the grid: a fault family at a severity.
+    """One adversary column of the grid: a catalogue family at a severity.
 
-    ``severity <= 0`` is the clean channel (no faults, label ``none``);
-    otherwise the plan comes from
-    :func:`repro.experiments.robustness.fault_plan`, so campaign
-    adversaries mean exactly what degradation profiles mean.
+    ``severity <= 0`` is the clean channel (no faults, label ``none``;
+    parsing spells it ``AdversarySpec()`` whatever the family);
+    otherwise the plan comes from :func:`repro.adversary.fault_plan`, so
+    campaign adversaries mean exactly what degradation profiles and
+    certification mean.
     """
 
     family: str = "jam"
@@ -146,10 +146,6 @@ class AdversarySpec:
         if self.severity <= 0.0:
             return None
         return fault_plan(self.family, self.severity)
-
-    def jammer(self) -> Optional[Jammer]:
-        """Always ``None``: campaign adversaries travel inside the plan."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -259,15 +255,9 @@ def _as_adversary(entry: Union[str, Mapping[str, Any]]) -> AdversarySpec:
         raise InvalidParameterError(
             f"adversary entries must be strings or mappings, got {entry!r}"
         )
-    if severity > 0.0 and family not in FAULT_FAMILIES:
-        raise InvalidParameterError(
-            f"unknown fault family {family!r} "
-            f"(choices: {sorted(FAULT_FAMILIES)})"
-        )
-    if not 0.0 <= severity <= 1.0:
-        raise InvalidParameterError(
-            f"severity must be in [0, 1], got {severity}"
-        )
+    check_family(family, severity)
+    if severity == 0.0:
+        return AdversarySpec()  # one clean channel, however it is spelled
     return AdversarySpec(family=family, severity=severity)
 
 
@@ -338,6 +328,14 @@ class CampaignSpec:
             raise InvalidParameterError(
                 f"kill_after_cells must be >= 1, got {self.kill_after_cells}"
             )
+        keys = set()
+        for cell in self.cells():
+            key = cell.key()
+            if key in keys:
+                raise InvalidParameterError(
+                    f"campaign grid repeats cell {cell.label()!r}"
+                )
+            keys.add(key)
 
     # -- paths ---------------------------------------------------------
 
@@ -457,6 +455,9 @@ class CampaignSpec:
                 f"unknown chaos keys: {sorted(chaos_unknown)}"
             )
         kill_after = chaos.get("kill_after_cells")
+        fastpath = raw.get("fastpath", "off")
+        if isinstance(fastpath, bool):  # YAML reads a bare on/off as a bool
+            fastpath = "on" if fastpath else "off"
         kwargs: Dict[str, Any] = {
             "name": str(raw.get("name", "campaign")),
             "workloads": tuple(
@@ -467,7 +468,7 @@ class CampaignSpec:
             ),
             "seeds": int(raw.get("seeds", 4)),
             "seed_base": int(raw.get("seed_base", 0)),
-            "fastpath": str(raw.get("fastpath", "off")),
+            "fastpath": str(fastpath),
             "kill_after_cells": (
                 int(kill_after) if kill_after is not None else None
             ),

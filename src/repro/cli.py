@@ -70,6 +70,7 @@ from typing import Any, Callable, Dict, Iterator, Optional
 import numpy as np
 
 from repro import registry
+from repro.adversary import FAMILIES, check_family, fault_plan
 from repro.analysis.tables import format_table
 from repro.channel.jamming import NoJammer, StochasticJammer
 from repro.errors import InvalidParameterError
@@ -107,8 +108,6 @@ def _fault_plan(args):
     spec = getattr(args, "fault", "")
     if not spec:
         return None
-    from repro.experiments.robustness import fault_plan
-
     family, sep, severity = spec.partition(":")
     if not sep:
         raise SystemExit(
@@ -118,8 +117,30 @@ def _fault_plan(args):
         sev = float(severity)
     except ValueError:
         raise SystemExit(f"--fault severity must be a number, got {severity!r}")
-    plan = fault_plan(family.strip(), sev)
+    try:
+        plan = fault_plan(family.strip(), sev)
+    except InvalidParameterError as exc:
+        raise SystemExit(str(exc))
     return None if plan.is_noop else plan
+
+
+#: ``--fault`` and ``--families`` help, from the adversary catalogue.
+_FAULT_HELP = (
+    "inject an adversary family at a severity in [0, 1], e.g. jam:0.5 "
+    f"(families: {', '.join(FAMILIES)})"
+)
+_FAMILIES_HELP = f"comma-separated adversary families ({', '.join(FAMILIES)})"
+
+
+def _families(args) -> list[str]:
+    """The ``--families`` names, each checked against the catalogue."""
+    families = [f.strip() for f in args.families.split(",") if f.strip()]
+    try:
+        for fam in families:
+            check_family(fam)
+    except InvalidParameterError as exc:
+        raise SystemExit(str(exc))
+    return families
 
 
 def _cache_knob(args):
@@ -518,11 +539,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_robustness(args: argparse.Namespace) -> int:
     """Sweep fault severity per family; print degradation profiles."""
-    from repro.experiments.robustness import (
-        FAULT_FAMILIES,
-        JAM_THRESHOLD,
-        run_robustness,
-    )
+    from repro.experiments.robustness import JAM_THRESHOLD, run_robustness
 
     if args.smoke:
         # CI chaos smoke: ALIGNED + UNIFORM under a rate-limited
@@ -538,13 +555,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 
     with _observed(args, "robustness") as obs:
         build, protocols = _protocol_grid(args)
-        families = [f.strip() for f in args.families.split(",") if f.strip()]
-        for fam in families:
-            if fam not in FAULT_FAMILIES:
-                raise SystemExit(
-                    f"unknown fault family {fam!r} "
-                    f"(choices: {sorted(FAULT_FAMILIES)})"
-                )
+        families = _families(args)
         severities = [float(tok) for tok in args.severities.split(",")]
         report = run_robustness(
             build,
@@ -578,7 +589,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     """Bisect breaking points per adversary family; print the frontier."""
-    from repro.experiments.certify import ADVERSARY_FAMILIES, run_certification
+    from repro.experiments.certify import run_certification
     from repro.experiments.robustness import JAM_THRESHOLD
 
     if args.smoke:
@@ -596,13 +607,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     with _observed(args, "certify") as obs:
         build, protocols = _protocol_grid(args)
-        families = [f.strip() for f in args.families.split(",") if f.strip()]
-        for fam in families:
-            if fam not in ADVERSARY_FAMILIES:
-                raise SystemExit(
-                    f"unknown adversary family {fam!r} "
-                    f"(choices: {sorted(ADVERSARY_FAMILIES)})"
-                )
+        families = _families(args)
         probe_cb = None
         if obs.tracker is not None:
 
@@ -1491,8 +1496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--protocol", default="punctual",
                      choices=list(registry.PROTOCOLS))
     sim.add_argument("--fault", default="", metavar="FAMILY:SEVERITY",
-                     help="inject a fault family at a severity in [0, 1], "
-                          "e.g. jam:0.5, clock:0.25, jobs:0.4")
+                     help=_FAULT_HELP)
     sim.add_argument("--check-invariants", action="store_true",
                      help="audit every slot with the runtime invariant "
                           "checker (violations raise)")
@@ -1541,8 +1545,7 @@ def build_parser() -> argparse.ArgumentParser:
     rob.add_argument("--protocols", default="uniform,aligned,punctual",
                      help="comma-separated protocol names to profile")
     rob.add_argument("--families", default="jam,rate,feedback,clock,jobs",
-                     help="comma-separated fault families "
-                          "(jam, rate, burst, feedback, clock, jobs)")
+                     help=_FAMILIES_HELP)
     rob.add_argument("--severities", default="0,0.1,0.25,0.5,0.75",
                      help="comma-separated severity ladder in [0, 1]; "
                           "0.5 lands on the Theorem-14 jamming boundary")
@@ -1571,10 +1574,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated protocol names to certify")
     cert.add_argument("--families", default="jam,rate,burst,reactive,"
                       "struct-control,struct-delivery,assassin,banked",
-                      help="comma-separated adversary families (oblivious: "
-                           "jam, rate, burst; reactive: reactive, "
-                           "struct-control, struct-delivery, assassin, "
-                           "banked)")
+                      help=_FAMILIES_HELP)
     cert.add_argument("--seeds", type=int, default=30,
                       help="Monte-Carlo replication per probed severity")
     cert.add_argument("--target", type=float, default=0.9,
@@ -1657,8 +1657,7 @@ def build_parser() -> argparse.ArgumentParser:
     stm.add_argument("--queue-capacity", type=int, default=0,
                      help="block policy: FIFO capacity (default max-live)")
     stm.add_argument("--fault", default="", metavar="FAMILY:SEVERITY",
-                     help="inject a fault family at a severity in [0, 1], "
-                          "e.g. feedback:0.5, clock:0.25, jobs:0.4")
+                     help=_FAULT_HELP)
     stm.add_argument("--checkpoint", default="", metavar="PATH",
                      help="periodically snapshot resumable state here "
                           "(single run only)")

@@ -35,7 +35,6 @@ from repro.experiments.robustness import (
     FAULT_FAMILIES,
     ProfilePoint,
     RobustnessReport,
-    fault_plan,
     run_robustness,
 )
 from repro.experiments.sweep import Sweep, SweepPoint
@@ -55,7 +54,6 @@ __all__ = [
     "FAULT_FAMILIES",
     "ProfilePoint",
     "RobustnessReport",
-    "fault_plan",
     "run_robustness",
     "Sweep",
     "SweepPoint",

@@ -9,10 +9,11 @@ finds cliffs empirically:
 * :func:`bisect_breaking_point` is the pure bisector — given any
   monotone-ish ``severity -> success rate`` measure, it brackets the
   severity at which success crosses a target rate;
-* :data:`ADVERSARY_FAMILIES` names the severity-parameterized
-  adversaries under certification: the paper's oblivious families
-  (``jam``, ``rate``, ``burst``) and the reactive attackers of
-  :mod:`repro.adversary`;
+* :data:`ADVERSARY_FAMILIES` names the adversaries certified by
+  default: the paper's oblivious families (``jam``, ``rate``,
+  ``burst``) and the reactive attackers of :mod:`repro.adversary`
+  (:data:`repro.adversary.REACTIVE`); any family of the catalogue
+  :data:`repro.adversary.FAMILIES` can be certified;
 * :func:`run_certification` bisects every ``protocol x family`` cell
   (through :func:`repro.experiments.parallel.run_seeds`, inheriting
   caching, multiprocessing, and run watchdogs) and returns a
@@ -26,7 +27,8 @@ channel budget, the fraction of slots it may corrupt (see
 :mod:`repro.adversary.reactive`).  A *breaking point* is the severity at
 which the pooled success rate crosses ``target`` (default 0.9); the
 frontier orders families by it, so "which attacker hurts this protocol
-most per unit of energy" is the first line of the report.
+most per unit of energy" is the first line of the report.  A workload
+without jobs cannot fail, so it has no breaking point in range.
 
 This is *empirical* certification — distinct from the feasibility
 certification of :func:`repro.sim.validate.certify`, which checks a
@@ -52,28 +54,17 @@ from typing import (
 
 import numpy as np
 
-from repro.adversary import (
-    AdaptiveBudgetJammer,
-    FeedbackReactiveJammer,
-    LeaderAssassinJammer,
-    StructureTargetedJammer,
-)
+from repro.adversary import REACTIVE, check_family, fault_plan
 from repro.analysis.stats import ProportionEstimate, bootstrap_proportion
 from repro.analysis.tables import format_table
 from repro.cache import ResultCache
-from repro.channel.jamming import (
-    BurstJammer,
-    Jammer,
-    StochasticJammer,
-    WindowedRateJammer,
-)
 from repro.errors import InvalidParameterError, PaperGuaranteeWarning
 from repro.experiments.parallel import (
     FactoryBuilder,
     InstanceBuilder,
     run_seeds,
 )
-from repro.experiments.robustness import JAM_THRESHOLD, _ADVERSARY_WINDOW
+from repro.experiments.robustness import JAM_THRESHOLD
 from repro.sim.watchdog import Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,8 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ADVERSARY_FAMILIES",
-    "OBLIVIOUS_FAMILIES",
-    "REACTIVE_FAMILIES",
     "BisectResult",
     "BreakingPoint",
     "CertificationReport",
@@ -91,74 +80,10 @@ __all__ = [
     "run_certification",
 ]
 
-
-# -- adversary families ------------------------------------------------------
-#
-# Module-level builders (not lambdas) so jammers ship picklably to
-# worker processes.  Every family maps severity in [0, 1] to a Jammer
-# with that sustained channel budget.
-
-
-def _fam_jam(severity: float) -> Jammer:
-    return StochasticJammer(severity)
-
-
-def _fam_rate(severity: float) -> Jammer:
-    return WindowedRateJammer(
-        _ADVERSARY_WINDOW, round(severity * _ADVERSARY_WINDOW)
-    )
-
-
-def _fam_burst(severity: float) -> Jammer:
-    burst = max(1, round(severity * _ADVERSARY_WINDOW))
-    return BurstJammer(burst, max(_ADVERSARY_WINDOW - burst, 0))
-
-
-def _fam_reactive(severity: float) -> Jammer:
-    return FeedbackReactiveJammer(severity)
-
-
-def _fam_struct_control(severity: float) -> Jammer:
-    # The ISSUE's structure attacker: timekeeper + election phases.
-    return StructureTargetedJammer(severity)
-
-
-def _fam_struct_delivery(severity: float) -> Jammer:
-    # Same budget, aimed at PUNCTUAL's delivery phases (ALIGNED slot 5,
-    # anarchist slot 9) — empirically the round structure's soft spot.
-    return StructureTargetedJammer(severity, targets=(5, 9))
-
-
-def _fam_assassin(severity: float) -> Jammer:
-    return LeaderAssassinJammer(severity)
-
-
-def _fam_banked(severity: float) -> Jammer:
-    return AdaptiveBudgetJammer(severity)
-
-
-#: The paper's oblivious adversaries (Theorem 14's regime and its
-#: budgeted analogues).
-OBLIVIOUS_FAMILIES: Dict[str, Callable[[float], Jammer]] = {
-    "jam": _fam_jam,
-    "rate": _fam_rate,
-    "burst": _fam_burst,
-}
-
-#: Reactive attackers from :mod:`repro.adversary` — beyond the model.
-REACTIVE_FAMILIES: Dict[str, Callable[[float], Jammer]] = {
-    "reactive": _fam_reactive,
-    "struct-control": _fam_struct_control,
-    "struct-delivery": _fam_struct_delivery,
-    "assassin": _fam_assassin,
-    "banked": _fam_banked,
-}
-
-#: name -> ``severity -> Jammer``; all certifiable families.
-ADVERSARY_FAMILIES: Dict[str, Callable[[float], Jammer]] = {
-    **OBLIVIOUS_FAMILIES,
-    **REACTIVE_FAMILIES,
-}
+#: The catalogue families certified by default: the oblivious
+#: adversaries (Theorem 14's regime and its budgeted analogues), then
+#: the reactive attackers, beyond the model.
+ADVERSARY_FAMILIES: Tuple[str, ...] = ("jam", "rate", "burst") + REACTIVE
 
 
 # -- the pure bisector -------------------------------------------------------
@@ -264,7 +189,7 @@ class BreakingPoint:
 
     @property
     def reactive(self) -> bool:
-        return self.family in REACTIVE_FAMILIES
+        return self.family in REACTIVE
 
     def as_record(self) -> Dict[str, object]:
         """A JSON-serializable artifact line."""
@@ -441,7 +366,7 @@ def run_certification(
         Workload builder and named protocol builders, exactly as in
         :func:`repro.experiments.robustness.run_robustness`.
     families:
-        Adversary family names (default: all of
+        Names from :data:`repro.adversary.FAMILIES` (default:
         :data:`ADVERSARY_FAMILIES`).
     seeds, seed_base:
         Monte-Carlo replication per probed severity.
@@ -481,10 +406,8 @@ def run_certification(
             config = {
                 "kind": "certify",
                 "protocols": sorted(protocols),
-                "families": (
-                    sorted(families)
-                    if families is not None
-                    else sorted(ADVERSARY_FAMILIES)
+                "families": sorted(
+                    ADVERSARY_FAMILIES if families is None else families
                 ),
                 "seeds": seeds,
                 "seed_base": seed_base,
@@ -537,15 +460,9 @@ def run_certification(
                 }
             return report
 
-    chosen = (
-        list(families) if families is not None else list(ADVERSARY_FAMILIES)
-    )
+    chosen = list(ADVERSARY_FAMILIES if families is None else families)
     for f in chosen:
-        if f not in ADVERSARY_FAMILIES:
-            raise InvalidParameterError(
-                f"unknown adversary family {f!r} "
-                f"(choices: {sorted(ADVERSARY_FAMILIES)})"
-            )
+        check_family(f)
     seed_list = [seed_base + s for s in range(seeds)]
     # Bootstrap resampling is analysis-side randomness: seeded from
     # seed_base so reports reproduce, offset so it never collides with
@@ -554,25 +471,21 @@ def run_certification(
     points: List[BreakingPoint] = []
     for name, protocol in protocols.items():
         for family in chosen:
-            make = ADVERSARY_FAMILIES[family]
             estimates: Dict[float, ProportionEstimate] = {}
 
             def measure(severity: float) -> float:
                 if progress is not None:
                     progress(name, family, severity)
-                if severity <= 0:
-                    jam = None
-                else:
-                    # Probing past p_jam = 1/2 is the harness's whole
-                    # point; the per-probe guarantee warning is noise.
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", PaperGuaranteeWarning)
-                        jam = make(severity)
+                # Probing past p_jam = 1/2 is the harness's whole point;
+                # the per-probe guarantee warning is noise.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PaperGuaranteeWarning)
+                    plan = fault_plan(family, severity)
                 digests = run_seeds(
                     build,
                     protocol,
                     seeds=seed_list,
-                    jammer=jam,
+                    faults=plan,
                     check_invariants=check_invariants,
                     watchdog=watchdog,
                     processes=processes,

@@ -55,7 +55,7 @@ from repro.channel.jamming import Jammer
 from repro.errors import ReproError
 from repro.pool import TaskFailure, compute_chunksize, run_all
 from repro.retrypolicy import BACKOFF_CAP_SECONDS, RetryPolicy
-from repro.sim.engine import ProtocolFactory, simulate
+from repro.sim.engine import ProtocolFactory, resolve_adversary, simulate
 from repro.sim.instance import Instance
 from repro.sim.watchdog import REASON_WALL, Watchdog
 
@@ -484,13 +484,17 @@ def run_seeds(
     if progress is not None and done:
         progress(done, total)
 
+    # A kernel trial counts ``runs.jammed`` by the run's jammer, a
+    # plan's own included, as the engine does.
+    run_jammer = resolve_adversary(faults, jammer)[1]
+
     def finish(k: int, digest: SeedDigest) -> None:
         nonlocal done
         pos, _, key = pending[k]
         results[pos] = digest
         if telemetry is not None:
             if plan is not None:
-                batched.record_trial(telemetry, jammer, digest, plan.kind)
+                batched.record_trial(telemetry, run_jammer, digest, plan.kind)
             if digest.watchdog_reason is not None:
                 telemetry.metrics.counter("runs.watchdog_trips").inc()
         if key is not None and digest.cacheable:

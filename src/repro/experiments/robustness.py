@@ -6,32 +6,21 @@ guarantee against a stochastic adversary up to ``p_jam = 1/2``
 experiment is a *degradation profile*: fix a workload, escalate one
 fault family through a severity ladder, and chart each protocol's
 success rate and latency as the channel gets nastier.  This module
-packages that experiment: :data:`FAULT_FAMILIES` maps a family name to a
-``severity -> FaultPlan`` builder, :func:`run_robustness` runs the full
+packages that experiment: :func:`run_robustness` runs the full
 ``family x protocol x severity`` grid through
 :func:`repro.experiments.parallel.run_seeds` (inheriting caching,
 multi-process execution, retries, and the runtime invariant checker),
 and :class:`RobustnessReport` renders one table per family with the
 ``p_jam = 1/2`` threshold row flagged.
 
-Severity is a single float in ``[0, 1]`` for every family, so profiles
-are comparable across families:
-
-* ``jam``: the paper's adversary, ``p_jam = severity``;
-* ``rate``: a rate-limited adaptive adversary corrupting at most
-  ``severity`` of every 64-slot window (the budgeted analogue of
-  ``p_jam = severity``);
-* ``burst``: duty-cycled deterministic interference jamming a
-  ``severity`` fraction of each 64-slot period in one burst;
-* ``feedback``: per-listener feedback corruption (SILENCE<->NOISE flips
-  at ``severity/2``, success erasure at ``severity/4``);
-* ``clock``: per-job skew up to ``64 * severity`` slots and drift up to
-  ``0.2 * severity``;
-* ``jobs``: late releases (probability ``severity``, delay up to 256
-  slots) and crash-before-deadline (probability ``severity/2``).
-
-Severity 0 is always the empty plan, so every profile starts from the
-clean baseline measured through exactly the same machinery.
+The families and their severity scales are those of the adversary
+catalogue, :data:`repro.adversary.FAMILIES`; :data:`FAULT_FAMILIES`
+names the six a profile runs by default (``jam``, ``rate``, ``burst``,
+``feedback``, ``clock``, ``jobs``), and any catalogue family, reactive
+ones included, can be asked for.  Severity 0 is always the empty plan,
+so every profile starts from the clean baseline measured through
+exactly the same machinery.  A workload without jobs has nothing to
+miss: its cells read success 1.0.
 """
 
 from __future__ import annotations
@@ -50,21 +39,15 @@ from typing import (
     Union,
 )
 
+from repro.adversary import check_family, fault_plan
 from repro.analysis.stats import ProportionEstimate, estimate_proportion
 from repro.analysis.tables import format_table
 from repro.cache import ResultCache
-from repro.channel.jamming import (
-    BurstJammer,
-    StochasticJammer,
-    WindowedRateJammer,
-)
-from repro.errors import InvalidParameterError
 from repro.experiments.parallel import (
     FactoryBuilder,
     InstanceBuilder,
     run_seeds,
 )
-from repro.faults import ClockFault, FaultPlan, FeedbackFault, JobFault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
@@ -74,91 +57,16 @@ __all__ = [
     "JAM_THRESHOLD",
     "ProfilePoint",
     "RobustnessReport",
-    "fault_plan",
     "run_robustness",
 ]
 
 #: Theorem 14's jamming threshold: guarantees hold for p_jam <= 1/2.
 JAM_THRESHOLD = 0.5
 
-#: Reference window for the rate/burst adversaries' duty cycles.
-_ADVERSARY_WINDOW = 64
-
-
-def _jam(severity: float) -> FaultPlan:
-    return FaultPlan(jammer=StochasticJammer(severity))
-
-
-def _rate(severity: float) -> FaultPlan:
-    return FaultPlan(
-        jammer=WindowedRateJammer(
-            _ADVERSARY_WINDOW, round(severity * _ADVERSARY_WINDOW)
-        )
-    )
-
-
-def _burst(severity: float) -> FaultPlan:
-    burst = max(1, round(severity * _ADVERSARY_WINDOW))
-    return FaultPlan(
-        jammer=BurstJammer(burst, max(_ADVERSARY_WINDOW - burst, 0))
-    )
-
-
-def _feedback(severity: float) -> FaultPlan:
-    return FaultPlan(
-        feedback=FeedbackFault(
-            p_silence_to_noise=severity / 2,
-            p_noise_to_silence=severity / 2,
-            p_success_erasure=severity / 4,
-        )
-    )
-
-
-def _clock(severity: float) -> FaultPlan:
-    return FaultPlan(
-        clock=ClockFault(
-            max_skew=round(64 * severity), drift=0.2 * severity
-        )
-    )
-
-
-def _jobs(severity: float) -> FaultPlan:
-    return FaultPlan(
-        jobs=JobFault(
-            p_late=min(severity, 1.0), max_delay=256, p_crash=severity / 2
-        )
-    )
-
-
-#: name -> ``severity -> FaultPlan`` (severity in [0, 1]; 0 = clean).
-FAULT_FAMILIES: Dict[str, Callable[[float], FaultPlan]] = {
-    "jam": _jam,
-    "rate": _rate,
-    "burst": _burst,
-    "feedback": _feedback,
-    "clock": _clock,
-    "jobs": _jobs,
-}
-
-
-def fault_plan(family: str, severity: float) -> FaultPlan:
-    """The :class:`FaultPlan` for one family at one severity.
-
-    ``severity <= 0`` always yields the empty plan, so profiles share a
-    common clean baseline.
-    """
-    if family not in FAULT_FAMILIES:
-        raise InvalidParameterError(
-            f"unknown fault family {family!r} "
-            f"(choices: {sorted(FAULT_FAMILIES)})"
-        )
-    if not 0.0 <= severity <= 1.0:
-        raise InvalidParameterError(
-            f"severity must be in [0, 1], got {severity}"
-        )
-    if severity <= 0.0:
-        return FaultPlan()
-    return FAULT_FAMILIES[family](severity)
+#: The catalogue families a profile runs by default.
+FAULT_FAMILIES: Tuple[str, ...] = (
+    "jam", "rate", "burst", "feedback", "clock", "jobs",
+)
 
 
 @dataclass(frozen=True)
@@ -269,7 +177,8 @@ def run_robustness(
         ``name -> protocol builder`` (each builder maps an instance to a
         protocol factory, exactly as in :func:`run_seeds`).
     families:
-        Fault family names (default: all of :data:`FAULT_FAMILIES`).
+        Names from :data:`repro.adversary.FAMILIES` (default:
+        :data:`FAULT_FAMILIES`).
     severities:
         The severity ladder, each in ``[0, 1]``.  Include 0 for a clean
         baseline and 0.5 to land exactly on the Theorem-14 boundary of
@@ -283,20 +192,16 @@ def run_robustness(
         cell runs.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` collector
-        passed to every cell's :func:`run_seeds` call (fault-plan
-        bindings show up as ``fault.plan_bound`` events on the inline
-        path).
+        passed to every cell's :func:`run_seeds` call (on the inline
+        path, plans beyond a bare jammer show up as
+        ``fault.plan_bound`` events, jammed runs as ``runs.jammed``).
 
     Remaining knobs (``processes``, ``cache``, ``retries``) pass through
     to :func:`run_seeds` per cell.
     """
-    chosen = list(families) if families is not None else list(FAULT_FAMILIES)
+    chosen = list(FAULT_FAMILIES if families is None else families)
     for f in chosen:
-        if f not in FAULT_FAMILIES:
-            raise InvalidParameterError(
-                f"unknown fault family {f!r} "
-                f"(choices: {sorted(FAULT_FAMILIES)})"
-            )
+        check_family(f)
     seed_list = [seed_base + s for s in range(seeds)]
     points: List[ProfilePoint] = []
     for family in chosen:
@@ -304,12 +209,11 @@ def run_robustness(
             for severity in severities:
                 if progress is not None:
                     progress(family, name, severity)
-                plan = fault_plan(family, severity)
                 digests = run_seeds(
                     build,
                     protocol,
                     seeds=seed_list,
-                    faults=None if plan.is_noop else plan,
+                    faults=fault_plan(family, severity),
                     check_invariants=check_invariants,
                     processes=processes,
                     cache=cache,
@@ -324,7 +228,7 @@ def run_robustness(
                         family=family,
                         protocol=name,
                         severity=float(severity),
-                        success=estimate_proportion(ok, max(total, 1)),
+                        success=estimate_proportion(ok, total),
                         mean_latency=(
                             latency_sum / ok if ok else float("nan")
                         ),

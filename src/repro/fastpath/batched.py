@@ -56,6 +56,7 @@ from repro.fastpath.fullproto import (
     union_active_slots,
 )
 from repro.fastpath.punctual_full import simulate_punctual_full
+from repro.sim.engine import resolve_adversary
 from repro.sim.instance import Instance
 from repro.sim.job import window_class
 from repro.sim.rng import RngFactory
@@ -228,7 +229,15 @@ def seed_route(
     KERNEL_VERSION, watchdog)`` namespace; engine keys fold in the
     watchdog only when it is enabled, so clean runs keep their
     historical addresses.
+
+    A plan that carries only a jammer runs exactly like ``jammer=``
+    with that jammer (:func:`~repro.sim.engine.resolve_adversary`), so
+    it routes and keys as that jammer.  Any other plan stays in the key
+    as given and declines the kernels.
     """
+    rest, run_jammer = resolve_adversary(faults, jammer)
+    if rest is None:
+        faults, jammer = None, run_jammer
     plan, reason = None, "fastpath is off"
     if fastpath != "off":
         plan, reason = plan_fastpath(

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -158,17 +159,23 @@ _HOOKS = (
 def resolve_adversary(
     faults: Optional[FaultPlan], jammer: Optional[Jammer]
 ) -> Tuple[Optional[FaultPlan], Optional[Jammer]]:
-    """``(plan, jammer)`` for one run: a no-op plan becomes ``None``, and a
-    plan's own jammer stands in for ``jammer=`` (passing both raises)."""
-    plan = faults if faults is not None and not faults.is_noop else None
-    if plan is not None and plan.jammer is not None:
+    """``(plan, jammer)`` for one run: a plan's own jammer stands in for
+    ``jammer=`` (passing both raises), and a plan with nothing else left
+    becomes ``None``.  The slot core reads only the feedback, clock and
+    job faults of a plan, so a jammer-only plan runs exactly like its
+    jammer."""
+    if faults is None or faults.is_noop:
+        return None, jammer
+    if faults.jammer is not None:
         if jammer is not None:
             raise InvalidParameterError(
                 "got a jammer= argument and a FaultPlan with its own "
                 "jammer; pick one adversary"
             )
-        jammer = plan.jammer
-    return plan, jammer
+        jammer = faults.jammer
+        if replace(faults, jammer=None).is_noop:
+            return None, jammer
+    return faults, jammer
 
 
 class _Sink(EventSink):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.adversary import fault_plan
 from repro.baselines.nocd import nocd_factory
 from repro.baselines.sawtooth import sawtooth_factory
 from repro.baselines.slowfeedback import slowfeedback_factory
@@ -30,7 +31,6 @@ from repro.core.aligned import aligned_factory
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
-from repro.experiments.robustness import fault_plan
 from repro.faults.plan import FaultPlan
 from repro.params import AlignedParams, PunctualParams, UniformParams
 from repro.sim.engine import ProtocolFactory

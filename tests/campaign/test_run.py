@@ -201,3 +201,65 @@ class TestEvaluate:
         statuses = sorted(c.status for c in plan.cells)
         assert statuses == ["done", "quarantined"]
         assert plan.counts["missing"] == 0
+
+
+class TestJammedKernelCells:
+    """``uniform x {none, jam@0.25}`` cells run on the UNIFORM kernel."""
+
+    def _jam_spec(self, tmp_path, fastpath, **overrides):
+        raw = {
+            "workloads": ["batch"],
+            "protocols": ["uniform"],
+            "adversaries": ["none", "jam@0.25"],
+            "knobs": {"n": 32, "window": 1024},
+            "fastpath": fastpath,
+            "cache": f"cache-{fastpath}",
+            "state": f"state-{fastpath}.jsonl",
+        }
+        return _spec(tmp_path, **{**raw, **overrides})
+
+    @staticmethod
+    def _summaries(report):
+        return {r.label: r.summary for r in report.executed}
+
+    def test_auto_runs_every_cell_on_the_kernel(self, tmp_path, monkeypatch):
+        import repro.experiments.parallel as parallel_mod
+        from repro.fastpath import batched as batched_mod
+
+        trials = []
+        real_trial = batched_mod.simulate_fastpath
+
+        def counting_trial(plan, seed):
+            trials.append((plan.kind, plan.p_jam))
+            return real_trial(plan, seed)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a jammed UNIFORM cell reached the engine")
+
+        with monkeypatch.context() as m:
+            m.setattr(batched_mod, "simulate_fastpath", counting_trial)
+            m.setattr(parallel_mod, "simulate", no_engine)
+            auto = run_campaign(self._jam_spec(tmp_path, "auto"))
+        assert auto.counts["done"] == 2
+        assert sorted(trials) == [("uniform", 0.0)] * 2 + [
+            ("uniform", 0.25)
+        ] * 2
+        engine = run_campaign(self._jam_spec(tmp_path, "off"))
+        assert self._summaries(auto) == self._summaries(engine)
+        assert set(self._summaries(auto)) == {
+            "batch/uniform/none",
+            "batch/uniform/jam@0.25",
+        }
+
+    def test_warm_dry_run_predicts_every_seed_a_hit(self, tmp_path):
+        run_campaign(self._jam_spec(tmp_path, "auto"))
+        warm = self._jam_spec(tmp_path, "auto", state="state-warm.jsonl")
+        counts = run_campaign(warm, dry_run=True).counts
+        assert counts["cache_hits"] == 4
+        assert counts["cache_misses"] == 0
+
+    def test_fastpath_on_completes_the_jam_cell(self, tmp_path):
+        report = run_campaign(self._jam_spec(tmp_path, "on"))
+        assert report.counts["quarantined"] == 0
+        assert report.counts["done"] == 2
+        assert report.exit_code == 0

@@ -48,7 +48,7 @@ class TestParsing:
             CampaignSpec.from_dict({**BASE, "adversaries": ["garbage"]})
 
     def test_unknown_fault_family_rejected(self):
-        with pytest.raises(InvalidParameterError, match="fault family"):
+        with pytest.raises(InvalidParameterError, match="adversary family"):
             CampaignSpec.from_dict({**BASE, "adversaries": ["nope@0.5"]})
 
     def test_severity_out_of_range_rejected(self):
@@ -111,6 +111,17 @@ class TestFromFile:
         p.write_text("")
         with pytest.raises(InvalidParameterError, match="empty"):
             CampaignSpec.from_file(p)
+
+
+class TestYamlBooleans:
+    @pytest.mark.parametrize("word,fastpath", [("off", "off"), ("on", "on")])
+    def test_bare_on_off_fastpath(self, tmp_path, word, fastpath):
+        path = tmp_path / "spec.yaml"
+        path.write_text(
+            "workloads: [batch]\nprotocols: [uniform]\n"
+            f"fastpath: {word}\n"
+        )
+        assert CampaignSpec.from_file(path).fastpath == fastpath
 
 
 class TestGrid:
@@ -200,3 +211,44 @@ class TestAdversary:
     def test_severity_builds_the_family_plan(self):
         plan = AdversarySpec(family="jam", severity=0.5).faults()
         assert plan is not None and not plan.is_noop
+
+    def test_every_catalogue_family_is_accepted(self):
+        spec = CampaignSpec.from_dict(
+            {**BASE, "adversaries": ["struct-delivery@0.2", "banked@0.3"]}
+        )
+        assert [a.label for a in spec.adversaries] == [
+            "struct-delivery@0.2",
+            "banked@0.3",
+        ]
+
+
+class TestRepeatedCells:
+    """A grid holds each cell once; every clean channel is the same cell."""
+
+    def test_severity_zero_is_the_clean_channel(self):
+        for entry in ("rate@0", {"family": "feedback", "severity": 0}):
+            spec = CampaignSpec.from_dict({**BASE, "adversaries": [entry]})
+            assert spec.adversaries == (AdversarySpec(),)
+
+    def test_unknown_family_rejected_at_severity_zero(self):
+        with pytest.raises(InvalidParameterError, match="adversary family"):
+            CampaignSpec.from_dict(
+                {**BASE, "adversaries": [{"family": "cosmic", "severity": 0}]}
+            )
+
+    def test_clean_channel_spelled_twice_is_rejected(self):
+        with pytest.raises(
+            InvalidParameterError, match="repeats cell 'batch/punctual/none'"
+        ):
+            CampaignSpec.from_dict(
+                {**BASE, "adversaries": ["none", "jam@0", "rate@0"]}
+            )
+
+    def test_repeated_protocol_is_rejected(self):
+        with pytest.raises(
+            InvalidParameterError, match="repeats cell 'batch/uniform/none'"
+        ):
+            CampaignSpec.from_dict(
+                {**BASE, "protocols": ["uniform", "uniform"],
+                 "adversaries": ["none"]}
+            )

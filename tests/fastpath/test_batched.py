@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adversary import fault_plan
 from repro.cache import ResultCache, run_key, run_key_batch, stable_digest
 from repro.channel.jamming import (
     NoJammer,
@@ -11,6 +12,7 @@ from repro.channel.jamming import (
 from repro.core.aligned import aligned_factory
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
+from repro.errors import InvalidParameterError
 from repro.experiments.parallel import SeedExecutionError, run_seeds
 from repro.fastpath import batched as batched_mod
 from repro.fastpath.batched import (
@@ -20,7 +22,7 @@ from repro.fastpath.batched import (
     seed_route,
     simulate_fastpath,
 )
-from repro.faults import FaultPlan, FeedbackFault
+from repro.faults import ClockFault, FaultPlan, FeedbackFault
 from repro.obs.telemetry import Telemetry
 from repro.params import AlignedParams, PunctualParams, UniformParams
 from repro.sim.watchdog import Watchdog
@@ -226,6 +228,68 @@ class TestSeedKeyContract:
             )
         assert cache.puts == puts
         assert cache.hits == 2 * len(self.SEEDS)
+
+
+class TestJammerOnlyPlans:
+    """A plan that carries only a jammer routes and keys as that jammer."""
+
+    SEEDS = [0, 1, 2]
+
+    def _route(self, fastpath, **adversary):
+        return seed_route(
+            _batch(), _uniform, self.SEEDS, fastpath=fastpath, **adversary
+        )
+
+    @pytest.mark.parametrize("fastpath", ["off", "auto"])
+    def test_plan_keys_like_its_jammer(self, fastpath):
+        jam = StochasticJammer(0.25)
+        plan, _, keys = self._route(fastpath, faults=FaultPlan(jammer=jam))
+        bare, _, bare_keys = self._route(fastpath, jammer=jam)
+        assert keys == bare_keys
+        assert plan == bare
+        if fastpath == "auto":
+            assert plan is not None and plan.kind == "uniform"
+            assert plan.p_jam == 0.25
+
+    def test_plan_with_other_faults_declines_and_keeps_its_key(self):
+        faults = FaultPlan(
+            jammer=StochasticJammer(0.25), clock=ClockFault(max_skew=4)
+        )
+        plan, reason, keys = self._route("auto", faults=faults)
+        assert plan is None and "fault injection" in reason
+        assert keys == run_key_batch(
+            instance=_batch(), protocol=_uniform, seeds=self.SEEDS,
+            faults=faults,
+        )
+        _, _, jammer_keys = self._route("auto", jammer=faults.jammer)
+        assert keys != jammer_keys
+
+    def test_jammer_argument_and_plan_jammer_still_raise(self):
+        both = dict(
+            jammer=StochasticJammer(0.1),
+            faults=FaultPlan(jammer=StochasticJammer(0.25)),
+        )
+        with pytest.raises(InvalidParameterError, match="pick one"):
+            self._route("auto", **both)
+        with pytest.raises(InvalidParameterError, match="pick one"):
+            run_seeds(_batch, _uniform, self.SEEDS, **both)
+
+    def test_kernel_telemetry_counts_the_plan_jammer(self):
+        counts = []
+        for adversary in (
+            {"faults": fault_plan("jam", 0.25)},
+            {"jammer": StochasticJammer(0.25)},
+        ):
+            tele = Telemetry()
+            digests = run_seeds(
+                _batch, _uniform, self.SEEDS, fastpath="on", telemetry=tele,
+                **adversary,
+            )
+            snap = tele.metrics.snapshot()
+            assert snap["runs.fastpath_trials"] == len(self.SEEDS)
+            assert snap["runs.jammed"] == len(self.SEEDS)
+            counts.append((snap, [stable_digest(d) for d in digests]))
+        assert counts[0] == counts[1]
 
 
 class TestKernelFailures:

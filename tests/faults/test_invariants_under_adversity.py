@@ -20,10 +20,11 @@ from repro.adversary import (
     FeedbackReactiveJammer,
     LeaderAssassinJammer,
     StructureTargetedJammer,
+    fault_plan,
 )
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
-from repro.experiments.robustness import FAULT_FAMILIES, fault_plan
+from repro.experiments.robustness import FAULT_FAMILIES
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.engine import simulate
 from repro.sim.watchdog import Watchdog

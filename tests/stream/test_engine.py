@@ -11,11 +11,11 @@ import tracemalloc
 
 import pytest
 
+from repro.adversary import fault_plan
 from repro.baselines.sawtooth import sawtooth_factory
 from repro.channel.jamming import StochasticJammer
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
-from repro.experiments.robustness import fault_plan
 from repro.sim.engine import simulate
 from repro.sim.rng import RngFactory
 from repro.sim.watchdog import Watchdog

@@ -6,13 +6,12 @@ import json
 
 import pytest
 
+from repro.adversary import FAMILIES, REACTIVE, fault_plan
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
 from repro.experiments.certify import (
     ADVERSARY_FAMILIES,
-    OBLIVIOUS_FAMILIES,
-    REACTIVE_FAMILIES,
     BisectResult,
     BreakingPoint,
     CertificationReport,
@@ -27,18 +26,23 @@ from repro.workloads import batch_instance
 
 class TestFamilies:
     def test_catalogue_is_the_union(self):
-        assert set(ADVERSARY_FAMILIES) == (
-            set(OBLIVIOUS_FAMILIES) | set(REACTIVE_FAMILIES)
-        )
-        assert "jam" in OBLIVIOUS_FAMILIES
-        assert "struct-delivery" in REACTIVE_FAMILIES
+        # The default families: the oblivious trio, then the reactive
+        # attackers, all from the one catalogue.
+        assert ADVERSARY_FAMILIES == ("jam", "rate", "burst") + REACTIVE
+        assert set(ADVERSARY_FAMILIES) <= set(FAMILIES)
+        assert "struct-delivery" in REACTIVE
 
     @pytest.mark.parametrize("family", sorted(ADVERSARY_FAMILIES))
     def test_every_family_builds_a_jammer(self, family):
+        # A jammer and nothing else: certification probes route and key
+        # exactly like jammer= runs.
+        from dataclasses import replace
+
         from repro.channel.jamming import Jammer
 
-        jam = ADVERSARY_FAMILIES[family](0.25)
-        assert isinstance(jam, Jammer)
+        plan = fault_plan(family, 0.25)
+        assert isinstance(plan.jammer, Jammer)
+        assert replace(plan, jammer=None).is_noop
 
 
 class TestBisector:

@@ -89,6 +89,10 @@ class TestSimulate:
         assert rc == 0
         assert "utilization:" in capsys.readouterr().out
 
+    def test_unknown_fault_family_is_a_clean_exit(self):
+        with pytest.raises(SystemExit, match="unknown adversary family"):
+            main(["simulate", "--fault", "cosmic:0.5"])
+
 
 class TestCompare:
     def test_table_lists_protocols(self, capsys):
@@ -358,7 +362,7 @@ class TestRobustness:
         assert "boundary of Theorem 14" in out
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(SystemExit, match="unknown fault family"):
+        with pytest.raises(SystemExit, match="unknown adversary family"):
             main(
                 [
                     "robustness",
@@ -380,6 +384,24 @@ class TestRobustness:
                     "--families", "jobs",
                 ]
             )
+
+    def test_empty_workload_is_a_vacuous_success(self, capsys):
+        rc = main(
+            [
+                "robustness",
+                "--workload", "batch",
+                "--n", "0",
+                "--protocols", "uniform",
+                "--families", "jam",
+                "--severities", "0,0.5",
+                "--seeds", "2",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = [line.split("|") for line in out.splitlines() if "|" in line]
+        assert rows[0][1].strip() == "uniform"
+        assert [r[1].strip() for r in rows[1:]] == ["1.0000", "1.0000"]
 
     def test_smoke_runs_clean(self, capsys):
         rc = main(["robustness", "--smoke"])
@@ -436,6 +458,21 @@ class TestCertify:
         rec = json.loads(lines[0])
         assert rec["type"] == "breaking_point"
         assert rec["family"] == "jam"
+
+    def test_empty_workload_has_no_breaking_point(self, capsys):
+        rc = main(
+            [
+                "certify",
+                "--workload", "batch",
+                "--n", "0",
+                "--protocols", "uniform",
+                "--families", "jam",
+                "--seeds", "2",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "none in [0,1]" in out
 
     def test_gate_passes_on_healthy_uniform_jam(self, capsys):
         # UNIFORM on the calibrated workload holds past 0.4 as well, so

@@ -7,7 +7,9 @@ absent from the registry fails only at dispatch).  Every ``--protocol``
 and ``--workload`` choices list is now *derived* from the registry;
 these tests pin that invariant by walking the built parser, so the next
 protocol added to ``registry.PROTOCOLS`` flows through every subcommand
-— or this file fails naming the drifted flag.
+— or this file fails naming the drifted flag.  Adversary families follow
+the same rule: ``--families`` and ``--fault`` are checked against, and
+described from, the catalogue :data:`repro.adversary.FAMILIES`.
 """
 
 import argparse
@@ -15,7 +17,8 @@ import argparse
 import pytest
 
 from repro import registry
-from repro.cli import build_parser
+from repro.adversary import FAMILIES
+from repro.cli import build_parser, main
 from repro.workloads import batch_instance
 
 
@@ -92,6 +95,50 @@ class TestWorkloadChoices:
                 f"'{cmd} --workload' choices drifted from "
                 f"registry.WORKLOADS"
             )
+
+
+class TestFamilyChoices:
+    """``--families`` and ``--fault`` speak the adversary catalogue."""
+
+    FLAGS = (
+        ("robustness", "--families"),
+        ("certify", "--families"),
+        ("simulate", "--fault"),
+        ("stream", "--fault"),
+    )
+
+    def _action(self, cmd, flag):
+        for action in _subcommands()[cmd]._actions:
+            if flag in action.option_strings:
+                return action
+        raise AssertionError(f"'{cmd}' has no {flag}")
+
+    def test_default_families_are_in_the_catalogue(self):
+        for cmd in ("robustness", "certify"):
+            default = self._action(cmd, "--families").default
+            for name in default.split(","):
+                assert name in FAMILIES, (cmd, name)
+
+    def test_every_help_text_names_every_family(self):
+        for cmd, flag in self.FLAGS:
+            text = self._action(cmd, flag).help
+            for name in FAMILIES:
+                assert name in text, (cmd, flag, name)
+
+    def test_reactive_faults_run(self, capsys):
+        rc = main(
+            [
+                "simulate",
+                "--workload", "batch",
+                "--n", "6",
+                "--window", "512",
+                "--protocol", "uniform",
+                "--fault", "struct-delivery:0.2",
+            ]
+        )
+        assert rc == 0
+        assert main(["stream", "--max-jobs", "20", "--fault", "reactive:0.2"]) == 0
+        assert "released=20" in capsys.readouterr().out
 
 
 class TestRegistryCompleteness:

@@ -1,18 +1,11 @@
 """Tests for the robustness degradation-profile experiment."""
 
-import warnings
-
 import pytest
 
 from repro.core.aligned import aligned_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
-from repro.experiments import (
-    FAULT_FAMILIES,
-    RobustnessReport,
-    fault_plan,
-    run_robustness,
-)
+from repro.experiments import RobustnessReport, run_robustness
 from repro.experiments.robustness import JAM_THRESHOLD, ProfilePoint
 from repro.params import AlignedParams
 from repro.workloads import batch_instance, single_class_instance
@@ -32,33 +25,6 @@ def uniform_protocol(instance):
 
 def aligned_protocol(instance):
     return aligned_factory(AlignedParams(lam=1, tau=4, min_level=9))
-
-
-class TestFaultPlanBuilders:
-    def test_every_family_builds_at_every_severity(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for family in FAULT_FAMILIES:
-                for sev in (0.0, 0.1, 0.5, 1.0):
-                    plan = fault_plan(family, sev)
-                    if sev == 0.0:
-                        assert plan.is_noop, (family, sev)
-                    else:
-                        assert not plan.is_noop, (family, sev)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown fault family"):
-            fault_plan("cosmic-rays", 0.5)
-
-    def test_severity_out_of_range_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            fault_plan("jam", 1.5)
-        with pytest.raises(InvalidParameterError):
-            fault_plan("jam", -0.1)
-
-    def test_jam_severity_is_p_jam(self):
-        plan = fault_plan("jam", 0.3)
-        assert plan.jammer.p_jam == 0.3
 
 
 class TestReport:
