@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.channel.feedback import Observation
+from repro.channel.feedback import Feedback, Observation
 from repro.channel.messages import DataMessage, EstimateReport, Message
 from repro.core.schedule import BroadcastStep, EstimationStep, PeckingOrderView
 from repro.errors import InvalidInstanceError
@@ -159,7 +159,7 @@ class AlignedMachine:
         assert self.view is not None, "observe() before begin()"
         if obs.own_success and isinstance(obs.message, DataMessage):
             self.succeeded = True
-        self.view.on_slot_end(v, obs.feedback.name == "SUCCESS")
+        self.view.on_slot_end(v, obs.feedback is Feedback.SUCCESS)
 
 
 class AlignedProtocol(Protocol):
@@ -203,10 +203,6 @@ class AlignedProtocol(Protocol):
         self.machine.observe(slot, obs)
         if self.machine.gave_up:
             self.gave_up = True
-
-    @property
-    def done(self) -> bool:
-        return self.succeeded or self.gave_up
 
 
 def aligned_factory(params: AlignedParams):

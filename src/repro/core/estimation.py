@@ -105,20 +105,25 @@ class EstimationTally:
 
     Every live job keeps one (identical) tally per tracked class; it is
     advanced once per active estimation step with the slot's feedback.
+    :attr:`total_steps` (``T_ℓ``) is fixed at construction.
     """
 
     level: int
     lam: int
     counts: List[int] = field(default_factory=list)
     steps_seen: int = 0
+    total_steps: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.counts:
             self.counts = [0] * self.level
+        self.total_steps = estimation_length(self.level, self.lam)
 
-    @property
-    def total_steps(self) -> int:
-        return estimation_length(self.level, self.lam)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "total_steps" not in state:
+            # Pickled (in a stream checkpoint) while it was a property.
+            self.total_steps = estimation_length(self.level, self.lam)
 
     @property
     def complete(self) -> bool:

@@ -51,7 +51,12 @@ from repro.channel.messages import (
 )
 from repro.core.aligned import AlignedMachine
 from repro.core.leader import LeaderTracker
-from repro.core.rounds import ROUND_LENGTH, RoundSynchronizer, SlotRole
+from repro.core.rounds import (
+    ROLE_OF_INDEX,
+    ROUND_LENGTH,
+    RoundSynchronizer,
+    SlotRole,
+)
 from repro.core.trimming import trimmed_window
 from repro.params import PunctualParams
 from repro.sim.job import Job, window_class
@@ -75,6 +80,19 @@ class Stage(enum.Enum):
     FINISHED = "finished"
 
 
+# What the per-slot hooks compare against.  Before CPython 3.12, an enum
+# member lookup (``Stage.FOLLOW``) goes through the enum metaclass and
+# costs several plain loads; the hooks would make up to ten a job-slot.
+_START, _GUARD, _TIMEKEEPER, _ALIGNED, _ELECTION, _ANARCHY = (
+    SlotRole.START, SlotRole.GUARD, SlotRole.TIMEKEEPER, SlotRole.ALIGNED,
+    SlotRole.ELECTION, SlotRole.ANARCHIST,
+)
+_WAIT_TK, _RECHECK_TK, _SLINGSHOT, _FOLLOW, _LEADING, _FINISHED = (
+    Stage.WAIT_TK, Stage.RECHECK_TK, Stage.SLINGSHOT, Stage.FOLLOW,
+    (Stage.LEADER, Stage.LEADER_PENDING), Stage.FINISHED,
+)
+
+
 def _floor_pow2(x: int) -> int:
     """Largest power of two <= x (x >= 1)."""
     return 1 << (x.bit_length() - 1)
@@ -87,6 +105,7 @@ class PunctualProtocol(Protocol):
         super().__init__(ctx)
         self.params = params
         self.sync = RoundSynchronizer(ctx.job_id)
+        self._origin: Optional[int] = None  # the sync's origin, once synced
         self.tracker = LeaderTracker()
         self.stage = Stage.SYNCING
         self.eff_window = _floor_pow2(ctx.window)
@@ -101,23 +120,29 @@ class PunctualProtocol(Protocol):
         self._my_offset: Optional[int] = None  # my announced vtime offset
         self.last_p = 0.0
 
-    # ------------------------------------------------------------------ utils
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        if not hasattr(self, "_origin"):
+            # Pickled (in a stream checkpoint) before it was cached.
+            self._origin = self.sync.origin if self.sync.synced else None
 
-    def _local_round(self, t: int) -> int:
-        return self.sync.round_index(t)
+    # ------------------------------------------------------------------ utils
+    #
+    # Once synced, each hook derives slot t's local round r and role from
+    # the cached origin, once, and hands r to the helpers below.
 
     def _remaining_rounds(self, t: int) -> int:
         """Complete rounds left inside my effective window."""
         return max(0, (self.eff_end - t) // ROUND_LENGTH)
 
-    def _my_deadline_round(self, t: int) -> int:
-        return self._local_round(t) + self._remaining_rounds(t)
+    def _my_deadline_round(self, t: int, r: int) -> int:
+        return r + self._remaining_rounds(t)
 
-    def _vnow(self, t: int) -> Optional[int]:
+    def _vnow(self, r: int) -> Optional[int]:
         off = self.tracker.vtime_offset
         if off is None:
             return None
-        return self._local_round(t) + off
+        return r + off
 
     # ------------------------------------------------------------------ act
 
@@ -131,24 +156,25 @@ class PunctualProtocol(Protocol):
             # effective (rounded-down) deadline reached: stop interacting.
             self.gave_up = True
             return None
-        if not self.sync.synced:
+        if self._origin is None:
             return self.sync.maybe_transmit(slot)
-        role = self.sync.role(slot)
-        if role is SlotRole.START:
+        r, index = divmod(slot - self._origin, ROUND_LENGTH)
+        role = ROLE_OF_INDEX[index]
+        if role is _START:
             return StartMessage(self.ctx.job_id)
-        if role is SlotRole.GUARD:
+        if role is _GUARD:
             return None
-        if role is SlotRole.TIMEKEEPER:
-            return self._act_timekeeper(slot)
-        if role is SlotRole.ALIGNED:
-            return self._act_aligned(slot)
-        if role is SlotRole.ELECTION:
+        if role is _TIMEKEEPER:
+            return self._act_timekeeper(slot, r)
+        if role is _ALIGNED:
+            return self._act_aligned(r)
+        if role is _ELECTION:
             return self._act_election(slot)
-        if role is SlotRole.ANARCHIST:
+        if role is _ANARCHY:
             return self._act_anarchist(slot)
         return None
 
-    def _act_timekeeper(self, t: int) -> Optional[Message]:
+    def _act_timekeeper(self, t: int, r: int) -> Optional[Message]:
         if self.stage is Stage.LEADER_PENDING:
             if self._pending_skip > 0:
                 self._pending_skip -= 1
@@ -159,7 +185,7 @@ class PunctualProtocol(Protocol):
                 self._my_offset = inherited if inherited is not None else 0
         if self.stage is Stage.LEADER:
             assert self._my_offset is not None
-            vtime = self._local_round(t) + self._my_offset
+            vtime = r + self._my_offset
             remaining = self._remaining_rounds(t)
             last = t + ROUND_LENGTH >= self.eff_end
             if last:
@@ -184,17 +210,17 @@ class PunctualProtocol(Protocol):
             self.emit("punctual.leader_handover", t)
             return TimekeeperBeacon(
                 self.ctx.job_id,
-                global_time=self._local_round(t) + off,
+                global_time=r + off,
                 deadline=self._remaining_rounds(t),
                 abdicating=True,
                 payload=DataMessage(self.ctx.job_id),
             )
         return None
 
-    def _act_aligned(self, t: int) -> Optional[Message]:
+    def _act_aligned(self, r: int) -> Optional[Message]:
         if self.stage is not Stage.FOLLOW or self.machine is None:
             return None
-        v = self._vnow(t)
+        v = self._vnow(r)
         if v is None or self.trim is None:
             return None
         lo, hi = self.trim
@@ -229,16 +255,18 @@ class PunctualProtocol(Protocol):
     def on_observe(self, slot: int, obs: Observation) -> None:
         if slot >= self.eff_end:
             return
-        if not self.sync.synced:
+        if self._origin is None:
             self.sync.observe(slot, obs)
             if self.sync.synced:
+                self._origin = self.sync.origin
                 self.stage = Stage.WAIT_TK
                 self.emit("punctual.synced", slot)
             return
 
-        role = self.sync.role(slot)
-        r = self._local_round(slot)
-        self.tracker.observe(r, role, obs)
+        r, index = divmod(slot - self._origin, ROUND_LENGTH)
+        role = ROLE_OF_INDEX[index]
+        if role is _TIMEKEEPER or role is _ELECTION:
+            self.tracker.observe(r, role, obs)  # it ignores other roles
 
         # leader payload delivery (beacons are not DataMessages, so the
         # base class's success detection does not cover them)
@@ -249,35 +277,35 @@ class PunctualProtocol(Protocol):
         ):
             self.succeeded = True
 
-        if self.stage is Stage.WAIT_TK and role is SlotRole.TIMEKEEPER:
-            self._decide_after_timekeeper(slot, halving=False)
+        stage = self.stage
+        if stage is _WAIT_TK and role is _TIMEKEEPER:
+            self._decide_after_timekeeper(slot, r, halving=False)
             return
-        if self.stage is Stage.RECHECK_TK and role is SlotRole.TIMEKEEPER:
-            self._decide_after_timekeeper(slot, halving=True)
+        if stage is _RECHECK_TK and role is _TIMEKEEPER:
+            self._decide_after_timekeeper(slot, r, halving=True)
             return
-        if self.stage is Stage.SLINGSHOT:
-            self._observe_slingshot(slot, role, obs)
+        if stage is _SLINGSHOT:
+            self._observe_slingshot(slot, r, obs)
             return
-        if self.stage is Stage.FOLLOW:
-            self._observe_follow(slot, role, obs)
+        if stage is _FOLLOW:
+            self._observe_follow(slot, r, role, obs)
             return
-        if self.stage in (Stage.LEADER, Stage.LEADER_PENDING):
-            self._observe_leader(slot, role, obs)
+        if stage in _LEADING:
+            self._observe_leader(slot, r, role, obs)
             return
-        if self.stage is Stage.FINISHED:
+        if stage is _FINISHED:
             if not self.succeeded:
                 self.gave_up = True
             return
 
     # -- stage handlers ------------------------------------------------------
 
-    def _decide_after_timekeeper(self, t: int, *, halving: bool) -> None:
+    def _decide_after_timekeeper(self, t: int, r: int, *, halving: bool) -> None:
         """WAIT_TK / RECHECK_TK resolution at a timekeeper slot."""
-        r = self._local_round(t)
         lv = self.tracker.current(r)
         if not halving:
-            if lv is not None and lv.deadline_round >= self._my_deadline_round(t):
-                self._enter_follow(t)
+            if lv is not None and lv.deadline_round >= self._my_deadline_round(t, r):
+                self._enter_follow(t, r)
             else:
                 self._enter_slingshot(t)
             return
@@ -292,7 +320,7 @@ class PunctualProtocol(Protocol):
         ):
             self.eff_window //= 2
             self.eff_end = half_end
-            self._enter_follow(t)
+            self._enter_follow(t, r)
         else:
             self.stage = Stage.ANARCHIST
             self.emit("punctual.anarchist_release", t)
@@ -302,7 +330,7 @@ class PunctualProtocol(Protocol):
         self.pullback_left = self.params.pullback_duration(self.eff_window)
         self.emit("punctual.slingshot_entered", t)
 
-    def _enter_follow(self, t: int) -> None:
+    def _enter_follow(self, t: int, r: int) -> None:
         """Adopt the leader; trim and build the embedded ALIGNED machine.
 
         If the global time is not yet known (leader adopted from a claim,
@@ -313,10 +341,10 @@ class PunctualProtocol(Protocol):
         self.trim = None
         self._machine_offset = None
         self.emit("punctual.follow_entered", t)
-        self._try_build_machine(t)
+        self._try_build_machine(t, r)
 
-    def _try_build_machine(self, t: int) -> None:
-        v = self._vnow(t)
+    def _try_build_machine(self, t: int, r: int) -> None:
+        v = self._vnow(r)
         if v is None:
             return
         rounds_left = self._remaining_rounds(t)
@@ -342,7 +370,7 @@ class PunctualProtocol(Protocol):
         self.trim = (s, e)
         self._machine_offset = self.tracker.vtime_offset
 
-    def _observe_slingshot(self, t: int, role: SlotRole, obs: Observation) -> None:
+    def _observe_slingshot(self, t: int, r: int, obs: Observation) -> None:
         self.pullback_left -= 1
         if (
             obs.own_success
@@ -358,18 +386,19 @@ class PunctualProtocol(Protocol):
             self.stage = Stage.LEADER_PENDING
             self.emit(
                 "punctual.leader_elected", t,
-                deadline_round=self._my_deadline_round(t),
+                deadline_round=self._my_deadline_round(t, r),
             )
             return
-        r = self._local_round(t)
         lv = self.tracker.current(r)
-        if lv is not None and lv.deadline_round >= self._my_deadline_round(t):
-            self._enter_follow(t)
+        if lv is not None and lv.deadline_round >= self._my_deadline_round(t, r):
+            self._enter_follow(t, r)
             return
         if self.pullback_left <= 0:
             self.stage = Stage.RECHECK_TK
 
-    def _observe_follow(self, t: int, role: SlotRole, obs: Observation) -> None:
+    def _observe_follow(
+        self, t: int, r: int, role: SlotRole, obs: Observation
+    ) -> None:
         # 1. complete the machine's act/observe pair for this slot first
         if self._machine_stepped and self.machine is not None:
             self.machine.observe(self._machine_v, obs)
@@ -379,17 +408,16 @@ class PunctualProtocol(Protocol):
         # 2. (re)build: lazily once the vtime is known, or on an origin
         #    change (a new leader announcing a new clock forces a re-trim)
         if self.machine is None:
-            self._try_build_machine(t)
+            self._try_build_machine(t, r)
         elif (
             self.tracker.vtime_offset is not None
             and self._machine_offset is not None
             and self.tracker.vtime_offset != self._machine_offset
         ):
-            self._try_build_machine(t)
+            self._try_build_machine(t, r)
         if self.stage is not Stage.FOLLOW:
             return  # _try_build_machine may have demoted us to ANARCHIST
         # 3. leader lost (silent timekeeper / expiry): re-run arrival logic
-        r = self._local_round(t)
         if role is SlotRole.TIMEKEEPER and self.tracker.current(r) is None:
             self.machine = None
             self.trim = None
@@ -398,12 +426,14 @@ class PunctualProtocol(Protocol):
             return
         # 4. trimmed window expired without completion: truncation
         if self.machine is not None and self.trim is not None:
-            v = self._vnow(t)
+            v = self._vnow(r)
             if v is not None and v >= self.trim[1] and not self.machine.finished:
                 self.gave_up = True
                 self.emit("punctual.truncation", t, v_hi=self.trim[1])
 
-    def _observe_leader(self, t: int, role: SlotRole, obs: Observation) -> None:
+    def _observe_leader(
+        self, t: int, r: int, role: SlotRole, obs: Observation
+    ) -> None:
         # A later-deadline claimant deposes me.
         if (
             role is SlotRole.ELECTION
@@ -411,9 +441,8 @@ class PunctualProtocol(Protocol):
             and isinstance(obs.message, LeaderClaim)
             and obs.message.sender != self.ctx.job_id
         ):
-            r = self._local_round(t)
             claim_deadline = r + obs.message.deadline
-            if claim_deadline > self._my_deadline_round(t):
+            if claim_deadline > self._my_deadline_round(t, r):
                 self.emit(
                     "punctual.leader_deposed", t, by=obs.message.sender
                 )
@@ -422,13 +451,7 @@ class PunctualProtocol(Protocol):
                 else:
                     # deposed before ever beaconing: nothing to hand over —
                     # just follow the stronger leader like anyone else.
-                    self._enter_follow(t)
-
-    # ------------------------------------------------------------------ done
-
-    @property
-    def done(self) -> bool:
-        return self.succeeded or self.gave_up
+                    self._enter_follow(t, r)
 
 
 def punctual_factory(params: PunctualParams):

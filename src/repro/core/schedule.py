@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.broadcast import BroadcastSchedule, SubphasePosition, total_active_steps
-from repro.core.estimation import EstimationTally
+from repro.core.estimation import EstimationTally, estimation_length
 from repro.errors import InvalidParameterError, ProtocolViolationError
 from repro.params import AlignedParams
 
@@ -74,6 +74,12 @@ class ClassRun:
     (window size 1 leaves no room for coordination; a lone job just
     transmits).  Feasible instances with γ < 1 never contain class-0
     jobs, but the run must still be well-defined for schedule accounting.
+
+    :attr:`estimation_steps` is fixed at construction,
+    :attr:`total_steps` (the run's active steps; ``None`` until the
+    estimate is known) once the estimate resolves, and :attr:`done`
+    (``steps_taken`` has reached ``total_steps``) by each
+    :meth:`advance`, so the per-slot queries re-derive none of them.
     """
 
     def __init__(self, level: int, params: AlignedParams) -> None:
@@ -85,29 +91,35 @@ class ClassRun:
         self.tally: Optional[EstimationTally] = (
             EstimationTally(level, params.lam) if level > 0 else None
         )
+        self.estimation_steps = 0 if level == 0 else self.tally.total_steps
         self.estimate: Optional[int] = None
         self.schedule: Optional[BroadcastSchedule] = None
+        self.total_steps: Optional[int] = None
         if level == 0:
             self.estimate = 0
             self.schedule = BroadcastSchedule.trivial()
+            self.total_steps = 1
+        self.done = False
 
-    @property
-    def estimation_steps(self) -> int:
-        return 0 if self.tally is None else self.tally.total_steps
-
-    @property
-    def total_steps(self) -> Optional[int]:
-        """Total active steps of the run; None until the estimate is known."""
-        if self.level == 0:
-            return 1
-        if self.estimate is None:
-            return None
-        return total_active_steps(self.level, self.estimate, self.params.lam)
-
-    @property
-    def done(self) -> bool:
-        total = self.total_steps
-        return total is not None and self.steps_taken >= total
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "done" not in state:
+            # Pickled (in a stream checkpoint) while these three were
+            # derived on every read: derive them once, as those did.
+            lam = self.params.lam
+            self.estimation_steps = (
+                estimation_length(self.level, lam) if self.level else 0
+            )
+            if self.level == 0:
+                self.total_steps = 1
+            elif self.estimate is None:
+                self.total_steps = None
+            else:
+                self.total_steps = total_active_steps(
+                    self.level, self.estimate, lam
+                )
+            total = self.total_steps
+            self.done = total is not None and self.steps_taken >= total
 
     def next_step(self) -> Step:
         """Describe the step the class takes in its next active slot."""
@@ -138,12 +150,17 @@ class ClassRun:
             self.steps_taken += 1
             if self.tally.complete:
                 self.estimate = self.tally.estimate(self.params.tau)
+                self.total_steps = total_active_steps(
+                    self.level, self.estimate, self.params.lam
+                )
                 if self.estimate:
                     self.schedule = BroadcastSchedule(
                         self.level, self.estimate, self.params.lam
                     )
-            return
-        self.steps_taken += 1
+        else:
+            self.steps_taken += 1
+        total = self.total_steps
+        self.done = total is not None and self.steps_taken >= total
 
 
 class PeckingOrderView:
@@ -199,9 +216,11 @@ class PeckingOrderView:
                 f"on_slot_start({t}) out of order "
                 f"(expected slot {self._expected_slot}, phase {self._phase})"
             )
-        for lv in range(self.min_level, self.max_level + 1):
-            if t % (1 << lv) == 0:
-                self.runs[lv] = ClassRun(lv, self.params)
+        # The classes whose size 2^lv divides t start fresh runs: those up
+        # to t's number of trailing zero bits (every class at t = 0).
+        top = (t & -t).bit_length() - 1 if t else self.max_level
+        for lv in range(self.min_level, min(top, self.max_level) + 1):
+            self.runs[lv] = ClassRun(lv, self.params)
         self._active = None
         for lv in range(self.min_level, self.max_level + 1):
             if not self.runs[lv].done:

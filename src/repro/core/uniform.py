@@ -32,7 +32,8 @@ class UniformProtocol(Protocol):
     """Transmit in ``attempts`` random window slots (without replacement).
 
     When the window is smaller than ``attempts``, every slot is used.
-    A success stops further attempts (the job terminates).
+    A success stops further attempts (the job terminates).  Every
+    per-slot constant is fixed in :meth:`on_begin`.
     """
 
     def __init__(self, ctx: ProtocolContext, params: UniformParams) -> None:
@@ -40,19 +41,26 @@ class UniformProtocol(Protocol):
         self.params = params
         self.chosen: Set[int] = set()
         self.last_p = 0.0
+        self._last_age = 0  # the latest chosen age, set at begin
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        if not hasattr(self, "_last_age"):
+            # Pickled (in a stream checkpoint) before it was cached.
+            self._last_age = max(self.chosen, default=0)
 
     def on_begin(self, slot: int) -> None:
         w = self.ctx.window
         k = min(self.params.attempts, w)
         picks = self.ctx.rng.choice(w, size=k, replace=False)
         self.chosen = {int(x) for x in picks}
-
-    def on_act(self, slot: int) -> Optional[Message]:
-        age = self.local_age(slot)
+        self._last_age = max(self.chosen)
         # Marginal per-slot probability, for contention traces: the chance
         # a fresh job would transmit here is attempts/window.
-        self.last_p = min(self.params.attempts / self.ctx.window, 1.0)
-        if age in self.chosen:
+        self.last_p = min(self.params.attempts / w, 1.0)
+
+    def on_act(self, slot: int) -> Optional[Message]:
+        if slot - self.start_slot in self.chosen:
             return DataMessage(self.ctx.job_id)
         return None
 
@@ -61,11 +69,7 @@ class UniformProtocol(Protocol):
         # exhausted its chosen slots without success stays silent forever;
         # we mark it given-up so the engine can retire it early (pure
         # bookkeeping — it would not touch the channel again anyway).
-        if (
-            not self.succeeded
-            and self.chosen
-            and self.local_age(slot) >= max(self.chosen)
-        ):
+        if not self.succeeded and slot - self.start_slot >= self._last_age:
             self.gave_up = True
             self.emit("uniform.exhausted", slot, attempts=len(self.chosen))
 

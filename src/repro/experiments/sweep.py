@@ -223,7 +223,7 @@ class Sweep:
             n_jobs=digests[0].n_jobs,  # every digest: len(instance)
             n_succeeded=ok,
             n_runs=self.seeds,
-            success=estimate_proportion(ok, max(total, 1)),
+            success=estimate_proportion(ok, total),
             by_window={
                 w: estimate_proportion(window_ok[w], window_tot[w])
                 for w in sorted(window_tot)

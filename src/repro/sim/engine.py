@@ -28,6 +28,17 @@ the suite, so it is written for throughput:
 * live jobs are kept in flat parallel lists (ids, jobs, protocols,
   pre-bound ``act``/``observe`` methods, deadlines) instead of a dict,
   compacted only on retirement;
+* a :class:`~repro.sim.protocolbase.Protocol` is bound *directly*: the
+  core calls its ``on_act``/``on_observe`` hooks and does the base
+  class's bookkeeping itself (it counts each send into
+  ``transmissions`` and sets ``succeeded`` when the slot delivers the
+  transmitter's own data message, both before the fan-out), skipping the
+  guards of :meth:`Protocol.act`/:meth:`Protocol.observe`, which re-check
+  what the core already guarantees.  The guarded methods stay bound for
+  a job with per-job faults, for every job of a run with an invariant
+  checker or feedback corruption, for a class that overrides ``act``,
+  ``observe`` or ``done``, and for a duck-typed protocol; the ``direct``
+  column records which binding each job got;
 * slot resolution is inlined (semantically identical to
   :func:`repro.channel.channel.resolve_slot`), and the jammer callout is
   skipped entirely for the benign :class:`NoJammer`;
@@ -56,11 +67,11 @@ adversarial runs gracefully with a partial result.  Both drivers accept
 all four.  All four are strictly pay-for-what-you-use: with none
 attached the hot loop executes the exact same statements as before (the
 hook branches collapse to a handful of ``is None`` guards outside the
-per-listener fan-out), so results stay bit-identical to
-:data:`ENGINE_VERSION` 2 and throughput is preserved.  Telemetry draws
-no randomness and never alters results — it only observes — so it is
-*not* folded into cache keys.  Fault randomness draws from dedicated RNG
-streams, never from the channel or job streams.
+per-listener fan-out), so a run with none attached is bit-identical to
+one on an engine without these hooks, and throughput is preserved.
+Telemetry draws no randomness and never alters results — it only
+observes — so it is *not* folded into cache keys.  Fault randomness
+draws from dedicated RNG streams, never from the channel or job streams.
 
 Any change that alters simulation *semantics* (outcomes, slot counts,
 randomness consumption) must bump :data:`ENGINE_VERSION`, which the
@@ -143,8 +154,8 @@ _NOISE = Feedback.NOISE
 _STATE = (
     "rngs", "ch_rng", "jam", "jam_attempt", "corrupt", "f_rng",
     "clock_fault", "job_fault", "ids", "jobs", "protos", "act", "observe",
-    "deadline", "has_p", "jammed", "columns", "delivered", "sink", "slots",
-    "attempts", "silence_slots", "success_slots", "collision_slots",
+    "deadline", "has_p", "jammed", "direct", "columns", "delivered", "sink",
+    "slots", "attempts", "silence_slots", "success_slots", "collision_slots",
     "jammed_slots", "progress_mark",
 )
 
@@ -176,6 +187,17 @@ def resolve_adversary(
         if replace(faults, jammer=None).is_noop:
             return None, jammer
     return faults, jammer
+
+
+def _keeps_base(cls: type) -> bool:
+    """Whether ``cls`` is a :class:`Protocol` that keeps the base class's
+    ``act``, ``observe`` and ``done``, so the core may call its hooks
+    directly."""
+    return (
+        getattr(cls, "act", None) is Protocol.act
+        and getattr(cls, "observe", None) is Protocol.observe
+        and getattr(cls, "done", None) is Protocol.done
+    )
 
 
 class _Sink(EventSink):
@@ -255,9 +277,10 @@ class SlotCore:
         self.deadline: List[int] = []
         self.has_p: List[bool] = []
         self.jammed: List[int] = []  # per-job attempts spent into jammed slots
+        self.direct: List[bool] = []  # act/observe are the bare hooks
         self.columns = (
             self.ids, self.jobs, self.protos, self.act, self.observe,
-            self.deadline, self.has_p, self.jammed,
+            self.deadline, self.has_p, self.jammed, self.direct,
         )
         self.delivered: Dict[int, int] = {}  # job id -> first delivery slot
         self.sink = _Sink()
@@ -269,6 +292,14 @@ class SlotCore:
 
     def __getstate__(self) -> tuple:
         return None, {name: getattr(self, name) for name in _STATE}
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        if "direct" not in state[1]:
+            # Written before direct binding: every live job is guarded.
+            self.direct = [False] * len(self.ids)
+            self.columns += (self.direct,)
 
     def attach(
         self,
@@ -295,8 +326,12 @@ class SlotCore:
                 # an erased transmitter legitimately re-sends; only the
                 # duplicate-delivery check is relaxed.
                 checker.allow_redelivery = True
-            for job, proto in zip(self.jobs, self.protos):
+            for i, (job, proto) in enumerate(zip(self.jobs, self.protos)):
                 checker.on_activate(job, proto, t)
+                if self.direct[i]:
+                    # The checker audits through the guarded methods.
+                    self.act[i], self.observe[i] = proto.act, proto.observe
+                    self.direct[i] = False
         self.checker = checker
 
         # Telemetry is observational only: it consumes no randomness and
@@ -351,6 +386,15 @@ class SlotCore:
                 bind(self.sink)
             self.tele.events.emit("job.activated", t, job.job_id, window=job.window)
         act_fn, observe_fn = fault_wrappers(job, proto, t, rec)
+        direct = (
+            rec is None
+            and self.checker is None
+            and self.corrupt is None
+            and _keeps_base(type(proto))
+            and not proto.done
+        )
+        if direct:
+            act_fn, observe_fn = proto.on_act, proto.on_observe
         if self.checker is not None:
             self.checker.on_activate(job, proto, t)
         self.ids.append(job.job_id)
@@ -361,6 +405,7 @@ class SlotCore:
         self.deadline.append(job.deadline)
         self.has_p.append(hasattr(proto, "last_p"))
         self.jammed.append(0)
+        self.direct.append(direct)
 
     def evict(self, i: int) -> Tuple[int, int]:
         """Drop live job ``i`` unfinished; returns its
@@ -381,7 +426,7 @@ class SlotCore:
         """
         (
             live_ids, _, live_protos, live_act, live_observe, live_deadline,
-            live_has_p, live_jammed,
+            live_has_p, live_jammed, live_direct,
         ) = self.columns
         n_live = len(live_protos)
 
@@ -393,6 +438,9 @@ class SlotCore:
             if msg is not None:
                 tx_idx.append(i)
                 tx_msg.append(msg)
+        for i in tx_idx:
+            if live_direct[i]:  # the guarded act() counted its own
+                live_protos[i].transmissions += 1
 
         if self.track_contention:
             # Contention tracking pays for itself only under tracing or
@@ -439,6 +487,10 @@ class SlotCore:
             if kind == KIND_DATA:
                 self.delivered.setdefault(msg0.sender, t)
                 delivered_now = msg0.sender
+                i = tx_idx[0]
+                if live_direct[i] and msg0.sender == live_ids[i]:
+                    # What the guarded observe() does for its own delivery.
+                    live_protos[i].succeeded = True
             elif kind == KIND_BEACON and msg0.payload is not None:
                 self.delivered.setdefault(msg0.payload.sender, t)
                 delivered_now = msg0.payload.sender
@@ -508,7 +560,9 @@ class SlotCore:
     def _retire(self, end: float, finalize: Finalize) -> None:
         """Finalize, in live order, every job that is over by slot
         ``end``, and compact the live set around the survivors."""
-        ids, jobs, protos, act, observe, deadline, has_p, jammed = self.columns
+        ids, jobs, protos, act, observe, deadline, has_p, jammed, direct = (
+            self.columns
+        )
         delivered = self.delivered
         done: List[int] = []
         for i, p in enumerate(protos):
@@ -535,7 +589,7 @@ class SlotCore:
             finalize(job, status, comp, proto.transmissions, jammed[i])
         for i in reversed(done):
             del ids[i], jobs[i], protos[i], act[i], observe[i], deadline[i]
-            del has_p[i], jammed[i]
+            del has_p[i], jammed[i], direct[i]
 
     def _watchdog(self, t: int, delivered_now: int) -> Optional[WatchdogTrip]:
         wd = self.wd

@@ -19,6 +19,12 @@ Success tracking is redundant on purpose: the engine decides ground-truth
 delivery from channel outcomes, while protocols also track their own
 success (collision detection lets a transmitter see its own result) so
 they can stop transmitting.  Tests assert the two never disagree.
+
+The public :meth:`Protocol.act` and :meth:`Protocol.observe` guard the
+calling order for direct callers.  Implement the ``on_*`` hooks: the
+slot core calls them directly where it can, and overriding ``act``,
+``observe`` or ``done`` means the engine drives the class through the
+slower guarded path (see :class:`~repro.sim.engine.SlotCore`).
 """
 
 from __future__ import annotations
@@ -71,7 +77,9 @@ class Protocol(abc.ABC):
     Subclasses implement :meth:`on_begin`, :meth:`on_act`, and
     :meth:`on_observe`; the base class enforces the legal calling order
     and maintains the ``started`` / ``succeeded`` / ``gave_up`` flags and
-    the transmission counter.
+    the transmission counter.  Overriding ``act``, ``observe`` or
+    ``done`` means the engine drives the class through the slower
+    guarded path (see :class:`~repro.sim.engine.SlotCore`).
 
     The base-class state lives in ``__slots__`` so the engine's per-slot
     reads of ``succeeded`` / ``gave_up`` / ``transmissions`` skip the
@@ -99,6 +107,16 @@ class Protocol(abc.ABC):
         self.transmissions = 0
         self._awaiting_observation = False
         self._events = None  # telemetry sink; bound by the engine
+
+    def __setstate__(self, state) -> None:
+        # What unpickling does by default (the instance dict, then the
+        # base-class slots), spelled out so that a subclass can rebuild a
+        # cached value that an older pickle lacks.
+        inst, slots = state if isinstance(state, tuple) else (state, None)
+        if inst:
+            self.__dict__.update(inst)
+        for name, value in (slots or {}).items():
+            setattr(self, name, value)
 
     # -- engine-facing lifecycle ------------------------------------------
 

@@ -14,7 +14,9 @@ change the outcome, and reports any drift as discrepancies:
   draws, but that stream feeds no protocol;
 * **observational toggles** — attaching telemetry, enabling the
   invariant checker, and arming a never-tripping watchdog are
-  observation-only and must leave results bit-identical.
+  observation-only and must leave results bit-identical.  The checker
+  also moves every job from the slot core's direct hook binding to the
+  guarded ``act``/``observe``, so this compares the two bindings.
 
 Deliberately *not* an invariance: permuting job **ids**.  Per-job
 randomness is keyed by id (that is what makes paired comparisons and

@@ -190,6 +190,23 @@ class TestSweep:
         assert "sweeping n" in out
         assert "ci low" in out
 
+    def test_sweep_empty_workload_row(self, capsys):
+        rc = main(
+            [
+                "sweep",
+                "--protocol", "uniform",
+                "--param", "n",
+                "--values", "0,4",
+                "--seeds", "2",
+                "--window", "64",
+            ]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        empty = next(r for r in rows if r.startswith("0 |"))
+        cells = [c.strip() for c in empty.split("|")]
+        assert cells[1:4] == ["1.0000", "1.0000", "1.0000"]
+
     def test_sweep_float_values(self, capsys):
         rc = main(
             [

@@ -37,6 +37,21 @@ class TestSweepPoint:
         assert list(point.by_window) == [512]
         assert point.by_window[512].point == 1.0
 
+    def test_empty_workload_is_a_vacuous_success(self):
+        """No jobs means no trials: point and interval 1.0, like
+        robustness, certify, ``aggregate()`` and ``compare`` read it."""
+        sweep = Sweep(
+            build=lambda n: batch_instance(n, window=64),
+            protocol=lambda inst: uniform_factory(),
+            seeds=2,
+        )
+        point = sweep.run_point(n=0)
+        assert point.n_jobs == point.n_succeeded == 0
+        assert point.success.trials == 0
+        assert (point.success.point, point.success.low, point.success.high) == (
+            1.0, 1.0, 1.0,
+        )
+
     def test_latency_aggregated(self):
         sweep = Sweep(
             build=lambda: single_class_instance(3, level=9),
