@@ -5,16 +5,13 @@ experiment-suite runtimes stay predictable.  Benchmarks the slot
 engine's throughput on the three protocol families, the full-protocol
 kernels on the *same* instances (so the engine-vs-kernel speedups are
 like-for-like), and the seed-major batched driver against the per-seed
-experiment loop, records slots/second figures in the archived table,
-and emits a machine-readable ``BENCH_engine.json`` (archived under
-``results/`` and committed at the repository root) so successive PRs
-can track the performance trajectory without parsing tables.
+experiment loop, and records slots/second figures in the archived
+table.  The performance record of the user-facing paths is
+``bench/run.py`` and ``repro perf``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -26,14 +23,9 @@ from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.experiments.parallel import run_seeds
 from repro.fastpath import simulate_uniform_fast
-from repro.fastpath.batched import (
-    KERNEL_VERSION,
-    plan_fastpath,
-    simulate_fastpath,
-)
-from repro.obs.perftrack import environment_fingerprint, load_bench
+from repro.fastpath.batched import plan_fastpath, simulate_fastpath
 from repro.params import AlignedParams, PunctualParams
-from repro.sim.engine import ENGINE_VERSION, simulate
+from repro.sim.engine import simulate
 from repro.workloads import batch_instance, single_class_instance
 
 ALIGNED = AlignedParams(lam=1, tau=4, min_level=9)
@@ -93,46 +85,44 @@ def _kernel_throughput(instance, factory) -> tuple[int, float]:
     return slots, best
 
 
-def test_p1_engine_throughput(benchmark, emit, results_dir):
+def test_p1_engine_throughput(benchmark, emit):
     rows = []
-    machine = {}
+    engine_rate = {}
+    speedup = {}
 
     aligned_inst = single_class_instance(16, level=10)
     slots, rate = _throughput(
         lambda: simulate(aligned_inst, aligned_factory(ALIGNED), seed=0)
     )
     rows.append(["engine / ALIGNED (16 jobs, w=1024)", slots, rate])
-    machine["aligned"] = {"slots": slots, "slots_per_second": rate}
+    engine_rate["aligned"] = rate
 
     punctual_inst = batch_instance(16, window=8192)
     slots, rate = _throughput(
         lambda: simulate(punctual_inst, punctual_factory(PUNCTUAL), seed=0)
     )
     rows.append(["engine / PUNCTUAL (16 jobs, w=8192)", slots, rate])
-    machine["punctual"] = {"slots": slots, "slots_per_second": rate}
+    engine_rate["punctual"] = rate
 
     beb_inst = batch_instance(64, window=8192)
     slots, rate = _throughput(
         lambda: simulate(beb_inst, beb_factory(), seed=0)
     )
     rows.append(["engine / BEB (64 jobs, w=8192)", slots, rate])
-    machine["beb"] = {"slots": slots, "slots_per_second": rate}
+    engine_rate["beb"] = rate
 
     uniform_inst = batch_instance(64, window=8192)
     slots, rate = _throughput(
         lambda: simulate(uniform_inst, uniform_factory(), seed=0)
     )
     rows.append(["engine / UNIFORM (64 jobs, w=8192)", slots, rate])
-    machine["uniform"] = {"slots": slots, "slots_per_second": rate}
+    engine_rate["uniform"] = rate
 
     big = batch_instance(8192, window=65536)
     t0 = time.perf_counter()
     simulate_uniform_fast(big, np.random.default_rng(0))
     dt = time.perf_counter() - t0
     rows.append(["fastpath / UNIFORM (8192 jobs)", 65536, 65536 / dt])
-    machine["uniform_fastpath"] = {
-        "slots": 65536, "slots_per_second": 65536 / dt,
-    }
 
     # -- full-protocol kernels, same instances as the engine rows -------
     for label, key, engine_key, instance, factory in (
@@ -159,13 +149,8 @@ def test_p1_engine_throughput(benchmark, emit, results_dir):
         ),
     ):
         slots, rate = _kernel_throughput(instance, factory)
-        speedup = rate / machine[engine_key]["slots_per_second"]
+        speedup[key] = rate / engine_rate[engine_key]
         rows.append([label, slots, rate])
-        machine[key] = {
-            "slots": slots,
-            "slots_per_second": rate,
-            "speedup_vs_engine": speedup,
-        }
 
     # -- seed-major batching vs the parallel per-seed experiment loop ---
     # The engine side runs a shorter seed list (its per-seed cost is
@@ -187,7 +172,7 @@ def test_p1_engine_throughput(benchmark, emit, results_dir):
     t0 = time.perf_counter()
     run_seeds(batch_build, batch_proto, range(batched_seeds), fastpath="on")
     batched_per_seed = (time.perf_counter() - t0) / batched_seeds
-    batch_speedup = engine_per_seed / batched_per_seed
+    speedup["batched"] = engine_per_seed / batched_per_seed
     rows.append(
         [
             f"batched / UNIFORM ({batched_seeds:,} seeds)",
@@ -195,15 +180,6 @@ def test_p1_engine_throughput(benchmark, emit, results_dir):
             1.0 / batched_per_seed,  # seeds/second, not slots
         ]
     )
-    machine["batched"] = {
-        "instance": "batch_instance(16, window=1024)",
-        "engine_processes": engine_procs,
-        "engine_seeds_timed": engine_seeds,
-        "batched_seeds_timed": batched_seeds,
-        "engine_seconds_per_seed": engine_per_seed,
-        "batched_seconds_per_seed": batched_per_seed,
-        "speedup_vs_per_seed_engine": batch_speedup,
-    }
 
     emit(
         "P1_engine_perf",
@@ -213,37 +189,19 @@ def test_p1_engine_throughput(benchmark, emit, results_dir):
             float_fmt="{:,.0f}",
             title="P1 — simulator throughput baselines (informational)",
         ),
-        data={"families": machine},
     )
-
-    payload = {
-        "engine_version": ENGINE_VERSION,
-        "kernel_version": KERNEL_VERSION,
-        "env": environment_fingerprint(),
-        "families": machine,
-    }
-    out = pathlib.Path(results_dir) / "BENCH_engine.json"
-    root = pathlib.Path(__file__).parent.parent / "BENCH_engine.json"
-    # The root copy is committed so PR diffs show the before/after
-    # engine-vs-kernel numbers without digging into results/.  It also
-    # carries the append-only ``history`` trajectory grown by
-    # ``repro perf`` — preserve it across rewrites of the snapshot keys.
-    payload["history"] = load_bench(root).get("history", [])
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out.write_text(text)
-    root.write_text(text)
 
     # sanity floors: an order of magnitude below today's numbers
     assert rows[0][2] > 3_000, "ALIGNED engine unexpectedly slow"
     assert rows[2][2] > 10_000, "BEB engine unexpectedly slow"
     # acceptance floors for the full-protocol kernels and batching
-    assert machine["aligned_kernel"]["speedup_vs_engine"] > 50, (
+    assert speedup["aligned_kernel"] > 50, (
         "ALIGNED kernel fell below 50x engine throughput"
     )
-    assert machine["punctual_kernel"]["speedup_vs_engine"] > 50, (
+    assert speedup["punctual_kernel"] > 50, (
         "PUNCTUAL kernel fell below 50x engine throughput"
     )
-    assert machine["batched"]["speedup_vs_per_seed_engine"] > 5, (
+    assert speedup["batched"] > 5, (
         "seed-major batching fell below 5x the per-seed loop"
     )
 

@@ -10,9 +10,7 @@ performance regression check.
 
 from __future__ import annotations
 
-import json
 import pathlib
-import time
 
 import pytest
 
@@ -25,45 +23,13 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def write_benchmark_artifact(
-    results_dir: pathlib.Path,
-    name: str,
-    text: str,
-    data=None,
-) -> None:
-    """Archive one experiment: the table as text, optionally data as JSON.
-
-    Every artefact gets ``results/<name>.txt`` (what ``repro report``
-    assembles); when ``data`` is given a machine-readable twin lands at
-    ``results/<name>.json`` wrapped with the emitting environment so
-    cross-run tooling can trend it (see ``repro perf``).
-    """
-    (results_dir / f"{name}.txt").write_text(text + "\n")
-    if data is not None:
-        from repro.obs.perftrack import environment_fingerprint
-
-        payload = {
-            "name": name,
-            "timestamp": time.time(),
-            "env": environment_fingerprint(),
-            "data": data,
-        }
-        tmp = results_dir / f"{name}.json.tmp"
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        tmp.replace(results_dir / f"{name}.json")
-
-
 @pytest.fixture
 def emit(results_dir, capsys):
-    """Print an experiment artefact and archive it to results/<name>.txt.
+    """Print an experiment artefact and archive it to results/<name>.txt."""
 
-    Accepts an optional ``data`` payload which is archived alongside as
-    ``results/<name>.json`` via :func:`write_benchmark_artifact`.
-    """
-
-    def _emit(name: str, text: str, data=None) -> None:
+    def _emit(name: str, text: str) -> None:
         with capsys.disabled():
             print(f"\n{text}\n")
-        write_benchmark_artifact(results_dir, name, text, data)
+        (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return _emit

@@ -51,9 +51,13 @@ Subcommands
     Tails heartbeat files written by ``--heartbeat``: progress, rate,
     ETA, staleness for in-flight runs.
 ``perf``
-    Runs the perf smoke suite, appends a timestamped entry to the
-    ``BENCH_engine.json`` trajectory, and flags statistically confirmed
-    throughput regressions against the same-host trend.
+    Judges ``bench/run.py`` result records against the committed
+    ``BENCH_e2e.json`` trajectory, then appends one entry per record.
+    It exits 1 when a throughput label regressed (a statistically
+    confirmed drop against the same host's trend, or on a host with no
+    history a fall to half the trailing median of any host), and
+    refuses, appending nothing, a record whose run failed its checks,
+    records from two hosts, and a trajectory it cannot read.
 
 ``repro --version`` prints the package version.
 """
@@ -1143,67 +1147,52 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Measure the perf smoke suite, append history, flag regressions."""
+    """Judge bench/run.py records against the trajectory, then append them."""
     import json
 
     from repro.obs import perftrack
 
-    samples = perftrack.measure_smoke(repeats=args.repeats)
-    data = perftrack.load_bench(args.bench)
+    try:
+        records = perftrack.read_records(args.records)
+        data = perftrack.load_bench(args.bench)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro perf: {exc}")
     verdicts = perftrack.detect_regressions(
-        samples, data, window=args.window
+        perftrack.throughput_samples(records),
+        data,
+        node=records[0]["host"].get("node"),
     )
-    appended = False
-    if not args.no_append:
-        perftrack.append_history(samples, path=args.bench, note=args.note)
-        appended = True
-    regressions = sorted(
-        label for label, v in verdicts.items() if v["regression"]
-    )
-    if getattr(args, "json", False):
+    perftrack.append_history(records, path=args.bench, note=args.note)
+    regressions = [label for label, v in verdicts.items() if v["regression"]]
+    if args.json:
         print(json.dumps({
             "bench": args.bench,
-            "rates": {k: sorted(v) for k, v in samples.items()},
             "verdicts": verdicts,
             "regressions": regressions,
-            "appended": appended,
+            "appended": len(records),
         }, indent=2))
     else:
-        rows = []
-        for label in sorted(verdicts):
-            v = verdicts[label]
-            rows.append([
+        rows = [
+            [
                 label,
                 f"{v['current_mean']:,.0f}",
-                (
-                    "-"
-                    if v["history_mean"] is None
-                    else f"{v['history_mean']:,.0f}"
-                ),
+                "-" if not v["history_n"] else f"{v['history_mean']:,.0f}",
                 v["history_n"],
-                (
-                    "-"
-                    if v.get("rel_change") is None
-                    else f"{100.0 * v['rel_change']:+.1f}%"
-                ),
+                "-" if "rel_change" not in v
+                else f"{100.0 * v['rel_change']:+.1f}%",
                 v["verdict"],
-            ])
+            ]
+            for label, v in verdicts.items()
+        ]
         print(format_table(
-            ["suite", "slots/s", "trend mean", "n", "change", "verdict"],
+            ["label", "jobs/s", "trend mean", "n", "change", "verdict"],
             rows,
             title=f"perf trajectory: {args.bench}",
         ))
-        if appended:
-            print(f"appended 1 history entry to {args.bench}")
-    if regressions and not args.no_gate:
-        print(
-            "PERF REGRESSION: "
-            + ", ".join(regressions)
-            + " (bootstrap CI excludes zero and relative drop "
-            "exceeds threshold)"
-        )
-        return 1
-    return 0
+        print(f"appended {len(records)} history entries to {args.bench}")
+        if regressions:
+            print("PERF REGRESSION: " + ", ".join(regressions))
+    return 1 if regressions else 0
 
 
 def _stream_process(args: argparse.Namespace, rho: float):
@@ -1456,6 +1445,24 @@ def _add_obs_flags(sp, heartbeat: bool = True) -> None:
                              "duration of the run (0 = off)")
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+#: ``--seed`` / ``--workload-seed`` are numpy seeds; ``--seeds`` counts runs.
+_SEED = _int_at_least(0)
+_SEEDS = _int_at_least(1)
+
+
 def _add_perf_flags(sp) -> None:
     sp.add_argument("--processes", type=int, default=1,
                     help="worker processes for seed replication")
@@ -1482,8 +1489,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", type=int, default=4096)
         sp.add_argument("--level", type=int, default=9)
         sp.add_argument("--gamma", type=float, default=0.02)
-        sp.add_argument("--workload-seed", type=int, default=0)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--workload-seed", type=_SEED, default=0)
+        sp.add_argument("--seed", type=_SEED, default=0)
         sp.add_argument("--jam", type=float, default=0.0,
                         help="stochastic jamming probability")
         sp.add_argument("--lam", type=int, default=1)
@@ -1522,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["n", "window", "gamma", "level"])
     swp.add_argument("--values", required=True,
                      help="comma-separated values, e.g. 4,8,16")
-    swp.add_argument("--seeds", type=int, default=3)
+    swp.add_argument("--seeds", type=_SEEDS, default=3)
     _add_perf_flags(swp)
     _add_fastpath_flag(swp)
     _add_telemetry_flag(swp)
@@ -1531,7 +1538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="run every protocol on one workload")
     add_common(cmp_)
-    cmp_.add_argument("--seeds", type=int, default=3)
+    cmp_.add_argument("--seeds", type=_SEEDS, default=3)
     _add_perf_flags(cmp_)
     _add_telemetry_flag(cmp_)
     _add_obs_flags(cmp_, heartbeat=False)
@@ -1549,7 +1556,7 @@ def build_parser() -> argparse.ArgumentParser:
     rob.add_argument("--severities", default="0,0.1,0.25,0.5,0.75",
                      help="comma-separated severity ladder in [0, 1]; "
                           "0.5 lands on the Theorem-14 jamming boundary")
-    rob.add_argument("--seeds", type=int, default=5)
+    rob.add_argument("--seeds", type=_SEEDS, default=5)
     rob.add_argument("--retries", type=int, default=0,
                      help="transient-failure retries per cell")
     rob.add_argument("--no-invariants", action="store_true",
@@ -1575,7 +1582,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--families", default="jam,rate,burst,reactive,"
                       "struct-control,struct-delivery,assassin,banked",
                       help=_FAMILIES_HELP)
-    cert.add_argument("--seeds", type=int, default=30,
+    cert.add_argument("--seeds", type=_SEEDS, default=30,
                       help="Monte-Carlo replication per probed severity")
     cert.add_argument("--target", type=float, default=0.9,
                       help="success rate defining 'broken'")
@@ -1609,7 +1616,7 @@ def build_parser() -> argparse.ArgumentParser:
     fro.add_argument("--budgets", default="0,0.25",
                      help="comma-separated oblivious jamming rates; every "
                           "protocol faces each budget with identical seeds")
-    fro.add_argument("--seeds", type=int, default=16,
+    fro.add_argument("--seeds", type=_SEEDS, default=16,
                      help="Monte-Carlo replication per (protocol, budget)")
     fro.add_argument("--retries", type=int, default=0,
                      help="transient-failure retries per cell")
@@ -1785,26 +1792,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="run the perf smoke suite, append the trajectory, "
-             "flag regressions",
+        help="judge bench/run.py records against the performance "
+             "trajectory, then append them",
     )
-    perf.add_argument("--smoke", action="store_true",
-                      help="the CI smoke suite (currently the only suite; "
-                           "flag kept for forward compatibility)")
-    perf.add_argument("--bench", default="BENCH_engine.json", metavar="PATH",
+    perf.add_argument("records", nargs="+", metavar="RECORD",
+                      help="result records written by bench/run.py --out")
+    perf.add_argument("--bench", default="BENCH_e2e.json", metavar="PATH",
                       help="trajectory file to read and append")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timing repeats per suite label")
-    perf.add_argument("--window", type=int, default=20,
-                      help="history entries considered for the trend")
     perf.add_argument("--note", default="",
-                      help="free-form note stored with the history entry")
-    perf.add_argument("--no-append", action="store_true",
-                      help="measure and judge only; do not grow the history")
-    perf.add_argument("--no-gate", action="store_true",
-                      help="report regressions but always exit zero")
+                      help="free-form note stored with each history entry")
     perf.add_argument("--json", action="store_true",
-                      help="emit measurements and verdicts as JSON")
+                      help="emit verdicts as JSON")
     perf.set_defaults(func=cmd_perf)
 
     feas = sub.add_parser("feasibility", help="report a workload's slack")
@@ -1814,7 +1812,7 @@ def build_parser() -> argparse.ArgumentParser:
     sched = sub.add_parser("schedule", help="render a Figure-1 schedule")
     sched.add_argument("--small-level", type=int, default=9)
     sched.add_argument("--width", type=int, default=160)
-    sched.add_argument("--seed", type=int, default=0)
+    sched.add_argument("--seed", type=_SEED, default=0)
     sched.set_defaults(func=cmd_schedule)
 
     rep = sub.add_parser(

@@ -1,38 +1,30 @@
-"""The performance observatory: trended benchmarks with regression gates.
+"""The performance record: ``bench/run.py`` results judged and kept.
 
-``BENCH_engine.json`` used to be a one-shot snapshot — each benchmark
-run overwrote the last, so a kernel that quietly lost 30% between PRs
-was invisible until the coarse static floor in ``perf_smoke.py``
-(set 10× under the day-one numbers) finally tripped.  This module turns
-it into a trajectory:
+``bench/run.py`` measures; this module keeps what it measured.  Each
+result record the benchmark writes (one workload at one seed) becomes
+one entry of a committed trajectory, ``BENCH_e2e.json``, with its host
+fingerprint and the ``ENGINE_VERSION`` / ``KERNEL_VERSION`` it ran
+under.  Before records are appended, their throughput is judged
+against the trailing entries of the same label (``<workload>/<metric>``
+for ``jobs_per_s`` and ``warm_jobs_per_s``):
 
-* :func:`environment_fingerprint` — hostname / python / numpy / cpu
-  provenance, because a slots/second figure without its machine is
-  silently misleading across hosts;
-* :func:`measure_smoke` — per-repeat throughput samples for the smoke
-  labels (engine + the three full-protocol kernels), *samples*, not a
-  single best-of, so the regression test has a distribution to resample;
-* :func:`append_history` — grows a timestamped ``history`` list inside
-  ``BENCH_engine.json`` (capped, oldest dropped), each entry carrying
-  the fingerprint and ``ENGINE_VERSION`` / ``KERNEL_VERSION``;
-* :func:`detect_regressions` — compares today's samples against recent
-  same-host history with the run-clustered bootstrap machinery from
-  :mod:`repro.analysis.stats`: a label is flagged only when the CI on
-  ``mean(now) − mean(history)`` excludes zero from below *and* the
-  relative drop beats a noise threshold;
-* :func:`trend_floor` — the trend-aware gate ``perf_smoke.py`` uses in
-  place of its static constants: ``max(static, fraction × trailing
-  median)`` once enough history exists.
+* :func:`read_records` — loads the records, refusing one that failed
+  its checks (``correct: false``) and a set from more than one host;
+* :func:`detect_regressions` — with same-host history, the bootstrap
+  rule from :mod:`repro.analysis.stats`: a label is flagged only when
+  the CI on ``mean(now) − mean(history)`` excludes zero from below
+  *and* the relative drop beats a noise threshold; with none, a floor
+  under any host's history, since the benchmark reports reference
+  seconds scaled by a per-host speed probe;
+* :func:`append_history` — one entry per record, in one atomic write.
 
-``repro perf`` is the CLI over all of this (measure → append → gate).
+``repro perf RECORD...`` is the CLI over all of this (refuse → judge →
+append).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
-import socket
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -46,21 +38,23 @@ __all__ = [
     "DEFAULT_BENCH_PATH",
     "append_history",
     "detect_regressions",
-    "environment_fingerprint",
     "history_samples",
     "load_bench",
-    "measure_smoke",
-    "trend_floor",
+    "read_records",
+    "throughput_samples",
 ]
 
 #: The committed trajectory file at the repository root.
-DEFAULT_BENCH_PATH = "BENCH_engine.json"
+DEFAULT_BENCH_PATH = "BENCH_e2e.json"
 
-#: History entries kept per file; oldest beyond this are dropped.
-MAX_HISTORY = 200
+#: The throughput metrics of a record that are judged, per workload.
+THROUGHPUT_METRICS = ("jobs_per_s", "warm_jobs_per_s")
 
-#: Minimum same-label history entries before trend gates activate
-#: (below this, static floors and "no regression" verdicts apply).
+#: Newest same-label entries the trend reads: one batch of
+#: ``bench/compare.py``'s ten runs, so an older level does not dilute it.
+TRAILING_ENTRIES = 10
+
+#: Minimum history samples before a label is judged at all.
 MIN_TREND_HISTORY = 3
 
 #: A drop smaller than this fraction of the historical mean is treated
@@ -71,281 +65,223 @@ REL_DROP_THRESHOLD = 0.15
 #: noisy; 2× headroom under the median only trips on real cliffs).
 TREND_FLOOR_FRACTION = 0.5
 
-
-def environment_fingerprint() -> Dict[str, Any]:
-    """Provenance for one benchmark entry: where these numbers came from."""
-    return {
-        "hostname": socket.gethostname(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-# -- measurement --------------------------------------------------------------
-
-
-def measure_smoke(repeats: int = 3) -> Dict[str, List[float]]:
-    """Per-repeat slots/second samples for the smoke labels.
-
-    Same instances as ``benchmarks/perf_smoke.py``; unlike the smoke
-    script this keeps every repeat (the bootstrap needs samples, not a
-    best-of).  Imported lazily so merely loading the obs package never
-    pulls the simulation stack.
-    """
-    from repro.core.aligned import aligned_factory
-    from repro.core.punctual import punctual_factory
-    from repro.core.uniform import uniform_factory
-    from repro.fastpath.batched import plan_fastpath, simulate_fastpath
-    from repro.params import AlignedParams, PunctualParams
-    from repro.sim.engine import simulate
-    from repro.workloads import batch_instance, single_class_instance
-
-    aligned_params = AlignedParams(lam=1, tau=4, min_level=9)
-    punctual_params = PunctualParams(
-        aligned=AlignedParams(lam=1, tau=2, min_level=10),
-        lam=2,
-        pullback_exp=1,
-        slingshot_exp=2,
-    )
-
-    def engine_samples(instance, factory_fn) -> List[float]:
-        out = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = simulate(instance, factory_fn(), seed=0)
-            out.append(res.slots_simulated / (time.perf_counter() - t0))
-        return out
-
-    def kernel_samples(instance, factory, trials=32) -> List[float]:
-        plan, reason = plan_fastpath(instance, factory)
-        assert plan is not None, f"kernel should qualify: {reason}"
-        out = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            slots = sum(
-                simulate_fastpath(plan, s).slots_simulated
-                for s in range(trials)
-            )
-            out.append(slots / (time.perf_counter() - t0))
-        return out
-
-    uniform_inst = batch_instance(64, window=8192)
-    return {
-        "engine/uniform": engine_samples(uniform_inst, uniform_factory),
-        "kernel/uniform": kernel_samples(uniform_inst, uniform_factory()),
-        "kernel/aligned": kernel_samples(
-            single_class_instance(16, level=10),
-            aligned_factory(aligned_params),
-        ),
-        "kernel/punctual": kernel_samples(
-            batch_instance(16, window=8192),
-            punctual_factory(punctual_params),
-        ),
-    }
+#: Keys of a ``bench/run.py`` result record that an entry copies as-is.
+_RECORD_KEYS = ("workload", "seed", "seconds", "trace", "host")
 
 
 # -- the trajectory file ------------------------------------------------------
 
 
 def load_bench(path: Union[str, Path] = DEFAULT_BENCH_PATH) -> Dict[str, Any]:
-    """Load ``BENCH_engine.json`` (empty scaffold when missing/corrupt)."""
+    """Load the trajectory; a missing file is an empty one.
+
+    A file that is not a trajectory (a torn write, a merge conflict)
+    raises :class:`ValueError` naming ``path``, so that an append never
+    replaces what it could not read.
+    """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data.setdefault("history", [])
-    if not isinstance(data["history"], list):
-        data["history"] = []
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        return {"history": []}
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a performance trajectory: {exc}")
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("history"), list)
+        and all(_is_record(e) for e in data["history"])
+    ):
+        raise ValueError(
+            f"{path}: not a performance trajectory: expected an object "
+            "with a 'history' list of entries"
+        )
     return data
 
 
+def _is_record(obj: Any) -> bool:
+    """Whether ``obj`` has the shape of a result record or an entry."""
+    return (
+        isinstance(obj, dict)
+        and all(k in obj for k in _RECORD_KEYS + ("metrics",))
+        and isinstance(obj["host"], dict)
+        and isinstance(obj["metrics"], dict)
+    )
+
+
+def read_records(paths: Sequence[Union[str, Path]]) -> List[Dict[str, Any]]:
+    """Load ``bench/run.py`` result records that may be recorded.
+
+    Raises :class:`ValueError` for a file that is not a result record,
+    a record whose run failed its checks (``correct`` is not true), and
+    records from more than one host (``host.node``).
+    """
+    records = []
+    for path in paths:
+        try:
+            rec = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a bench/run.py record: {exc}")
+        if not (_is_record(rec) and "correct" in rec):
+            raise ValueError(f"{path}: not a bench/run.py result record")
+        if rec["correct"] is not True:
+            raise ValueError(
+                f"{path}: the run failed its checks (correct: "
+                f"{rec['correct']!r}); refusing to record it"
+            )
+        records.append(rec)
+    nodes = sorted({str(rec["host"].get("node")) for rec in records})
+    if len(nodes) > 1:
+        raise ValueError(
+            f"records come from more than one host ({', '.join(nodes)}); "
+            "record each host's records separately"
+        )
+    return records
+
+
 def append_history(
-    samples: Dict[str, Sequence[float]],
+    records: Sequence[Dict[str, Any]],
     *,
     path: Union[str, Path] = DEFAULT_BENCH_PATH,
-    engine_version: Optional[int] = None,
-    kernel_version: Optional[int] = None,
     note: str = "",
     now: Optional[float] = None,
-    max_entries: int = MAX_HISTORY,
-) -> Dict[str, Any]:
-    """Append one timestamped entry to the trajectory; returns the entry.
+) -> List[Dict[str, Any]]:
+    """Append one entry per record to the trajectory; returns the entries.
 
-    The write is atomic (:func:`repro.durable.write_atomic`) and
-    preserves every non-``history`` key of the existing file — the
-    one-shot ``families`` snapshot from ``bench_engine_perf.py`` and
-    this trajectory coexist.
+    An entry keeps the record's workload, seed, run length, trace flag,
+    host and each metric's value, unit and per-round values; traced
+    records keep their per-layer metrics.  The write is atomic
+    (:func:`repro.durable.write_atomic`).
     """
-    if engine_version is None or kernel_version is None:
-        from repro.fastpath.batched import KERNEL_VERSION
-        from repro.sim.engine import ENGINE_VERSION
+    from repro.fastpath.batched import KERNEL_VERSION
+    from repro.sim.engine import ENGINE_VERSION
 
-        engine_version = (
-            ENGINE_VERSION if engine_version is None else engine_version
-        )
-        kernel_version = (
-            KERNEL_VERSION if kernel_version is None else kernel_version
-        )
-    entry: Dict[str, Any] = {
-        "timestamp": time.time() if now is None else now,
-        "engine_version": engine_version,
-        "kernel_version": kernel_version,
-        "env": environment_fingerprint(),
-        "rates": {
-            label: {
-                "samples": [float(s) for s in vals],
-                "mean": float(np.mean(vals)) if len(vals) else None,
-                "best": float(np.max(vals)) if len(vals) else None,
-            }
-            for label, vals in samples.items()
-        },
-    }
-    if note:
-        entry["note"] = note
+    stamp = time.time() if now is None else now
+    entries = [
+        {
+            **{k: rec[k] for k in _RECORD_KEYS},
+            "metrics": {
+                name: {k: m[k] for k in ("value", "unit", "rounds")}
+                for name, m in rec["metrics"].items()
+            },
+            "engine_version": ENGINE_VERSION,
+            "kernel_version": KERNEL_VERSION,
+            "timestamp": stamp,
+            "note": note,
+        }
+        for rec in records
+    ]
     data = load_bench(path)
-    data["history"].append(entry)
-    if max_entries > 0 and len(data["history"]) > max_entries:
-        data["history"] = data["history"][-max_entries:]
+    data["history"].extend(entries)
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     write_atomic(path, text.encode())
-    return entry
+    return entries
+
+
+# -- samples ------------------------------------------------------------------
+
+
+def _throughput(entry: Dict[str, Any]) -> Dict[str, List[float]]:
+    """Per-round throughput of an untraced record or entry, by label."""
+    if entry["trace"]:
+        return {}
+    return {
+        f"{entry['workload']}/{name}": [
+            float(v) for v in entry["metrics"][name]["rounds"]
+        ]
+        for name in THROUGHPUT_METRICS
+        if name in entry["metrics"]
+    }
+
+
+def throughput_samples(
+    records: Sequence[Dict[str, Any]],
+) -> Dict[str, List[float]]:
+    """Every untraced record's per-round throughput, pooled by label."""
+    out: Dict[str, List[float]] = {}
+    for rec in records:
+        for label, rounds in _throughput(rec).items():
+            out.setdefault(label, []).extend(rounds)
+    return out
 
 
 def history_samples(
-    data: Dict[str, Any],
-    label: str,
-    *,
-    hostname: Optional[str] = None,
-    window: int = 20,
-    exclude_last: bool = False,
+    data: Dict[str, Any], label: str, *, node: Optional[str] = None
 ) -> List[float]:
-    """Flat per-repeat samples for ``label`` from recent history.
+    """Per-round samples of ``label`` from its trailing entries.
 
-    Only entries from ``hostname`` (default: this host) count —
-    cross-machine numbers must never gate each other.  ``window`` caps
-    how many entries back to look; ``exclude_last`` drops the newest
-    entry (used when it is the measurement under test, already
-    appended).
+    The newest :data:`TRAILING_ENTRIES` untraced entries carrying
+    ``label`` count, only those from host ``node`` when one is given;
+    cross-host numbers never feed the bootstrap rule.
     """
-    if hostname is None:
-        hostname = socket.gethostname()
-    entries = [
-        e
-        for e in data.get("history", [])
-        if isinstance(e, dict)
-        and (e.get("env") or {}).get("hostname") == hostname
-        and label in (e.get("rates") or {})
+    runs = [
+        rounds
+        for e in data["history"]
+        if node is None or e["host"].get("node") == node
+        for lbl, rounds in _throughput(e).items()
+        if lbl == label
     ]
-    if exclude_last and entries:
-        entries = entries[:-1]
-    samples: List[float] = []
-    for e in entries[-window:]:
-        rec = e["rates"][label]
-        vals = rec.get("samples")
-        if isinstance(vals, list) and vals:
-            samples.extend(float(v) for v in vals)
-        elif rec.get("mean") is not None:
-            samples.append(float(rec["mean"]))
-    return samples
+    return [v for rounds in runs[-TRAILING_ENTRIES:] for v in rounds]
 
 
 # -- regression detection -----------------------------------------------------
 
 
 def detect_regressions(
-    current: Dict[str, Sequence[float]],
-    data: Dict[str, Any],
-    *,
-    hostname: Optional[str] = None,
-    window: int = 20,
-    exclude_last: bool = False,
-    rel_threshold: float = REL_DROP_THRESHOLD,
-    n_boot: int = 2000,
-    seed: int = 0,
+    current: Dict[str, Sequence[float]], data: Dict[str, Any], *, node: str
 ) -> Dict[str, Dict[str, Any]]:
-    """Per-label verdicts of today's samples against recent history.
+    """Per-label verdicts of ``current`` samples against the trajectory.
 
-    For each label a bootstrap CI on ``mean(current) − mean(history)``
-    is computed (:func:`~repro.analysis.stats.bootstrap_mean_diff`);
-    the label is a **regression** when the CI's high end is below zero
-    (the drop is statistically real) *and* the relative drop exceeds
-    ``rel_threshold`` (the drop is large enough to matter).  Labels
-    with fewer than :data:`MIN_TREND_HISTORY` historical samples report
-    ``"insufficient-history"`` and never flag.
+    With at least :data:`MIN_TREND_HISTORY` same-host (``node``)
+    samples, a bootstrap CI on ``mean(current) − mean(history)`` is
+    computed (:func:`~repro.analysis.stats.bootstrap_mean_diff`); the
+    label is a **regression** when the CI's high end is below zero (the
+    drop is statistically real) *and* the relative drop exceeds
+    :data:`REL_DROP_THRESHOLD` (the drop is large enough to matter).
+    Otherwise it is one when its mean is at or below the floor,
+    :data:`TREND_FLOOR_FRACTION` × the median of any host's trailing
+    samples, which rises as the code gets faster.  With fewer samples
+    than that from any host the verdict is ``"insufficient-history"``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out: Dict[str, Dict[str, Any]] = {}
     for label in sorted(current):
-        now_samples = [float(v) for v in current[label]]
-        past = history_samples(
-            data,
-            label,
-            hostname=hostname,
-            window=window,
-            exclude_last=exclude_last,
-        )
-        entry: Dict[str, Any] = {
-            "current_mean": (
-                float(np.mean(now_samples)) if now_samples else None
-            ),
-            "history_mean": float(np.mean(past)) if past else None,
+        now = [float(v) for v in current[label]]
+        now_mean = float(np.mean(now))
+        past = history_samples(data, label, node=node)
+        same_host = len(past) >= MIN_TREND_HISTORY
+        if not same_host:
+            past = history_samples(data, label)
+        hist_mean = float(np.mean(past)) if past else None
+        v: Dict[str, Any] = {
+            "current_mean": now_mean,
+            "history_mean": hist_mean,
             "history_n": len(past),
             "regression": False,
             "verdict": "ok",
         }
-        if len(past) < MIN_TREND_HISTORY or not now_samples:
-            entry["verdict"] = "insufficient-history"
-            out[label] = entry
+        out[label] = v
+        if len(past) < MIN_TREND_HISTORY:
+            v["verdict"] = "insufficient-history"
             continue
-        point, low, high = bootstrap_mean_diff(
-            now_samples, past, rng, n_boot=n_boot
-        )
-        hist_mean = float(np.mean(past))
-        rel = point / hist_mean if hist_mean else 0.0
-        entry.update(
-            {
-                "diff": point,
-                "ci_low": low,
-                "ci_high": high,
-                "rel_change": rel,
-            }
-        )
-        if high < 0.0 and rel < -rel_threshold:
-            entry["regression"] = True
-            entry["verdict"] = (
+        rel = v["rel_change"] = (now_mean - hist_mean) / hist_mean
+        if not same_host:
+            floor = v["floor"] = TREND_FLOOR_FRACTION * float(np.median(past))
+            v["regression"] = now_mean <= floor
+            v["verdict"] = (
+                f"regression: at or below the floor {floor:,.0f} (other hosts)"
+                if v["regression"]
+                else f"ok: {now_mean / floor:.2f}x the floor (other hosts)"
+            )
+            continue
+        point, low, high = bootstrap_mean_diff(now, past, rng)
+        v.update({"diff": point, "ci_low": low, "ci_high": high})
+        if high < 0.0 and rel < -REL_DROP_THRESHOLD:
+            v["regression"] = True
+            v["verdict"] = (
                 f"regression: {rel * 100:.1f}% vs trailing mean "
-                f"(CI [{low:,.0f}, {high:,.0f}] slots/s)"
+                f"(CI [{low:,.0f}, {high:,.0f}])"
             )
         elif high < 0.0:
-            entry["verdict"] = (
-                f"slower but within noise band ({rel * 100:.1f}%)"
-            )
-        out[label] = entry
+            v["verdict"] = f"slower but within noise band ({rel * 100:.1f}%)"
     return out
-
-
-def trend_floor(
-    data: Dict[str, Any],
-    label: str,
-    static_floor: float,
-    *,
-    hostname: Optional[str] = None,
-    window: int = 20,
-    fraction: float = TREND_FLOOR_FRACTION,
-) -> float:
-    """The throughput gate for ``label``: trend-aware when possible.
-
-    ``max(static_floor, fraction × median(recent same-host samples))``
-    once :data:`MIN_TREND_HISTORY` entries exist; the static floor
-    alone otherwise.  The floor therefore rises as the kernels get
-    faster, instead of staying 10× under day-one numbers forever.
-    """
-    past = history_samples(data, label, hostname=hostname, window=window)
-    if len(past) < MIN_TREND_HISTORY:
-        return float(static_floor)
-    return max(float(static_floor), fraction * float(np.median(past)))

@@ -19,6 +19,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--protocol", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["robustness", "--seeds", "0", "--protocols", "uniform"],
+            ["frontier", "--seeds", "0"],
+            ["compare", "--seeds", "0"],
+            ["compare", "--seeds", "-1"],
+            ["certify", "--seeds", "0", "--protocols", "uniform",
+             "--families", "jam"],
+            ["sweep", "--values", "4", "--seeds", "-2"],
+            ["simulate", "--seed", "-1"],
+            ["schedule", "--seed", "-1"],
+            ["stream", "--seed", "-1", "--max-jobs", "10"],
+            ["simulate", "--workload-seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_seed_flags_that_cannot_run_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_punctual_batch(self, capsys):

@@ -12,6 +12,7 @@ import socket
 import pytest
 
 from repro.cli import main
+from repro.errors import InvalidParameterError
 from repro.obs.ledger import RunLedger
 from repro.verify.report import CheckResult, Discrepancy, VerifyReport
 
@@ -104,10 +105,10 @@ def test_sweep_setup_failure_marks_heartbeat_and_stops_server(tmp_path):
     heartbeat as failed and closes its /metrics port."""
     hb = tmp_path / "sweep.heartbeat.json"
     port = _free_port()
-    with pytest.raises(ValueError, match="seeds must be >= 1"):
+    with pytest.raises(InvalidParameterError, match="p_jam must be in"):
         main([
             "sweep", "--protocol", "uniform", "--param", "n",
-            "--values", "2,4", "--window", "128", "--seeds", "0",
+            "--values", "2,4", "--window", "128", "--jam", "1.5",
             "--heartbeat", str(hb), "--metrics-port", str(port),
         ])
     assert json.loads(hb.read_text())["status"] == "failed"

@@ -1,13 +1,13 @@
 """The run ledger CLI: --ledger wiring, runs list/show/compare, perf, top."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.obs import perftrack
 from repro.obs.ledger import RunLedger
-from repro.obs.perftrack import append_history, load_bench
+from repro.obs.perftrack import load_bench
 from repro.obs.progress import Heartbeat, ProgressTracker
 
 
@@ -240,86 +240,145 @@ class TestRunsCommands:
         assert "wall_seconds" in diff
 
 
+BASELINE = Path(__file__).resolve().parents[1] / "bench" / "baseline"
+#: The throughput labels of one full baseline pass.
+LABELS = [
+    "campaign-cache/jobs_per_s",
+    "campaign-cache/warm_jobs_per_s",
+    "engine-grid/jobs_per_s",
+    "fastpath-batch/jobs_per_s",
+    "stream-jammed/jobs_per_s",
+]
+
+
 class TestPerfCommand:
+    """``repro perf`` over committed bench/run.py records (bench/baseline)."""
+
     @staticmethod
-    def _fake_smoke(samples):
-        def _measure(repeats=3):
-            return {k: list(v) for k, v in samples.items()}
+    def _records(tmp_path, run, *, scale=1.0, node=None):
+        """Copies of one baseline pass, throughput rounds scaled."""
+        out = tmp_path / run
+        out.mkdir(parents=True)
+        for src in sorted((BASELINE / run).glob("*.json")):
+            rec = json.loads(src.read_text())
+            for name in ("jobs_per_s", "warm_jobs_per_s"):
+                if name in rec["metrics"]:
+                    m = rec["metrics"][name]
+                    m["rounds"] = [v * scale for v in m["rounds"]]
+            if node is not None:
+                rec["host"]["node"] = node
+            (out / src.name).write_text(json.dumps(rec))
+        return sorted(str(p) for p in out.glob("*.json"))
 
-        return _measure
+    @pytest.fixture
+    def bench(self, tmp_path, capsys):
+        """A trajectory holding the first baseline pass (40 entries)."""
+        path = tmp_path / "bench.json"
+        assert main(["perf", "--bench", str(path), "--note", "run1",
+                     *self._records(tmp_path, "run1")]) == 0
+        capsys.readouterr()
+        return path
 
-    def test_perf_appends_history(self, tmp_path, monkeypatch, capsys):
-        bench = tmp_path / "bench.json"
-        monkeypatch.setattr(
-            perftrack, "measure_smoke",
-            self._fake_smoke({"kernel/uniform": [1000.0, 1001.0, 999.0]}),
-        )
-        rc = main(["perf", "--bench", str(bench), "--note", "first"])
+    def test_perf_appends_history(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        rc = main(["perf", "--bench", str(path), "--note", "first",
+                   *self._records(tmp_path, "run1")])
         out = capsys.readouterr().out
         assert rc == 0
         assert "perf trajectory" in out
-        assert "appended 1 history entry" in out
-        data = load_bench(bench)
-        assert len(data["history"]) == 1
-        assert data["history"][0]["note"] == "first"
-        assert data["history"][0]["env"]["hostname"]
+        assert out.count("insufficient-history") == len(LABELS)
+        assert "appended 40 history entries" in out
+        history = load_bench(path)["history"]
+        assert len(history) == 40
+        assert {e["note"] for e in history} == {"first"}
+        assert {e["host"]["node"] for e in history} == {"vm"}
 
-    def test_perf_flags_injected_regression(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The acceptance check: a synthetic throughput cliff exits 1."""
-        bench = tmp_path / "bench.json"
-        for i in range(4):  # same-host history via the real fingerprint
-            append_history(
-                {"kernel/uniform": [1000.0, 1005.0, 995.0]},
-                path=bench, now=float(i),
-            )
-        monkeypatch.setattr(
-            perftrack, "measure_smoke",
-            self._fake_smoke({"kernel/uniform": [600.0, 602.0, 598.0]}),
-        )
-        rc = main(["perf", "--bench", str(bench)])
+    def test_real_records_pass(self, bench, tmp_path, capsys):
+        rc = main(["perf", "--bench", str(bench),
+                   *self._records(tmp_path, "run2")])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "PERF REGRESSION" not in out
+        assert len(load_bench(bench)["history"]) == 80
+
+    def test_perf_flags_injected_regression(self, bench, tmp_path, capsys):
+        """The acceptance check: records 30% slower exit 1 on every label."""
+        rc = main(["perf", "--bench", str(bench),
+                   *self._records(tmp_path, "run2", scale=0.7)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "PERF REGRESSION: kernel/uniform" in out
-        # The bad measurement still lands in history (forensics).
-        assert len(load_bench(bench)["history"]) == 5
+        assert "PERF REGRESSION: " + ", ".join(LABELS) in out
+        # The slow records still land in the history (forensics).
+        assert len(load_bench(bench)["history"]) == 80
 
-    def test_no_gate_reports_but_passes(self, tmp_path, monkeypatch):
-        bench = tmp_path / "bench.json"
-        for i in range(4):
-            append_history(
-                {"x": [1000.0, 1005.0, 995.0]}, path=bench, now=float(i)
-            )
-        monkeypatch.setattr(
-            perftrack, "measure_smoke",
-            self._fake_smoke({"x": [600.0, 602.0, 598.0]}),
-        )
-        assert main(["perf", "--bench", str(bench), "--no-gate"]) == 0
-
-    def test_no_append_leaves_history_alone(self, tmp_path, monkeypatch):
-        bench = tmp_path / "bench.json"
-        append_history({"x": [1000.0]}, path=bench, now=1.0)
-        monkeypatch.setattr(
-            perftrack, "measure_smoke", self._fake_smoke({"x": [1000.0]})
-        )
-        assert main(["perf", "--bench", str(bench), "--no-append"]) == 0
-        assert len(load_bench(bench)["history"]) == 1
-
-    def test_perf_json(self, tmp_path, monkeypatch, capsys):
-        bench = tmp_path / "bench.json"
-        monkeypatch.setattr(
-            perftrack, "measure_smoke",
-            self._fake_smoke({"x": [500.0, 501.0]}),
-        )
-        rc = main(["perf", "--bench", str(bench), "--json"])
-        out = capsys.readouterr().out
+    def test_perf_json(self, bench, tmp_path, capsys):
+        rc = main(["perf", "--bench", str(bench), "--json",
+                   *self._records(tmp_path, "run2")])
+        result = json.loads(capsys.readouterr().out)
         assert rc == 0
-        data = json.loads(out)
-        assert data["appended"] is True
-        assert data["regressions"] == []
-        assert data["verdicts"]["x"]["verdict"] == "insufficient-history"
-        assert data["rates"]["x"] == [500.0, 501.0]
+        assert result["appended"] == 40
+        assert result["regressions"] == []
+        assert sorted(result["verdicts"]) == LABELS
+        for v in result["verdicts"].values():
+            assert v["history_n"] >= 50  # ten entries of >= 5 rounds
+            assert "ci_high" in v
+
+    def test_floor_on_another_host(self, bench, tmp_path, capsys):
+        rc = main(["perf", "--bench", str(bench), "--json",
+                   *self._records(tmp_path, "run2", node="ci-runner")])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert rc == 0
+        assert sorted(verdicts) == LABELS
+        for v in verdicts.values():
+            assert v["verdict"].startswith("ok: ")
+            assert v["current_mean"] > v["floor"]
+        rc = main(["perf", "--bench", str(bench), "--json",
+                   *self._records(tmp_path / "slow", "run2", scale=0.4,
+                                  node="ci-runner")])
+        result = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert result["regressions"] == LABELS
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("correct", False, "refusing to record it"),
+            ("host", {"node": "otherhost"}, "more than one host"),
+        ],
+        ids=["incorrect", "two hosts"],
+    )
+    def test_refused_records_append_nothing(
+        self, bench, tmp_path, key, value, message
+    ):
+        paths = self._records(tmp_path, "run2")
+        rec = json.loads(Path(paths[-1]).read_text())
+        rec[key] = value
+        Path(paths[-1]).write_text(json.dumps(rec))
+        before = bench.read_bytes()
+        with pytest.raises(SystemExit, match=message):
+            main(["perf", "--bench", str(bench), *paths])
+        assert bench.read_bytes() == before
+
+    def test_malformed_trajectory_left_untouched(self, bench, tmp_path):
+        conflicted = bench.read_bytes() + b"<<<<<<< HEAD\n"
+        bench.write_bytes(conflicted)
+        with pytest.raises(SystemExit, match="bench.json"):
+            main(["perf", "--bench", str(bench),
+                  *self._records(tmp_path, "run2")])
+        assert bench.read_bytes() == conflicted
+
+    def test_traced_records_are_stored_not_gated(
+        self, bench, tmp_path, capsys
+    ):
+        traced = sorted(str(p) for p in (BASELINE / "trace").glob("*.json"))
+        rc = main(["perf", "--bench", str(bench), "--json", *traced])
+        result = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert result["verdicts"] == {}
+        assert result["appended"] == 4
+        stored = load_bench(bench)["history"][-4:]
+        assert all(e["trace"] for e in stored)
+        assert all("engine.simulate_s" in e["metrics"] for e in stored)
 
 
 class TestTopCommand:
