@@ -69,13 +69,14 @@ import contextlib
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro import registry
 from repro.adversary import FAMILIES, check_family, fault_plan
 from repro.analysis.tables import format_table
+from repro.campaign.spec import GridProtocol, GridWorkload
 from repro.channel.jamming import NoJammer, StochasticJammer
 from repro.errors import InvalidParameterError
 from repro.params import AlignedParams
@@ -86,21 +87,27 @@ from repro.sim.instance import Instance
 __all__ = ["main", "build_parser"]
 
 
+def _knobs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The flags that say which run this is: the workload and its knobs.
+
+    The one allow-list between the command line and the library: every
+    registry call and builder in this module reads this dict.  Any other
+    flag (seed counts, workers, ladders, caches, sinks) changes how runs
+    execute or what is printed, never which run one is, so it never
+    reaches a cache key.
+    """
+    knobs = {key: getattr(args, key) for key in registry.KNOB_DEFAULTS}
+    knobs["workload"] = args.workload
+    return knobs
+
+
 def _build_workload(args: argparse.Namespace) -> Instance:
     # Name → builder dispatch lives in repro.registry so the campaign
     # layer and the CLI resolve identical workloads from one name.
     try:
-        return registry.build_workload(vars(args))
+        return registry.build_workload(_knobs(args))
     except InvalidParameterError as exc:
         raise SystemExit(str(exc))
-
-
-def _aligned_params(args: argparse.Namespace) -> AlignedParams:
-    return registry.aligned_params(vars(args))
-
-
-def _protocol_factories(args, instance: Instance) -> Dict[str, Callable]:
-    return registry.protocol_factories(vars(args), instance)
 
 
 def _jammer(args):
@@ -164,8 +171,7 @@ class _Observed:
     telemetry: Any = None  # Telemetry collector (--telemetry)
     tracker: Any = None  # heartbeat ProgressTracker (--heartbeat)
     server: Any = None  # MetricsServer (--metrics-port)
-    ledger: Any = None  # RunLedger (--ledger)
-    record: Any = None  # the command's own ledger record (``record=``)
+    record: Any = None  # the command's ledger record (--ledger, ``record=``)
 
 
 @contextlib.contextmanager
@@ -206,11 +212,6 @@ def _observed(
                 args.heartbeat, every_seconds=args.heartbeat_every
             ),
         )
-    ledger = getattr(args, "ledger", "")
-    if ledger:
-        from repro.obs.ledger import RunLedger
-
-        obs.ledger = RunLedger() if ledger == "default" else RunLedger(ledger)
     with contextlib.ExitStack() as stack:
         if obs.tracker is not None:
             stack.push(
@@ -218,10 +219,12 @@ def _observed(
                     "done" if exc_type is None else "failed"
                 )
             )
-        if record is not None and obs.ledger is not None:
-            obs.record = stack.enter_context(
-                obs.ledger.track(command, config=record)
-            )
+        ledger = getattr(args, "ledger", "")
+        if record is not None and ledger:
+            from repro.obs.ledger import RunLedger
+
+            led = RunLedger() if ledger == "default" else RunLedger(ledger)
+            obs.record = stack.enter_context(led.track(command, config=record))
         if getattr(args, "metrics_port", 0) > 0:
             from repro.obs import MetricsRegistry, MetricsServer
 
@@ -246,10 +249,10 @@ def _observed(
 
 
 def _checked_factories(
-    args: argparse.Namespace, instance: Instance, names: list[str]
+    args: argparse.Namespace, instance: Instance, names: Iterable[str]
 ) -> Dict[str, Callable]:
     """The protocol factories for ``instance``; exits when a name is missing."""
-    factories = _protocol_factories(args, instance)
+    factories = registry.protocol_factories(_knobs(args), instance)
     for name in names:
         if name not in factories:
             raise SystemExit(
@@ -259,90 +262,63 @@ def _checked_factories(
     return factories
 
 
-# -- picklable sweep/compare plumbing ---------------------------------------
+# -- picklable builders -----------------------------------------------------
 #
-# Multi-process runs ship the builders to worker processes, so they must
-# be module-level callables bound with functools.partial (closures over
-# ``args`` would not pickle).  The argparse namespace travels as a plain
-# dict of its (picklable) values.
+# Multi-process runs ship their builders to worker processes, and result
+# cache keys digest the protocol builder, so every builder below is a
+# module-level callable over _knobs alone (closures over ``args`` would
+# neither pickle nor keep other flags out of the keys).
 
 
-def _args_state(args: argparse.Namespace) -> Dict[str, Any]:
-    # "telemetry" is observational and must not perturb cache keys
-    # (the state dict is digested into run_key via the build/protocol
-    # partials), so it never enters the state.  "fastpath" routes
-    # execution without changing engine-path results, and the kernel
-    # path namespaces its own keys — folding it here would needlessly
-    # split the engine cache address space.  The ledger / heartbeat /
-    # metrics knobs are observational for the same reason: attaching
-    # them must keep every cache and checkpoint key byte-identical.
-    return {
-        k: v
-        for k, v in vars(args).items()
-        if k
-        not in (
-            "func",
-            "telemetry",
-            "fastpath",
-            "ledger",
-            "heartbeat",
-            "heartbeat_every",
-            "metrics_port",
-            "json",
-        )
-    }
+def _sweep_point(knobs: Dict[str, Any], **params: Any) -> Instance:
+    """One sweep point's workload: the run's knobs with ``params`` set."""
+    return registry.build_workload({**knobs, **params})
 
 
-def _build_workload_from_state(state: Dict[str, Any], **params: Any) -> Instance:
-    ns = argparse.Namespace(**state)
-    for key, value in params.items():
-        setattr(ns, key.replace("-", "_"), value)
-    return _build_workload(ns)
+def _protocol(args: argparse.Namespace, name: str) -> GridProtocol:
+    """The picklable registry builder of one named protocol."""
+    return GridProtocol(name=name, items=tuple(sorted(_knobs(args).items())))
 
 
-def _protocol_from_state(state: Dict[str, Any], name: str, instance: Instance):
-    return _protocol_factories(argparse.Namespace(**state), instance)[name]
+def _protocol_grid(
+    args: argparse.Namespace, names: Optional[Iterable[str]] = None
+) -> Tuple[GridWorkload, Dict[str, GridProtocol]]:
+    """The run's workload and named protocols as picklable builders.
 
-
-def _protocol_grid(args: argparse.Namespace):
-    """``--protocols`` as picklable builders: ``(build, {name: protocol})``.
-
-    Exits when a named protocol is unavailable for the workload.
+    ``names`` (blank entries dropped) defaults to every protocol the
+    workload admits; a name it does not admit exits with the choices.
     """
-    names = [n.strip() for n in args.protocols.split(",") if n.strip()]
-    _checked_factories(args, _build_workload(args), names)
-    state = _args_state(args)
-    return functools.partial(_build_workload_from_state, state), {
-        name: functools.partial(_protocol_from_state, state, name)
-        for name in names
+    if names is not None:
+        names = [n.strip() for n in names if n.strip()]
+    factories = _checked_factories(args, _build_workload(args), names or ())
+    items = tuple(sorted(_knobs(args).items()))
+    return GridWorkload(items=items), {
+        name: GridProtocol(name=name, items=items)
+        for name in (sorted(factories) if names is None else names)
     }
 
 
 class _StreamProtocol:
     """A picklable per-job protocol factory for sharded streaming runs.
 
-    Resolves the named factory lazily in each worker process from the
-    argparse state dict (closures over ``args`` would not pickle); the
-    resolved factory is cached per process, not shipped.
+    Resolves its :class:`GridProtocol` once per process, against the
+    empty instance (a streamable protocol needs none); the resolved
+    factory is cached, not shipped.
     """
 
-    def __init__(self, state: Dict[str, Any], name: str) -> None:
-        self.state = state
-        self.name = name
+    def __init__(self, protocol: GridProtocol) -> None:
+        self.protocol = protocol
         self._factory: Optional[Callable] = None
 
-    def __getstate__(self):
-        return (self.state, self.name)
+    def __getstate__(self) -> GridProtocol:
+        return self.protocol
 
-    def __setstate__(self, state) -> None:
-        self.state, self.name = state
-        self._factory = None
+    def __setstate__(self, protocol: GridProtocol) -> None:
+        self.protocol, self._factory = protocol, None
 
     def __call__(self, job, rng):
         if self._factory is None:
-            self._factory = _protocol_factories(
-                argparse.Namespace(**self.state), Instance(())
-            )[self.name]
+            self._factory = self.protocol(Instance(()))
         return self._factory(job, rng)
 
 
@@ -480,21 +456,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         token = token.strip()
         values.append(float(token) if "." in token else int(token))
 
-    with _observed(args, "sweep", total=len(values)) as obs:
-        state = _args_state(args)
+    config = {
+        "kind": "sweep",
+        "workload": args.workload,
+        "protocol": args.protocol,
+        "param": args.param,
+        "values": values,
+        "seeds": args.seeds,
+        "jam": args.jam,
+        "processes": args.processes,
+        "fastpath": args.fastpath,
+    }
+    with _observed(args, "sweep", total=len(values), record=config) as obs:
+        knobs, trk = _knobs(args), obs.record
+        if trk is not None:
+            trk.digest((knobs, config))
         sweep = Sweep(
-            build=functools.partial(_build_workload_from_state, state),
-            protocol=functools.partial(
-                _protocol_from_state, state, args.protocol
-            ),
+            build=functools.partial(_sweep_point, knobs),
+            protocol=_protocol(args, args.protocol),
             seeds=args.seeds,
             jammer=_jammer(args) if args.jam > 0 else None,
             processes=args.processes,
             cache=_cache_knob(args),
             telemetry=obs.telemetry,
-            fastpath=getattr(args, "fastpath", "off"),
+            fastpath=args.fastpath,
             progress=obs.tracker,
-            ledger=obs.ledger,
         )
         points = sweep.run({args.param: values})
         print(
@@ -506,38 +492,61 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ),
             )
         )
+        if trk is not None:
+            trk.counters.update(
+                points=len(points),
+                runs=sum(p.n_runs for p in points),
+                jobs=sum(p.n_jobs * p.n_runs for p in points),
+                succeeded=sum(p.n_succeeded for p in points),
+            )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments import aggregate, run_seeds
 
-    with _observed(args, "compare") as obs:
-        instance = _build_workload(args)
-        factories = _protocol_factories(args, instance)
-        state = _args_state(args)
-        build = functools.partial(_build_workload_from_state, state)
-        rows = []
-        for name in sorted(factories):
+    config = {
+        "kind": "compare",
+        "workload": args.workload,
+        "seeds": args.seeds,
+        "jam": args.jam,
+        "processes": args.processes,
+    }
+    with _observed(args, "compare", record=config) as obs:
+        trk = obs.record
+        if trk is not None:
+            trk.digest((_knobs(args), config))
+        workload, protocols = _protocol_grid(args)
+        aggs = {}
+        for name, protocol in protocols.items():
             digests = run_seeds(
-                build,
-                functools.partial(_protocol_from_state, state, name),
+                workload,
+                protocol,
                 seeds=range(args.seeds),
                 jammer=_jammer(args),
                 processes=args.processes,
                 cache=_cache_knob(args),
                 telemetry=obs.telemetry,
-                ledger=obs.ledger,
             )
-            agg = aggregate(digests)
-            rows.append([name, 1.0 - agg["success_rate"], agg["jobs"]])
+            aggs[name] = aggregate(digests)
         print(
             format_table(
                 ["protocol", "miss rate", "jobs x seeds"],
-                rows,
-                title=f"workload: {instance.summary()}",
+                [
+                    [name, 1.0 - agg["success_rate"], agg["jobs"]]
+                    for name, agg in aggs.items()
+                ],
+                title=f"workload: {workload().summary()}",
             )
         )
+        if trk is not None:
+            jobs = sum(agg["jobs"] for agg in aggs.values())
+            ok = sum(agg["succeeded"] for agg in aggs.values())
+            trk.counters.update(
+                jobs=jobs, succeeded=ok, success_rate=ok / jobs if jobs else 1.0
+            )
+            for name, agg in aggs.items():
+                trk.counters[f"success_rate.{name}"] = agg["success_rate"]
     return 0
 
 
@@ -558,7 +567,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         args.seeds = 3
 
     with _observed(args, "robustness") as obs:
-        build, protocols = _protocol_grid(args)
+        build, protocols = _protocol_grid(args, args.protocols.split(","))
         families = _families(args)
         severities = [float(tok) for tok in args.severities.split(",")]
         report = run_robustness(
@@ -609,8 +618,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
         args.seeds = 12
         args.tol = 0.05
 
-    with _observed(args, "certify") as obs:
-        build, protocols = _protocol_grid(args)
+    config = {
+        "kind": "certify",
+        "workload": args.workload,
+        "protocols": args.protocols,
+        "families": args.families,
+        "seeds": args.seeds,
+        "target": args.target,
+        "tol": args.tol,
+        "processes": args.processes,
+        "fastpath": args.fastpath,
+    }
+    with _observed(args, "certify", record=config) as obs:
+        trk = obs.record
+        if trk is not None:
+            trk.digest((_knobs(args), config))
+        build, protocols = _protocol_grid(args, args.protocols.split(","))
         families = _families(args)
         probe_cb = None
         if obs.tracker is not None:
@@ -632,11 +655,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
             cache=_cache_knob(args),
             retries=args.retries,
             telemetry=obs.telemetry,
-            fastpath=getattr(args, "fastpath", "off"),
+            fastpath=args.fastpath,
             progress=probe_cb,
-            ledger=obs.ledger,
         )
         print(report.render())
+        if trk is not None:
+            trk.counters.update(
+                cells=len(report.points),
+                probes=sum(len(p.estimates) for p in report.points),
+                broken_cells=sum(
+                    p.threshold is not None for p in report.points
+                ),
+            )
         if args.artifact:
             n = report.to_jsonl(args.artifact)
             print(f"\nwrote {n} breaking-point records to {args.artifact}")
@@ -681,7 +711,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     from repro.experiments.frontier import run_frontier
 
     with _observed(args, "frontier") as obs:
-        build, protocols = _protocol_grid(args)
+        build, protocols = _protocol_grid(args, args.protocols.split(","))
         try:
             budgets = [
                 float(tok) for tok in args.budgets.split(",") if tok.strip()
@@ -887,11 +917,12 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     print(f"tightest feasible γ: {report.density:.6f}")
     feasible = report.density <= args.gamma + 1e-12
     print(f"γ-slack feasible at γ={args.gamma}: {'yes' if feasible else 'NO'}")
+    knobs = _knobs(args)
     cert = certify(
         instance,
         gamma=args.gamma,
-        aligned=_aligned_params(args) if instance.is_aligned else None,
-        punctual=registry.punctual_params(vars(args)),
+        aligned=registry.aligned_params(knobs) if instance.is_aligned else None,
+        punctual=registry.punctual_params(knobs),
     )
     print()
     print(cert.render())
@@ -1282,7 +1313,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             jammer = None
         budget = _stream_budget(args)
         watchdog = _stream_watchdog(args)
-        factory = _StreamProtocol(_args_state(args), args.protocol)
+        factory = _StreamProtocol(_protocol(args, args.protocol))
 
         checkpoint = None
         if args.checkpoint:

@@ -68,7 +68,6 @@ from repro.experiments.robustness import JAM_THRESHOLD
 from repro.sim.watchdog import Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.ledger import RunLedger
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -356,7 +355,6 @@ def run_certification(
     progress: Optional[Callable[[str, str, float], None]] = None,
     telemetry: Optional["Telemetry"] = None,
     fastpath: str = "off",
-    ledger: Union[None, bool, str, "RunLedger"] = None,
 ) -> CertificationReport:
     """Bisect the breaking point of every ``protocol x family`` cell.
 
@@ -392,74 +390,7 @@ def run_certification(
     Remaining knobs pass through to :func:`run_seeds` per probe.  Each
     probed severity is one ``run_seeds`` call, so with a warm cache a
     re-certification performs zero simulations.
-
-    ``ledger`` (see :func:`repro.obs.ledger.as_ledger`) appends one
-    record for the whole certification — cell and probe counts, the
-    configuration digest, wall time; the inner ``run_seeds`` probes do
-    not record their own entries.
     """
-    if ledger is not None:
-        from repro.obs.ledger import as_ledger
-
-        led = as_ledger(ledger)
-        if led is not None:
-            config = {
-                "kind": "certify",
-                "protocols": sorted(protocols),
-                "families": sorted(
-                    ADVERSARY_FAMILIES if families is None else families
-                ),
-                "seeds": seeds,
-                "seed_base": seed_base,
-                "target": target,
-                "tol": tol,
-                "fastpath": fastpath,
-            }
-            with led.track("certify", config=config) as trk:
-                trk.digest(
-                    (
-                        "certify",
-                        build,
-                        tuple(sorted(protocols)),
-                        tuple(config["families"]),
-                        seeds,
-                        seed_base,
-                        target,
-                        tol,
-                        fastpath,
-                    )
-                )
-                report = run_certification(
-                    build,
-                    protocols,
-                    families=families,
-                    seeds=seeds,
-                    seed_base=seed_base,
-                    target=target,
-                    tol=tol,
-                    check_invariants=check_invariants,
-                    watchdog=watchdog,
-                    processes=processes,
-                    cache=cache,
-                    retries=retries,
-                    progress=progress,
-                    telemetry=telemetry,
-                    fastpath=fastpath,
-                    ledger=None,
-                )
-                trk.counters = {
-                    "cells": len(report.points),
-                    "probes": sum(
-                        len(p.estimates) for p in report.points
-                    ),
-                    "broken_cells": sum(
-                        1
-                        for p in report.points
-                        if p.threshold == p.threshold  # non-NaN
-                    ),
-                }
-            return report
-
     chosen = list(ADVERSARY_FAMILIES if families is None else families)
     for f in chosen:
         check_family(f)

@@ -62,7 +62,6 @@ from repro.sim.watchdog import REASON_WALL, Watchdog
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fastpath.batched import FastpathPlan
     from repro.faults import FaultPlan
-    from repro.obs.ledger import RunLedger
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -121,21 +120,11 @@ class SeedExecutionError(ReproError):
 
 
 def _protocol_label(protocol: FactoryBuilder) -> str:
-    """A short human-readable name for a protocol builder.
-
-    A ``functools.partial`` is named by its function and its scalar
-    positional arguments: its ``repr`` carries a memory address, which
-    would make the label differ between processes.
-    """
+    """A short human-readable name for a protocol builder."""
     name = getattr(protocol, "__qualname__", None)
     if name:
         module = getattr(protocol, "__module__", "")
         return f"{module}.{name}" if module else name
-    if isinstance(protocol, functools.partial):
-        scalars = [
-            repr(a) for a in protocol.args if isinstance(a, (str, int, float))
-        ]
-        return f"{_protocol_label(protocol.func)}({', '.join(scalars)})"
     return repr(protocol)
 
 
@@ -289,7 +278,6 @@ def run_seeds(
     retry_backoff: float = 0.25,
     telemetry: Optional["Telemetry"] = None,
     fastpath: str = "off",
-    ledger: Union[None, bool, str, "RunLedger"] = None,
 ) -> List[SeedDigest]:
     """Run every seed, optionally across a process pool and a cache.
 
@@ -359,82 +347,11 @@ def run_seeds(
         and statistically equivalent for ALIGNED/PUNCTUAL; their cache
         keys live in a separate ``("fastpath", ...)`` namespace, so the
         default keeps every engine-path cache address unchanged.
-    ledger:
-        Optional run-ledger knob (see :func:`repro.obs.ledger.as_ledger`).
-        When set, one :class:`~repro.obs.ledger.RunRecord` is appended
-        per ``run_seeds`` call — config digest, versions, aggregate
-        counters, wall time — covering both the engine and fastpath
-        execution paths.  ``None`` (the default) costs a single ``is
-        None`` branch and never imports the ledger module; attaching a
-        ledger never changes results or cache keys.
     """
     if fastpath not in ("off", "auto", "on"):
         raise ValueError(
             f"fastpath must be 'off', 'auto', or 'on', got {fastpath!r}"
         )
-    if ledger is not None:
-        # Record-and-delegate: the ledger wrap re-enters with
-        # ``ledger=None`` so one call appends exactly one record, no
-        # matter which execution path (engine, fastpath, cache-served)
-        # the inner call takes.
-        from repro.obs.ledger import as_ledger
-
-        led = as_ledger(ledger)
-        if led is not None:
-            seeds = list(seeds)
-            config = {
-                "kind": "run_seeds",
-                "protocol": _protocol_label(protocol),
-                "seeds": len(seeds),
-                "processes": processes,
-                "fastpath": fastpath,
-                "jammer": repr(jammer) if jammer is not None else None,
-                "faults": repr(faults) if faults is not None else None,
-            }
-            with led.track("run_seeds", config=config) as trk:
-                if fastpath != "off":
-                    from repro.fastpath.batched import KERNEL_VERSION
-
-                    trk.kernel_version = KERNEL_VERSION
-                # The builder itself, not its label: the label leaves out
-                # bound state such as a partial's protocol parameters.
-                try:
-                    trk.digest(
-                        (build(), protocol, jammer, faults, watchdog, fastpath)
-                    )
-                except Exception:
-                    pass  # an unbuildable instance fails below, attributed
-                digests = run_seeds(
-                    build,
-                    protocol,
-                    seeds,
-                    jammer=jammer,
-                    faults=faults,
-                    check_invariants=check_invariants,
-                    watchdog=watchdog,
-                    processes=processes,
-                    cache=cache,
-                    progress=progress,
-                    chunksize=chunksize,
-                    retries=retries,
-                    retry_backoff=retry_backoff,
-                    telemetry=telemetry,
-                    fastpath=fastpath,
-                    ledger=None,
-                )
-                agg = aggregate(digests)
-                trk.counters = {
-                    k: agg[k]
-                    for k in (
-                        "runs",
-                        "jobs",
-                        "succeeded",
-                        "success_rate",
-                        "slots",
-                    )
-                }
-                trk.watchdog_trips = int(agg["watchdog_trips"])
-            return digests
     # Imported lazily: repro.fastpath.fullproto imports SeedDigest from
     # this module.
     from repro.fastpath import batched

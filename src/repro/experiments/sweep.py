@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -59,7 +58,6 @@ from repro.sim.instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultPlan
-    from repro.obs.ledger import RunLedger
     from repro.obs.telemetry import Telemetry
 
 __all__ = ["SweepPoint", "Sweep"]
@@ -141,12 +139,6 @@ class Sweep:
         invoked after every grid point —
         drop a :class:`repro.obs.progress.ProgressTracker` in for live
         rate/ETA heartbeats.  Purely observational.
-    ledger:
-        Optional run-ledger knob (see
-        :func:`repro.obs.ledger.as_ledger`).  One record is appended
-        per :meth:`run` call summarizing the whole grid; the inner
-        ``run_seeds`` calls do *not* record their own entries (one
-        invocation, one line).  ``None`` costs one ``is None`` branch.
     """
 
     def __init__(
@@ -165,7 +157,6 @@ class Sweep:
         telemetry: Optional["Telemetry"] = None,
         fastpath: str = "off",
         progress: Optional[Callable[[int, int], None]] = None,
-        ledger: Union[None, bool, str, Path, "RunLedger"] = None,
     ) -> None:
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
@@ -182,7 +173,6 @@ class Sweep:
         self.telemetry = telemetry
         self.fastpath = fastpath
         self.progress = progress
-        self.ledger = ledger
 
     def run_point(self, **params: Any) -> SweepPoint:
         """Run one grid point; aggregates across seeds."""
@@ -234,48 +224,6 @@ class Sweep:
 
     def run(self, grid: Mapping[str, Iterable[Any]]) -> List[SweepPoint]:
         """Run the full cartesian grid, in deterministic order."""
-        if self.ledger is None:
-            return self._run_grid(grid)
-        from repro.obs.ledger import as_ledger
-
-        led = as_ledger(self.ledger)
-        if led is None:
-            return self._run_grid(grid)
-        grid = {k: list(v) for k, v in grid.items()}
-        config = {
-            "kind": "sweep",
-            "grid": {k: [repr(x) for x in v] for k, v in grid.items()},
-            "seeds": self.seeds,
-            "seed_base": self.seed_base,
-            "processes": self.processes,
-            "fastpath": self.fastpath,
-            "jammer": repr(self.jammer) if self.jammer is not None else None,
-            "faults": repr(self.faults) if self.faults is not None else None,
-        }
-        with led.track("sweep", config=config) as trk:
-            trk.digest(
-                (
-                    "sweep",
-                    self.build,
-                    self.protocol,
-                    self.seeds,
-                    self.seed_base,
-                    self.jammer,
-                    self.faults,
-                    self.fastpath,
-                    tuple(sorted((k, tuple(v)) for k, v in grid.items())),
-                )
-            )
-            points = self._run_grid(grid)
-            trk.counters = {
-                "points": len(points),
-                "runs": sum(p.n_runs for p in points),
-                "jobs": sum(p.n_jobs * p.n_runs for p in points),
-                "succeeded": sum(p.n_succeeded for p in points),
-            }
-        return points
-
-    def _run_grid(self, grid: Mapping[str, Iterable[Any]]) -> List[SweepPoint]:
         keys = list(grid)
         values = [list(grid[k]) for k in keys]
         total = 1

@@ -31,7 +31,6 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA,
     RunLedger,
     RunRecord,
-    as_ledger,
     compare_runs,
     default_ledger_path,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Telemetry",
     "TelemetryArtifact",
     "Timer",
-    "as_ledger",
     "compare_runs",
     "default_ledger_path",
     "family_of",

@@ -1,10 +1,13 @@
 """The run ledger: a persistent, append-only index of every run.
 
 PR 3's telemetry is excellent *inside* one run; the ledger is the
-cross-run memory.  Every top-level invocation — ``run_seeds``, a
-``Sweep``, a certification, a streaming run, a verification battery, a
-plain ``simulate`` from the CLI — can append one :class:`RunRecord` to
-a JSONL ledger file, carrying:
+cross-run memory.  A record describes one whole command, so commands
+write them, not the library they call: with ``--ledger``, each of
+``repro simulate``, ``sweep``, ``compare``, ``certify``, ``stream`` and
+``verify`` appends exactly one :class:`RunRecord` to a JSONL ledger
+file (through ``_observed`` in :mod:`repro.cli`), and a campaign with a
+``ledger:`` path appends one per executed cell plus one summary.  Each
+record carries:
 
 * a short random ``run_id`` plus wall-clock start / duration;
 * the configuration (a human-readable dict *and* its
@@ -19,15 +22,15 @@ Durability contract (the JSONL half of :mod:`repro.durable`):
 
 * **Appends are a single atomic write.**  One record is one
   ``os.write`` on an ``O_APPEND`` descriptor, so concurrent appenders
-  (``run_seeds`` worker processes, parallel sweeps sharing one ledger)
-  interleave whole lines, never fragments.
+  (campaign workers, parallel commands sharing one ledger) interleave
+  whole lines, never fragments.
 * **Torn tails never poison the index.**  A crash mid-write can leave
   a partial final line; :meth:`RunLedger.read` skips any line that does
   not parse, and the next append heals a missing trailing newline
   before writing its own record.
-* **The clean path costs nothing.**  Nothing in the simulation stack
-  imports this module unless a ledger is attached; ``ledger=None``
-  (the default everywhere) takes a single ``is None`` branch.
+* **The clean path costs nothing.**  Nothing in the simulation or
+  experiment stack imports this module; a command, or a campaign with a
+  ``ledger:`` path, imports it only to write a record.
 
 ``repro runs list|show|compare`` is the CLI over this file (see
 :mod:`repro.cli`); :func:`compare_runs` computes the config/metric
@@ -51,7 +54,6 @@ __all__ = [
     "RunLedger",
     "RunRecord",
     "append_jsonl_atomic",
-    "as_ledger",
     "compare_runs",
     "default_ledger_path",
     "new_run_id",
@@ -261,24 +263,6 @@ class RunLedger:
 
     def __len__(self) -> int:
         return len(self.read())
-
-
-def as_ledger(
-    knob: Union[None, bool, str, Path, RunLedger],
-) -> Optional[RunLedger]:
-    """Map the ``ledger=`` knob onto a :class:`RunLedger` (or None).
-
-    Mirrors :func:`repro.cache.as_cache`: ``None``/``False`` disables,
-    ``True`` uses :func:`default_ledger_path`, a path selects an
-    explicit file, an existing ledger passes through.
-    """
-    if knob is None or knob is False:
-        return None
-    if knob is True:
-        return RunLedger()
-    if isinstance(knob, RunLedger):
-        return knob
-    return RunLedger(knob)
 
 
 # -- comparing two runs ------------------------------------------------------

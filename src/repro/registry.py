@@ -81,7 +81,7 @@ WORKLOADS: Tuple[str, ...] = (
 )
 
 #: Protocol names resolvable by :func:`protocol_factory` (``aligned``
-#: only on aligned instances).
+#: only on aligned instances with no job class below ``min_level``).
 PROTOCOLS: Tuple[str, ...] = (
     "punctual",
     "aligned",
@@ -173,7 +173,12 @@ def punctual_params(params: Mapping[str, Any]) -> PunctualParams:
 def protocol_factories(
     params: Mapping[str, Any], instance: Instance
 ) -> Dict[str, Callable]:
-    """Every protocol factory these knobs admit for ``instance``."""
+    """Every protocol factory these knobs admit for ``instance``.
+
+    ``aligned`` needs an aligned instance whose job classes are all at
+    least the knobs' ``min_level``.
+    """
+    aligned = aligned_params(params)
     factories: Dict[str, Callable] = {
         "punctual": punctual_factory(punctual_params(params)),
         "uniform": uniform_factory(),
@@ -181,14 +186,19 @@ def protocol_factories(
         "sawtooth": sawtooth_factory(),
         "aloha": window_scaled_aloha_factory(8.0),
         "urgency": urgency_aloha_factory(2.0),
-        "trimmed": trimmed_aligned_factory(aligned_params(params)),
+        "trimmed": trimmed_aligned_factory(aligned),
         "edf": edf_factory(instance),
         "soft": softened_factory(),
         "slowfb": slowfeedback_factory(),
         "nocd": nocd_factory(),
     }
-    if instance.is_aligned:
-        factories["aligned"] = aligned_factory(aligned_params(params))
+    # ALIGNED's schedule has no slots below min_level: offer it only when
+    # every job's class reaches it (the rule plan_fastpath applies too).
+    # Aligned windows are powers of two, so the smallest one decides.
+    if instance.is_aligned and (
+        not len(instance) or instance.min_window >= 1 << aligned.min_level
+    ):
+        factories["aligned"] = aligned_factory(aligned)
     return factories
 
 
@@ -199,7 +209,7 @@ def protocol_factory(
 
     Raises :class:`~repro.errors.InvalidParameterError` when the name is
     unknown or unavailable for this workload (``aligned`` on an
-    unaligned instance).
+    unaligned instance, or with a job class below ``min_level``).
     """
     factories = protocol_factories(params, instance)
     if name not in factories:

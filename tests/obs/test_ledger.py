@@ -10,7 +10,6 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA,
     RunLedger,
     RunRecord,
-    as_ledger,
     compare_runs,
     default_ledger_path,
     new_run_id,
@@ -162,14 +161,6 @@ class TestFind:
 
 
 class TestKnob:
-    def test_as_ledger_semantics(self, tmp_path):
-        assert as_ledger(None) is None
-        assert as_ledger(False) is None
-        led = RunLedger(tmp_path / "x.jsonl")
-        assert as_ledger(led) is led
-        assert as_ledger(str(tmp_path / "y.jsonl")).path.name == "y.jsonl"
-        assert as_ledger(True).path == default_ledger_path()
-
     def test_env_var_names_default_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "env.jsonl"))
         assert default_ledger_path() == tmp_path / "env.jsonl"

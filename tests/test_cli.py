@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import read_artifact
 
 
 class TestParser:
@@ -83,6 +84,29 @@ class TestSimulate:
                     "--protocol", "aligned",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ["--workload", "batch", "--n", "4", "--window", "256"],
+            ["--workload", "single-class", "--n", "4", "--level", "8"],
+            ["--workload", "single-class", "--n", "4", "--level", "10",
+             "--min-level", "11"],
+        ],
+        ids=["batch-class-8", "single-class-8", "min-level-11"],
+    )
+    def test_aligned_unavailable_below_min_level(self, workload, capsys):
+        """ALIGNED's schedule has no slot for a job class below
+        ``--min-level``: simulate refuses it by name, compare drops it."""
+        with pytest.raises(SystemExit, match="'aligned' unavailable"):
+            main(["simulate", "--protocol", "aligned", *workload])
+        assert main(["compare", "--seeds", "1", *workload]) == 0
+        rows = [
+            line.split("|")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        ]
+        assert "uniform" in rows and "aligned" not in rows
 
     def test_require_success_exit_code(self):
         # saturated ALOHA at tight deadlines cannot reach 100%
@@ -448,6 +472,30 @@ class TestRobustness:
         out = capsys.readouterr().out
         assert rc == 0
         assert "fault family: rate" in out
+
+    def test_new_rung_is_served_the_cached_seeds(self, tmp_path):
+        """Only the workload knobs key a run: a three-rung ladder on two
+        workers is served every seed the two-rung ladder cached."""
+        argv = [
+            "robustness",
+            "--workload", "single-class",
+            "--n", "10",
+            "--level", "9",
+            "--protocols", "aligned,uniform",
+            "--families", "rate",
+            "--seeds", "3",
+            "--cache", str(tmp_path / "cache"),
+        ]
+        assert main(argv + ["--severities", "0,0.5"]) == 0
+        tele = tmp_path / "rerun.jsonl"
+        assert main(
+            argv
+            + ["--severities", "0,0.25,0.5", "--processes", "2",
+               "--telemetry", str(tele)]
+        ) == 0
+        art = read_artifact(tele)
+        assert art.counter_value("cache.hits") == 12  # 2 rungs x 2 x 3
+        assert art.counter_value("cache.misses") == 6  # the new rung
 
 
 class TestCertify:

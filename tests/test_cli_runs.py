@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.cli import main
+from repro.errors import InvalidParameterError
 from repro.obs.ledger import RunLedger
 from repro.obs.perftrack import load_bench
 from repro.obs.progress import Heartbeat, ProgressTracker
@@ -62,13 +64,80 @@ def ledger_path(tmp_path_factory):
 class TestLedgerWiring:
     def test_every_entry_point_recorded(self, ledger_path):
         records = RunLedger(ledger_path).read()
-        kinds = {r.kind for r in records}
-        assert kinds >= {
-            "simulate", "sweep", "run_seeds", "stream", "verify",
-        }
+        # one record per command: simulate ran twice, the others once
+        assert [r.kind for r in records] == [
+            "simulate", "simulate", "sweep", "compare", "stream", "verify",
+        ]
         assert all(r.status == "ok" for r in records)
         assert all(r.wall_seconds >= 0.0 for r in records)
         assert all(r.run_id for r in records)
+
+    def test_sweep_and_compare_counters(self, ledger_path):
+        by_kind = {r.kind: r for r in RunLedger(ledger_path).read()}
+        sweep = by_kind["sweep"]
+        assert sweep.config["values"] == [2, 4]
+        assert sweep.counters["points"] == 2
+        assert sweep.counters["runs"] == 4
+        assert sweep.counters["jobs"] == 2 * 2 + 4 * 2
+        assert 0 <= sweep.counters["succeeded"] <= sweep.counters["jobs"]
+        compare = by_kind["compare"].counters
+        rows = {k for k in compare if k.startswith("success_rate.")}
+        # single-class at level 9 admits every registered protocol
+        assert rows == {f"success_rate.{p}" for p in registry.PROTOCOLS}
+        assert compare["jobs"] == 6 * len(rows)
+        ok, jobs = compare["succeeded"], compare["jobs"]
+        assert compare["success_rate"] == ok / jobs
+
+    def test_certify_counts_only_cells_that_broke(self, tmp_path, capsys):
+        """A cell with no breaking point in [0, 1] carries ``None``."""
+        ledger = tmp_path / "ledger.jsonl"
+        rc = main([
+            "certify",
+            "--workload", "batch",
+            "--n", "8",
+            "--window", "1024",
+            "--protocols", "uniform",
+            "--families", "feedback,jam",
+            "--seeds", "2",
+            "--tol", "0.1",
+            "--min-jam-threshold", "0",
+            "--ledger", str(ledger),
+        ])
+        assert rc == 0
+        assert "none in [0,1]" in capsys.readouterr().out
+        (rec,) = RunLedger(ledger).read()
+        assert rec.kind == "certify"
+        assert rec.counters == {"cells": 2, "probes": 8, "broken_cells": 1}
+
+    def test_digest_covers_the_knobs(self, tmp_path):
+        """Runs whose recorded flags agree but whose protocol knobs differ
+        (here ``--lam``) digest apart; repeats digest alike."""
+        ledger = tmp_path / "ledger.jsonl"
+        argv = [
+            "compare",
+            "--workload", "batch",
+            "--n", "2",
+            "--window", "128",
+            "--seeds", "1",
+            "--ledger", str(ledger),
+        ]
+        for extra in ([], [], ["--lam", "3"]):
+            assert main(argv + extra) == 0
+        a, b, c = RunLedger(ledger).read()
+        assert a.config == b.config == c.config
+        assert a.config_digest == b.config_digest
+        assert a.config_digest != c.config_digest
+
+    def test_sweep_setup_failure_is_recorded(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        with pytest.raises(InvalidParameterError, match="p_jam must be in"):
+            main([
+                "sweep", "--protocol", "uniform", "--param", "n",
+                "--values", "2,4", "--window", "128", "--jam", "1.5",
+                "--ledger", str(ledger),
+            ])
+        (rec,) = RunLedger(ledger).read()
+        assert rec.kind == "sweep" and rec.status == "failed"
 
     def test_simulate_records_carry_outcome_counters(self, ledger_path):
         records = [

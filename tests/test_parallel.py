@@ -32,10 +32,6 @@ def protocol(instance):
     return uniform_factory()
 
 
-def protocol_from_state(state, name, instance):
-    return uniform_factory()
-
-
 class TestInline:
     def test_digests_in_seed_order(self):
         digests = run_seeds(build_sparse, protocol, seeds=[3, 1, 2])
@@ -258,39 +254,3 @@ class TestRetries:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             run_seeds(build_sparse, protocol, seeds=[0], retries=-1)
-
-
-class TestProtocolLabel:
-    def test_partial_label_has_no_memory_address(self):
-        """A partial's repr embeds ``at 0x...``, which differs between
-        processes; the label names the function and its scalar args."""
-        import functools
-
-        from repro.cli import _protocol_from_state
-        from repro.experiments.parallel import _protocol_label
-
-        label = _protocol_label(
-            functools.partial(_protocol_from_state, {"n": 8}, "uniform")
-        )
-        assert " at 0x" not in label
-        assert label == "repro.cli._protocol_from_state('uniform')"
-
-    def test_ledger_digest_tells_bound_state_apart(self, tmp_path):
-        """Builders that share a label but bind different state (here a
-        protocol parameter) must not share a config digest."""
-        import functools
-
-        from repro.obs.ledger import RunLedger
-
-        led = RunLedger(tmp_path / "ledger.jsonl")
-        for lam in (1, 2):
-            run_seeds(
-                build_sparse,
-                functools.partial(protocol_from_state, {"lam": lam}, "u"),
-                seeds=[0],
-                ledger=led,
-            )
-        a, b = led.read()
-        assert a.config == b.config
-        assert a.config_digest and b.config_digest
-        assert a.config_digest != b.config_digest
