@@ -36,7 +36,7 @@ class SlottedAloha(Protocol):
         self.last_p = p
 
     def on_act(self, slot: int) -> Optional[Message]:
-        if self.ctx.rng.random() < self.p:
+        if self.ctx.random() < self.p:
             return DataMessage(self.ctx.job_id)
         return None
 

@@ -38,6 +38,9 @@ class BinaryExponentialBackoff(Protocol):
     max_exponent:
         Cap on the doubling, mirroring e.g. 802.11's CWmax.  ``None``
         doubles forever.
+
+    The next attempt's slot and ``last_p`` (one over the backoff
+    window) are set at activation and at each backoff.
     """
 
     def __init__(
@@ -58,8 +61,17 @@ class BinaryExponentialBackoff(Protocol):
         self.initial_window = initial_window
         self.max_exponent = max_exponent
         self.attempt = 0  # number of failed attempts so far
-        self._next_tx_age: int = 0  # local age of the next attempt
-        self.last_p = 0.0
+        self._next_tx_slot: int = 0  # slot of the next attempt
+        self.last_p = 1.0 / self.current_backoff_window()
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        age = self.__dict__.pop("_next_tx_age", None)
+        if age is not None:
+            # Pickled (in a stream checkpoint) when the next attempt was
+            # kept as a local age and ``last_p`` was set at each act.
+            self._next_tx_slot = self.start_slot + age
+            self.last_p = 1.0 / self.current_backoff_window()
 
     def current_backoff_window(self) -> int:
         """The backoff window for the upcoming attempt."""
@@ -70,22 +82,20 @@ class BinaryExponentialBackoff(Protocol):
 
     def on_begin(self, slot: int) -> None:
         w = self.current_backoff_window()
-        self._next_tx_age = int(self.ctx.rng.integers(w))
+        self._next_tx_slot = slot + int(self.ctx.rng.integers(w))
 
     def on_act(self, slot: int) -> Optional[Message]:
-        age = self.local_age(slot)
-        self.last_p = 1.0 / self.current_backoff_window()
-        if age == self._next_tx_age:
+        if slot == self._next_tx_slot:
             return DataMessage(self.ctx.job_id)
         return None
 
     def on_observe(self, slot: int, obs: Observation) -> None:
-        age = self.local_age(slot)
-        if age == self._next_tx_age and not self.succeeded:
+        if slot == self._next_tx_slot and not self.succeeded:
             # attempt failed: back off into the next, doubled window
             self.attempt += 1
             w = self.current_backoff_window()
-            self._next_tx_age = age + 1 + int(self.ctx.rng.integers(w))
+            self._next_tx_slot = slot + 1 + int(self.ctx.rng.integers(w))
+            self.last_p = 1.0 / w
 
 
 def beb_factory(initial_window: int = 1, max_exponent: Optional[int] = 16):

@@ -35,6 +35,8 @@ from repro.sim.protocolbase import Protocol, ProtocolContext
 
 __all__ = ["NoCollisionDetectionBackoff", "nocd_factory"]
 
+_SUCCESS = Feedback.SUCCESS
+
 
 class NoCollisionDetectionBackoff(Protocol):
     """Success-only contention estimation: transmit w.p. ``1/m``.
@@ -53,6 +55,9 @@ class NoCollisionDetectionBackoff(Protocol):
     max_estimate:
         Cap on ``m`` so adversarial jamming cannot push the send
         probability to zero permanently.
+
+    ``last_p`` (``1/m``, at most 1) and the successless stretch that
+    doubles ``m`` are set whenever ``m`` changes.
     """
 
     def __init__(
@@ -80,26 +85,37 @@ class NoCollisionDetectionBackoff(Protocol):
         self.patience = patience
         self.max_estimate = max_estimate
         self._successless = 0  # slots since the last observed success
-        self.last_p = 0.0
+        self._fix_estimate()
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        # Pickled (in a stream checkpoint) when both were derived from
+        # ``m`` every slot.
+        self._fix_estimate()
+
+    def _fix_estimate(self) -> None:
+        """Derive the per-slot values of the current estimate ``m``."""
+        self.last_p = min(1.0, 1.0 / self.estimate)
+        self._patience_slots = self.patience * self.estimate
 
     def on_act(self, slot: int) -> Optional[Message]:
-        p = min(1.0, 1.0 / self.estimate)
-        self.last_p = p
-        if self.ctx.rng.random() < p:
+        if self.ctx.random() < self.last_p:
             return DataMessage(self.ctx.job_id)
         return None
 
     def on_observe(self, slot: int, obs: Observation) -> None:
-        if obs.feedback is Feedback.SUCCESS:
+        if obs.feedback is _SUCCESS:
             # one contender drained; the estimate follows it down
             self.estimate = max(self.estimate - 1.0, 1.0)
             self._successless = 0
+            self._fix_estimate()
             return
         # no success this slot — silence and collision look identical
         self._successless += 1
-        if self._successless >= self.patience * self.estimate:
+        if self._successless >= self._patience_slots:
             self.estimate = min(self.estimate * 2.0, self.max_estimate)
             self._successless = 0
+            self._fix_estimate()
 
 
 def nocd_factory(

@@ -29,7 +29,11 @@ __all__ = ["SawtoothBackoff", "sawtooth_factory"]
 
 
 class SawtoothBackoff(Protocol):
-    """Doubling runs of halving rounds, transmitting w.p. ``1/s`` in size-s rounds."""
+    """Doubling runs of halving rounds, transmitting w.p. ``1/s`` in size-s rounds.
+
+    ``last_p`` is the current round's probability, set at each round
+    change.
+    """
 
     def __init__(self, ctx: ProtocolContext, initial_run: int = 2) -> None:
         super().__init__(ctx)
@@ -41,10 +45,21 @@ class SawtoothBackoff(Protocol):
         self.run_size = initial_run  # W of the current run
         self.round_size = initial_run  # s of the current round within the run
         self.round_left = initial_run  # slots remaining in the current round
-        self.last_p = 0.0
+        self.last_p = 1.0 / initial_run
 
-    def _advance_position(self) -> None:
-        """Move to the next slot of the sawtooth pattern."""
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        # Pickled (in a stream checkpoint) when ``last_p`` was set at
+        # each act, so it may predate the latest round change.
+        self.last_p = 1.0 / self.round_size
+
+    def on_act(self, slot: int) -> Optional[Message]:
+        if self.ctx.random() < self.last_p:
+            return DataMessage(self.ctx.job_id)
+        return None
+
+    def on_observe(self, slot: int, obs: Observation) -> None:
+        # move to the next slot of the sawtooth pattern
         self.round_left -= 1
         if self.round_left > 0:
             return
@@ -55,16 +70,7 @@ class SawtoothBackoff(Protocol):
             self.run_size *= 2
             self.round_size = self.run_size
         self.round_left = self.round_size
-
-    def on_act(self, slot: int) -> Optional[Message]:
-        p = 1.0 / self.round_size
-        self.last_p = p
-        if self.ctx.rng.random() < p:
-            return DataMessage(self.ctx.job_id)
-        return None
-
-    def on_observe(self, slot: int, obs: Observation) -> None:
-        self._advance_position()
+        self.last_p = 1.0 / self.round_size
 
 
 def sawtooth_factory(initial_run: int = 2):

@@ -45,6 +45,9 @@ class SlowFeedbackBackoff(Protocol):
     base:
         Length of epoch 0 (``>= 1``); epoch ``i`` spans ``base·2^i``
         slots.
+
+    ``last_p`` (the epoch's expected send rate) is set at each epoch
+    start, and the next send offset at each send.
     """
 
     def __init__(
@@ -60,9 +63,21 @@ class SlowFeedbackBackoff(Protocol):
         self.epoch_len = 0  # set by _start_epoch
         self.epoch_pos = 0
         self._sends: list = []  # ascending send offsets of this epoch
-        self._send_i = 0  # next offset to compare against
+        self._send_i = 0  # index of the next send offset
+        self._next_send = -1  # the next send offset; -1 once all are sent
         self.last_p = 0.0
         self._start_epoch(base)
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        if not hasattr(self, "_next_send"):
+            # Pickled (in a stream checkpoint) when both were derived
+            # every slot.
+            self._next_send = self._offset(self._send_i)
+            self.last_p = min(self.budget, self.epoch_len) / self.epoch_len
+
+    def _offset(self, i: int) -> int:
+        return self._sends[i] if i < len(self._sends) else -1
 
     def _start_epoch(self, length: int) -> None:
         self.epoch_len = length
@@ -71,18 +86,17 @@ class SlowFeedbackBackoff(Protocol):
         k = min(self.budget, length)
         picks = self.ctx.rng.choice(length, size=k, replace=False)
         self._sends = sorted(int(x) for x in picks)
+        self._next_send = self._sends[0]
+        self.last_p = k / length
 
     def on_act(self, slot: int) -> Optional[Message]:
-        # Expected send rate of the epoch; the actual decision is the
-        # pre-committed offset list (no per-slot randomness or feedback).
-        self.last_p = min(self.budget, self.epoch_len) / self.epoch_len
-        if (
-            self._send_i < len(self._sends)
-            and self._sends[self._send_i] == self.epoch_pos
-        ):
-            self._send_i += 1
-            return DataMessage(self.ctx.job_id)
-        return None
+        # The decision is the pre-committed offset list (no per-slot
+        # randomness or feedback).
+        if self.epoch_pos != self._next_send:
+            return None
+        self._send_i += 1
+        self._next_send = self._offset(self._send_i)
+        return DataMessage(self.ctx.job_id)
 
     def on_observe(self, slot: int, obs: Observation) -> None:
         # Slow feedback: nothing in ``obs`` is consumed (the base class

@@ -33,6 +33,8 @@ from repro.sim.protocolbase import Protocol, ProtocolContext
 
 __all__ = ["CollisionSofteningBackoff", "softened_factory"]
 
+_SUCCESS = Feedback.SUCCESS
+
 
 class CollisionSofteningBackoff(Protocol):
     """MIMD backoff: sub-doubling growth on collision, decay on drain.
@@ -54,6 +56,8 @@ class CollisionSofteningBackoff(Protocol):
     max_window:
         Cap on ``W`` so a long jam cannot push the transmission
         probability to zero permanently.
+
+    ``last_p`` is ``1/W``, set whenever ``W`` changes.
     """
 
     def __init__(
@@ -82,12 +86,16 @@ class CollisionSofteningBackoff(Protocol):
         self.max_window = max_window
         self.window_size = initial_window  # the current W
         self._transmitted = False  # did we transmit in the pending slot?
-        self.last_p = 0.0
+        self.last_p = 1.0 / initial_window
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        # Pickled (in a stream checkpoint) when ``last_p`` was set at
+        # each act, so it may predate the latest window change.
+        self.last_p = 1.0 / self.window_size
 
     def on_act(self, slot: int) -> Optional[Message]:
-        p = 1.0 / self.window_size
-        self.last_p = p
-        if self.ctx.rng.random() < p:
+        if self.ctx.random() < self.last_p:
             self._transmitted = True
             return DataMessage(self.ctx.job_id)
         self._transmitted = False
@@ -99,9 +107,12 @@ class CollisionSofteningBackoff(Protocol):
             self.window_size = min(
                 self.window_size * self.growth, self.max_window
             )
-        elif obs.feedback is Feedback.SUCCESS:
+        elif obs.feedback is _SUCCESS:
             # a contender drained: decrease toward the new contention
             self.window_size = max(self.window_size / self.soften, 1.0)
+        else:
+            return
+        self.last_p = 1.0 / self.window_size
 
 
 def softened_factory(

@@ -58,7 +58,7 @@ class UrgencyAloha(Protocol):
     def on_act(self, slot: int) -> Optional[Message]:
         p = self.probability_at(slot)
         self.last_p = p
-        if p > 0 and self.ctx.rng.random() < p:
+        if p > 0 and self.ctx.random() < p:
             return DataMessage(self.ctx.job_id)
         return None
 

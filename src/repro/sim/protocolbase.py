@@ -41,6 +41,9 @@ from repro.sim.job import Job
 
 __all__ = ["Protocol", "ProtocolContext"]
 
+#: Values :meth:`ProtocolContext.random` draws from the stream at a time.
+COIN_BLOCK = 64
+
 
 class ProtocolContext:
     """Everything a protocol is allowed to know at activation.
@@ -53,18 +56,44 @@ class ProtocolContext:
         The job's window size ``w_j`` — known a priori per the model.
     rng:
         The job's private random stream.
+
+    A protocol draws through :meth:`random` alone or through ``rng``
+    alone, never both: :meth:`random` reads the stream up to
+    :data:`COIN_BLOCK` values ahead, so a direct ``rng`` draw in between
+    would take values meant for later coins.
     """
 
-    __slots__ = ("job_id", "window", "rng")
+    __slots__ = ("job_id", "window", "rng", "_coins")
 
     def __init__(self, job_id: int, window: int, rng: np.random.Generator) -> None:
         self.job_id = job_id
         self.window = window
         self.rng = rng
+        self._coins: list = []  # unread draws, the next one last
+
+    def __setstate__(self, state: tuple) -> None:
+        # A context pickled before coins were drawn in blocks has none
+        # unread: its generator stands at the next coin.
+        self._coins = []
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     @classmethod
     def for_job(cls, job: Job, rng: np.random.Generator) -> "ProtocolContext":
         return cls(job.job_id, job.window, rng)
+
+    def random(self) -> float:
+        """The value the stream's next ``rng.random()`` call returns.
+
+        Drawn :data:`COIN_BLOCK` at a time: numpy fills ``random(n)``
+        with the doubles of ``n`` successive scalar calls, in order, at a
+        fraction of their cost.
+        """
+        coins = self._coins
+        if not coins:
+            coins = self._coins = self.rng.random(COIN_BLOCK).tolist()
+            coins.reverse()
+        return coins.pop()
 
     def data_message(self) -> DataMessage:
         """The job's unit data message."""

@@ -11,6 +11,7 @@ trace contention — on every protocol family, with and without jamming.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,7 @@ from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import SimulationError
 from repro.params import AlignedParams, PunctualParams
+from repro.registry import KNOB_DEFAULTS, protocol_factories
 from repro.sim.engine import ProtocolFactory, simulate
 from repro.sim.instance import Instance
 from repro.sim.job import Job, JobStatus
@@ -329,3 +331,43 @@ class TestPinnedSemantics:
         assert res.n_succeeded == 6
         assert res.slots_simulated == 523
         assert self._completions(res) == [302, 342, 352, 462, 502, 522]
+
+    @pytest.mark.parametrize(
+        "name, p_jam, digest",
+        [
+            ("sawtooth", None, "a46d5e25627ef3ca"),
+            ("sawtooth", 0.25, "aa606b0b2234da40"),
+            ("soft", None, "299a834fcf33faa5"),
+            ("soft", 0.25, "da5613ec16577338"),
+            ("nocd", None, "d37742cdc86aab4c"),
+            ("nocd", 0.25, "9668d99fd63ae0b4"),
+            ("beb", None, "f632402f12a7f356"),
+            ("beb", 0.25, "b15cd015e46cee83"),
+            ("slowfb", None, "d9c0caad7cafa57e"),
+            ("slowfb", 0.25, "d3de9efe757f9060"),
+            ("aloha", None, "60354bf37facd8fa"),
+            ("aloha", 0.25, "6004c98ecaad1079"),
+            ("urgency", None, "5b588d88d0a35098"),
+            ("urgency", 0.25, "bc19cc901d1a9be5"),
+        ],
+    )
+    def test_traced_baseline_pin(self, name, p_jam, digest):
+        """Outcomes, slot count and traced per-slot contention (the sum
+        of ``last_p``) of the backoff and ALOHA baselines: the untraced
+        pins and the goldens cannot see where a protocol sets ``last_p``."""
+        inst = batch_instance(24, window=512)
+        res = simulate(
+            inst,
+            protocol_factories(KNOB_DEFAULTS, inst)[name],
+            seed=2,
+            trace=True,
+            jammer=None if p_jam is None else StochasticJammer(p_jam),
+        )
+        h = hashlib.sha256()
+        h.update(repr([
+            (o.job.job_id, o.status.name, o.completion_slot, o.transmissions)
+            for o in res.outcomes
+        ]).encode())
+        h.update(repr(res.slots_simulated).encode())
+        h.update(res.trace.contentions().tobytes())
+        assert h.hexdigest()[:16] == digest
