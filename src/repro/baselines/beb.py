@@ -39,8 +39,9 @@ class BinaryExponentialBackoff(Protocol):
         Cap on the doubling, mirroring e.g. 802.11's CWmax.  ``None``
         doubles forever.
 
-    The next attempt's slot and ``last_p`` (one over the backoff
-    window) are set at activation and at each backoff.
+    The next attempt's slot and probability (one over the backoff
+    window) are set at activation and at each backoff; ``last_p`` is the
+    probability the latest act used.
     """
 
     def __init__(
@@ -62,16 +63,17 @@ class BinaryExponentialBackoff(Protocol):
         self.max_exponent = max_exponent
         self.attempt = 0  # number of failed attempts so far
         self._next_tx_slot: int = 0  # slot of the next attempt
-        self.last_p = 1.0 / self.current_backoff_window()
+        self._next_p = 1.0 / self.current_backoff_window()
+        self.last_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
         age = self.__dict__.pop("_next_tx_age", None)
         if age is not None:
             # Pickled (in a stream checkpoint) when the next attempt was
-            # kept as a local age and ``last_p`` was set at each act.
+            # kept as a local age and its probability derived at each act.
             self._next_tx_slot = self.start_slot + age
-            self.last_p = 1.0 / self.current_backoff_window()
+            self._next_p = 1.0 / self.current_backoff_window()
 
     def current_backoff_window(self) -> int:
         """The backoff window for the upcoming attempt."""
@@ -85,6 +87,7 @@ class BinaryExponentialBackoff(Protocol):
         self._next_tx_slot = slot + int(self.ctx.rng.integers(w))
 
     def on_act(self, slot: int) -> Optional[Message]:
+        self.last_p = self._next_p
         if slot == self._next_tx_slot:
             return DataMessage(self.ctx.job_id)
         return None
@@ -95,7 +98,7 @@ class BinaryExponentialBackoff(Protocol):
             self.attempt += 1
             w = self.current_backoff_window()
             self._next_tx_slot = slot + 1 + int(self.ctx.rng.integers(w))
-            self.last_p = 1.0 / w
+            self._next_p = 1.0 / w
 
 
 def beb_factory(initial_window: int = 1, max_exponent: Optional[int] = 16):

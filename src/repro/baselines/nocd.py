@@ -56,8 +56,9 @@ class NoCollisionDetectionBackoff(Protocol):
         Cap on ``m`` so adversarial jamming cannot push the send
         probability to zero permanently.
 
-    ``last_p`` (``1/m``, at most 1) and the successless stretch that
-    doubles ``m`` are set whenever ``m`` changes.
+    The probability ``1/m`` (at most 1) and the successless stretch
+    that doubles ``m`` are set whenever ``m`` changes; ``last_p`` is the
+    probability the latest act used.
     """
 
     def __init__(
@@ -86,6 +87,7 @@ class NoCollisionDetectionBackoff(Protocol):
         self.max_estimate = max_estimate
         self._successless = 0  # slots since the last observed success
         self._fix_estimate()
+        self.last_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
@@ -95,11 +97,12 @@ class NoCollisionDetectionBackoff(Protocol):
 
     def _fix_estimate(self) -> None:
         """Derive the per-slot values of the current estimate ``m``."""
-        self.last_p = min(1.0, 1.0 / self.estimate)
+        self._next_p = min(1.0, 1.0 / self.estimate)
         self._patience_slots = self.patience * self.estimate
 
     def on_act(self, slot: int) -> Optional[Message]:
-        if self.ctx.random() < self.last_p:
+        p = self.last_p = self._next_p
+        if self.ctx.random() < p:
             return DataMessage(self.ctx.job_id)
         return None
 

@@ -31,8 +31,8 @@ __all__ = ["SawtoothBackoff", "sawtooth_factory"]
 class SawtoothBackoff(Protocol):
     """Doubling runs of halving rounds, transmitting w.p. ``1/s`` in size-s rounds.
 
-    ``last_p`` is the current round's probability, set at each round
-    change.
+    The current round's probability is set at each round change;
+    ``last_p`` is the one the latest act used.
     """
 
     def __init__(self, ctx: ProtocolContext, initial_run: int = 2) -> None:
@@ -45,16 +45,18 @@ class SawtoothBackoff(Protocol):
         self.run_size = initial_run  # W of the current run
         self.round_size = initial_run  # s of the current round within the run
         self.round_left = initial_run  # slots remaining in the current round
-        self.last_p = 1.0 / initial_run
+        self._next_p = 1.0 / initial_run  # the current round's probability
+        self.last_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
-        # Pickled (in a stream checkpoint) when ``last_p`` was set at
-        # each act, so it may predate the latest round change.
-        self.last_p = 1.0 / self.round_size
+        # Pickled (in a stream checkpoint) when the probability was
+        # derived at each act.
+        self._next_p = 1.0 / self.round_size
 
     def on_act(self, slot: int) -> Optional[Message]:
-        if self.ctx.random() < self.last_p:
+        p = self.last_p = self._next_p
+        if self.ctx.random() < p:
             return DataMessage(self.ctx.job_id)
         return None
 
@@ -70,7 +72,7 @@ class SawtoothBackoff(Protocol):
             self.run_size *= 2
             self.round_size = self.run_size
         self.round_left = self.round_size
-        self.last_p = 1.0 / self.round_size
+        self._next_p = 1.0 / self.round_size
 
 
 def sawtooth_factory(initial_run: int = 2):

@@ -46,8 +46,9 @@ class SlowFeedbackBackoff(Protocol):
         Length of epoch 0 (``>= 1``); epoch ``i`` spans ``base·2^i``
         slots.
 
-    ``last_p`` (the epoch's expected send rate) is set at each epoch
-    start, and the next send offset at each send.
+    The epoch's expected send rate is set at each epoch start, and the
+    next send offset at each send; ``last_p`` is the rate the latest act
+    used.
     """
 
     def __init__(
@@ -60,42 +61,40 @@ class SlowFeedbackBackoff(Protocol):
             raise InvalidParameterError(f"base must be >= 1, got {base}")
         self.budget = budget
         self.base = base
-        self.epoch_len = 0  # set by _start_epoch
-        self.epoch_pos = 0
-        self._sends: list = []  # ascending send offsets of this epoch
-        self._send_i = 0  # index of the next send offset
-        self._next_send = -1  # the next send offset; -1 once all are sent
         self.last_p = 0.0
         self._start_epoch(base)
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
-        if not hasattr(self, "_next_send"):
-            # Pickled (in a stream checkpoint) when both were derived
-            # every slot.
-            self._next_send = self._offset(self._send_i)
-            self.last_p = min(self.budget, self.epoch_len) / self.epoch_len
-
-    def _offset(self, i: int) -> int:
-        return self._sends[i] if i < len(self._sends) else -1
+        sent = self.__dict__.pop("_send_i", None)
+        if sent is not None:
+            # Pickled (in a stream checkpoint) with all of the epoch's
+            # offsets, ascending, and the index of the next one.
+            rest = self._sends[sent:]
+            rest.reverse()
+            self._sends = rest
+            self._next_send = rest.pop() if rest else -1
+            self._next_p = min(self.budget, self.epoch_len) / self.epoch_len
 
     def _start_epoch(self, length: int) -> None:
         self.epoch_len = length
         self.epoch_pos = 0
-        self._send_i = 0
         k = min(self.budget, length)
         picks = self.ctx.rng.choice(length, size=k, replace=False)
-        self._sends = sorted(int(x) for x in picks)
-        self._next_send = self._sends[0]
-        self.last_p = k / length
+        # The unsent offsets after the next one, descending; the next
+        # offset is -1 once all are sent.
+        self._sends = sorted((int(x) for x in picks), reverse=True)
+        self._next_send = self._sends.pop()
+        self._next_p = k / length
 
     def on_act(self, slot: int) -> Optional[Message]:
         # The decision is the pre-committed offset list (no per-slot
         # randomness or feedback).
+        self.last_p = self._next_p
         if self.epoch_pos != self._next_send:
             return None
-        self._send_i += 1
-        self._next_send = self._offset(self._send_i)
+        sends = self._sends
+        self._next_send = sends.pop() if sends else -1
         return DataMessage(self.ctx.job_id)
 
     def on_observe(self, slot: int, obs: Observation) -> None:

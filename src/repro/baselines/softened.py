@@ -57,7 +57,8 @@ class CollisionSofteningBackoff(Protocol):
         Cap on ``W`` so a long jam cannot push the transmission
         probability to zero permanently.
 
-    ``last_p`` is ``1/W``, set whenever ``W`` changes.
+    The probability ``1/W`` is set whenever ``W`` changes; ``last_p`` is
+    the one the latest act used.
     """
 
     def __init__(
@@ -86,16 +87,18 @@ class CollisionSofteningBackoff(Protocol):
         self.max_window = max_window
         self.window_size = initial_window  # the current W
         self._transmitted = False  # did we transmit in the pending slot?
-        self.last_p = 1.0 / initial_window
+        self._next_p = 1.0 / initial_window
+        self.last_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
-        # Pickled (in a stream checkpoint) when ``last_p`` was set at
-        # each act, so it may predate the latest window change.
-        self.last_p = 1.0 / self.window_size
+        # Pickled (in a stream checkpoint) when the probability was
+        # derived at each act.
+        self._next_p = 1.0 / self.window_size
 
     def on_act(self, slot: int) -> Optional[Message]:
-        if self.ctx.random() < self.last_p:
+        p = self.last_p = self._next_p
+        if self.ctx.random() < p:
             self._transmitted = True
             return DataMessage(self.ctx.job_id)
         self._transmitted = False
@@ -112,7 +115,7 @@ class CollisionSofteningBackoff(Protocol):
             self.window_size = max(self.window_size / self.soften, 1.0)
         else:
             return
-        self.last_p = 1.0 / self.window_size
+        self._next_p = 1.0 / self.window_size
 
 
 def softened_factory(

@@ -48,13 +48,13 @@ the suite, so it is written for throughput:
 * contention tracking (the per-slot ``last_p`` sum) runs only when a
   trace or telemetry is recorded, with a one-time per-protocol
   capability check instead of a per-slot ``getattr`` probe; the shipped
-  protocols set ``last_p`` where their probability changes, not in
-  every ``act``;
+  protocols fix their probability where it changes, and ``act`` only
+  stores it in ``last_p``;
 * a coin-flip protocol draws each coin through
   :meth:`ProtocolContext.random
   <repro.sim.protocolbase.ProtocolContext.random>`, which pops the job
-  stream's next ``rng.random()`` value from a block of 64 drawn at
-  once: the same doubles, at about a fifth of a scalar call's cost;
+  stream's next ``rng.random()`` value from a block of 32 drawn at
+  once: the same doubles, at about a quarter of a scalar call's cost;
 * message delivery dispatches on the :attr:`Message.kind` tag rather
   than ``isinstance`` chains;
 * each job's private ``"job"`` stream comes from a block prepared

@@ -41,8 +41,10 @@ from repro.sim.job import Job
 
 __all__ = ["Protocol", "ProtocolContext"]
 
-#: Values :meth:`ProtocolContext.random` draws from the stream at a time.
-COIN_BLOCK = 64
+#: Values :meth:`ProtocolContext.random` draws from the stream at a time:
+#: smaller blocks cost more per coin, larger ones no less, and each live
+#: job holds its unread block.
+COIN_BLOCK = 32
 
 
 class ProtocolContext:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro.adversary import fault_plan
 from repro.baselines import beb_factory
 from repro.channel.channel import MultipleAccessChannel, SlotOutcome
 from repro.channel.jamming import Jammer, PeriodicJammer, StochasticJammer
@@ -231,6 +232,14 @@ JAMMERS = [
     pytest.param(lambda: PeriodicJammer(7, [0, 3]), id="periodic"),
 ]
 
+# ``simulate`` keywords of the traced baseline pins.
+ADVERSARIES = {
+    "clean": {},
+    "jam": {"jammer": StochasticJammer(0.25)},
+    "clock": {"faults": fault_plan("clock", 0.3)},
+    "jobs": {"faults": fault_plan("jobs", 0.6)},
+}
+
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("make_jammer", JAMMERS)
@@ -333,35 +342,52 @@ class TestPinnedSemantics:
         assert self._completions(res) == [302, 342, 352, 462, 502, 522]
 
     @pytest.mark.parametrize(
-        "name, p_jam, digest",
+        "name, adversary, digest",
         [
-            ("sawtooth", None, "a46d5e25627ef3ca"),
-            ("sawtooth", 0.25, "aa606b0b2234da40"),
-            ("soft", None, "299a834fcf33faa5"),
-            ("soft", 0.25, "da5613ec16577338"),
-            ("nocd", None, "d37742cdc86aab4c"),
-            ("nocd", 0.25, "9668d99fd63ae0b4"),
-            ("beb", None, "f632402f12a7f356"),
-            ("beb", 0.25, "b15cd015e46cee83"),
-            ("slowfb", None, "d9c0caad7cafa57e"),
-            ("slowfb", 0.25, "d3de9efe757f9060"),
-            ("aloha", None, "60354bf37facd8fa"),
-            ("aloha", 0.25, "6004c98ecaad1079"),
-            ("urgency", None, "5b588d88d0a35098"),
-            ("urgency", 0.25, "bc19cc901d1a9be5"),
+            ("sawtooth", "clean", "1460553c14329b53"),
+            ("sawtooth", "jam", "3fedc0adadaa16be"),
+            ("sawtooth", "clock", "e4afab8e5e7d2256"),
+            ("sawtooth", "jobs", "74240f84f0f17ceb"),
+            ("soft", "clean", "ea286266d3e0f876"),
+            ("soft", "jam", "eb55328248aba7a8"),
+            ("soft", "clock", "58491f20f2564eee"),
+            ("soft", "jobs", "ce573e7c5bf82544"),
+            ("nocd", "clean", "4592582016c8a1af"),
+            ("nocd", "jam", "99f64cce5be6c9ca"),
+            ("nocd", "clock", "ee855f574568ed58"),
+            ("nocd", "jobs", "b8a6434bcc3b3137"),
+            ("beb", "clean", "696fc1fb93023064"),
+            ("beb", "jam", "7fdd09c005a72db6"),
+            ("beb", "clock", "08bc268fbba42348"),
+            ("beb", "jobs", "087bcfb32c46299e"),
+            ("slowfb", "clean", "091a6e0993a1b032"),
+            ("slowfb", "jam", "5bc8fc3eec673c9a"),
+            ("slowfb", "clock", "d30344f733d3ec37"),
+            ("slowfb", "jobs", "9730ad24845b163b"),
+            ("aloha", "clean", "98a74773520a9e3e"),
+            ("aloha", "jam", "c8d3167bf7fbc7cc"),
+            ("aloha", "clock", "58ddd68de04ec2bb"),
+            ("aloha", "jobs", "547722c23df41e4d"),
+            ("urgency", "clean", "17df8a1c688c52f7"),
+            ("urgency", "jam", "725ad660eb240b30"),
+            ("urgency", "clock", "85856b8859208462"),
+            ("urgency", "jobs", "90c9302cc2fbc871"),
         ],
     )
-    def test_traced_baseline_pin(self, name, p_jam, digest):
+    def test_traced_baseline_pin(self, name, adversary, digest):
         """Outcomes, slot count and traced per-slot contention (the sum
         of ``last_p``) of the backoff and ALOHA baselines: the untraced
-        pins and the goldens cannot see where a protocol sets ``last_p``."""
-        inst = batch_instance(24, window=512)
+        pins and the goldens cannot see where a protocol sets ``last_p``.
+        Under clock and job faults a job may skip its act in a slot (a
+        stalled clock, a crash) and still count the ``last_p`` of its
+        latest act."""
+        inst = batch_instance(64, window=256)
         res = simulate(
             inst,
             protocol_factories(KNOB_DEFAULTS, inst)[name],
             seed=2,
             trace=True,
-            jammer=None if p_jam is None else StochasticJammer(p_jam),
+            **ADVERSARIES[adversary],
         )
         h = hashlib.sha256()
         h.update(repr([

@@ -18,10 +18,10 @@ Five more from the last commit before coin flips were drawn in blocks
 and the baselines fixed their per-slot values where they change:
 ``fixtures/stream_v2_{sawtooth,soft,nocd,beb,slowfb}.ckpt`` hold live
 jobs of those baselines whose contexts were pickled without ``_coins``
-(no unread block: each generator stands at the job's next coin), whose
-``last_p`` was set at their latest act, and, for BEB and slow-feedback
-backoff, without the next send slot (``_next_tx_slot``) or offset
-(``_next_send``).
+(no unread block: each generator stands at the job's next coin), without
+the probability of the next act (``_next_p``), and, for BEB and
+slow-feedback backoff, without the next send slot (``_next_tx_slot``)
+or offset (``_next_send``).
 
 Unpickling rebuilds each missing value from the fields the old pickle
 does hold, so all resume bit-exactly.  They were regenerated with::
@@ -93,11 +93,11 @@ CACHED = {
     "uniform": [b"_last_age"],
     "punctual": [b"_origin"],
     "punctual-estimating": [b"_origin"],
-    "sawtooth": [b"_coins"],
-    "soft": [b"_coins"],
-    "nocd": [b"_coins"],
-    "beb": [b"_coins", b"_next_tx_slot"],
-    "slowfb": [b"_coins", b"_next_send"],
+    "sawtooth": [b"_coins", b"_next_p"],
+    "soft": [b"_coins", b"_next_p"],
+    "nocd": [b"_coins", b"_next_p"],
+    "beb": [b"_coins", b"_next_p", b"_next_tx_slot"],
+    "slowfb": [b"_coins", b"_next_p", b"_next_send"],
 }
 
 
@@ -200,6 +200,20 @@ def test_parent_checkpoint_resumes_bit_exactly(tmp_path, name, invariants):
     assert resumed.resumed_at_slot > 0
     assert _comparable(resumed) == _comparable(_run(name, telemetry=full))
     # The resumed slots report the contention the uninterrupted run did.
+    tail = _contention(part)
+    assert tail and _contention(full)[-len(tail):] == tail
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "soft", "nocd", "beb", "slowfb"])
+def test_current_checkpoint_resumes_bit_exactly(tmp_path, name):
+    """The same runs resume bit-exactly from a checkpoint this code wrote
+    (unread coin blocks, cached values and slowfb's descending offsets)."""
+    config = CheckpointConfig(str(tmp_path / "ck.bin"), every_slots=RUNS[name][1])
+    part, full = Telemetry(), Telemetry()
+    first = _run(name, config, telemetry=full)
+    resumed = _run(name, config, True, telemetry=part)
+    assert resumed.resumed_at_slot > 0
+    assert _comparable(resumed) == _comparable(first)
     tail = _contention(part)
     assert tail and _contention(full)[-len(tail):] == tail
 
