@@ -58,6 +58,17 @@ def _throughput(fn) -> tuple[int, float]:
 #: so a batch keeps the measurement above timer noise.
 KERNEL_TRIALS = 64
 
+#: Kernel slots/second floors.  Each sits midway between the lowest
+#: reading and half the highest over 24 runs of this file on the 2-CPU
+#: Xeon benchmark host (the kernels' code the same in all 24): ALIGNED
+#: read 523k-1,157k, PUNCTUAL 3.42M-7.00M.  That host's speed varies
+#: about 2x over minutes, so a kernel that halves its throughput fails
+#: unless the host is at its fastest, and an unchanged one only at its
+#: slowest.  The engine-relative speedups stay printed, not asserted:
+#: they move with every engine change.
+ALIGNED_KERNEL_FLOOR = 550_000
+PUNCTUAL_KERNEL_FLOOR = 3_450_000
+
 
 # Module-level so the multi-process run_seeds comparison can pickle them.
 def _bench_batch_build():
@@ -88,6 +99,7 @@ def _kernel_throughput(instance, factory) -> tuple[int, float]:
 def test_p1_engine_throughput(benchmark, emit):
     rows = []
     engine_rate = {}
+    kernel_rate = {}
     speedup = {}
 
     aligned_inst = single_class_instance(16, level=10)
@@ -149,6 +161,7 @@ def test_p1_engine_throughput(benchmark, emit):
         ),
     ):
         slots, rate = _kernel_throughput(instance, factory)
+        kernel_rate[key] = rate
         speedup[key] = rate / engine_rate[engine_key]
         rows.append([label, slots, rate])
 
@@ -180,6 +193,13 @@ def test_p1_engine_throughput(benchmark, emit):
             1.0 / batched_per_seed,  # seeds/second, not slots
         ]
     )
+    for key, label in (
+        ("aligned_kernel", "ALIGNED kernel"),
+        ("punctual_kernel", "PUNCTUAL kernel"),
+        ("uniform_kernel", "UNIFORM kernel"),
+        ("batched", "UNIFORM batched"),
+    ):
+        rows.append([f"speedup / {label} over engine", "", f"{speedup[key]:.1f}x"])
 
     emit(
         "P1_engine_perf",
@@ -195,11 +215,11 @@ def test_p1_engine_throughput(benchmark, emit):
     assert rows[0][2] > 3_000, "ALIGNED engine unexpectedly slow"
     assert rows[2][2] > 10_000, "BEB engine unexpectedly slow"
     # acceptance floors for the full-protocol kernels and batching
-    assert speedup["aligned_kernel"] > 50, (
-        "ALIGNED kernel fell below 50x engine throughput"
+    assert kernel_rate["aligned_kernel"] > ALIGNED_KERNEL_FLOOR, (
+        f"ALIGNED kernel below {ALIGNED_KERNEL_FLOOR:,} slots/second"
     )
-    assert speedup["punctual_kernel"] > 50, (
-        "PUNCTUAL kernel fell below 50x engine throughput"
+    assert kernel_rate["punctual_kernel"] > PUNCTUAL_KERNEL_FLOOR, (
+        f"PUNCTUAL kernel below {PUNCTUAL_KERNEL_FLOOR:,} slots/second"
     )
     assert speedup["batched"] > 5, (
         "seed-major batching fell below 5x the per-seed loop"

@@ -25,13 +25,17 @@ import numpy as np
 
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.messages import DataMessage, EstimateReport, Message
-from repro.core.schedule import BroadcastStep, EstimationStep, PeckingOrderView
+from repro.core.schedule import PeckingOrderView
 from repro.errors import InvalidInstanceError
 from repro.params import AlignedParams
 from repro.sim.job import Job, is_power_of_two, window_class
 from repro.sim.protocolbase import Protocol, ProtocolContext
 
 __all__ = ["AlignedMachine", "AlignedProtocol", "aligned_factory"]
+
+# Read once per machine slot; an enum member lookup costs several plain
+# loads before CPython 3.12.
+_SUCCESS = Feedback.SUCCESS
 
 
 class AlignedMachine:
@@ -69,7 +73,6 @@ class AlignedMachine:
         self.gave_up = False
         self.last_p = 0.0
         self._my_subphase_slot: int = -1  # drawn at each subphase start
-        self._transmitting = False
         # Optional telemetry sink (repro.obs.events.EventSink); the
         # embedding protocol propagates it.  Once-per-lifecycle flags keep
         # phase events from repeating every slot.
@@ -93,48 +96,45 @@ class AlignedMachine:
 
     def act(self, v: int) -> Optional[Message]:
         """Decide this machine-slot's action; sets :attr:`last_p`."""
-        assert self.view is not None, "act() before begin()"
-        active = self.view.on_slot_start(v)
+        view = self.view
+        assert view is not None, "act() before begin()"
+        active = view.on_slot_start(v)
         self.last_p = 0.0
-        self._transmitting = False
-        if self.finished:
+        if self.succeeded or self.gave_up:
             return None
-        my_run = self.view.run_of(self.level)
-        if active is None or my_run.done:
-            # All tracked classes done but I never delivered: the class
-            # algorithm ran to completion without me — give up (the
-            # paper's jobs only terminate on success or truncation, and a
-            # completed run leaves no further steps to take).
-            if my_run.done and not self.succeeded:
+        run = view.runs[self.level]
+        if active != self.level:
+            # A smaller class holds the channel (wait), or every tracked
+            # run is done.  If mine is, the class algorithm ran to
+            # completion without me: give up (the paper's jobs only
+            # terminate on success or truncation, and a completed run
+            # leaves no further steps to take).
+            if run.done:
                 self.gave_up = True
                 if self.events is not None:
                     self.events.emit(
                         "aligned.exhausted", v, self.job_id, level=self.level
                     )
             return None
-        if active != self.level:
-            return None  # a smaller class holds the channel; wait.
         if self.events is not None and not self._ev_agreed:
             self._ev_agreed = True
             self.events.emit(
                 "aligned.class_agreement", v, self.job_id, level=self.level
             )
 
-        step = my_run.next_step()
-        if isinstance(step, EstimationStep):
+        phase = run.phase
+        if phase:
             if self.events is not None and not self._ev_estimating:
                 self._ev_estimating = True
                 self.events.emit(
                     "aligned.estimation_started", v, self.job_id,
                     level=self.level,
                 )
-            p = 1.0 / (1 << step.phase)
+            p = 1.0 / (1 << phase)
             self.last_p = p
             if self.rng.random() < p:
-                self._transmitting = True
-                return EstimateReport(self.job_id, step.phase)
+                return EstimateReport(self.job_id, phase)
             return None
-        assert isinstance(step, BroadcastStep)
         if self.events is not None and not self._ev_broadcasting:
             self._ev_broadcasting = True
             if self._ev_estimating:
@@ -145,12 +145,12 @@ class AlignedMachine:
             self.events.emit(
                 "aligned.broadcast_started", v, self.job_id, level=self.level
             )
-        pos = step.position
-        if pos.subphase_start:
-            self._my_subphase_slot = int(self.rng.integers(pos.length))
-        self.last_p = 1.0 / pos.length
-        if pos.offset == self._my_subphase_slot:
-            self._transmitting = True
+        length = run.sub_len
+        offset = run.sub_off
+        if not offset:
+            self._my_subphase_slot = int(self.rng.integers(length))
+        self.last_p = 1.0 / length
+        if offset == self._my_subphase_slot:
             return DataMessage(self.job_id)
         return None
 
@@ -159,7 +159,7 @@ class AlignedMachine:
         assert self.view is not None, "observe() before begin()"
         if obs.own_success and isinstance(obs.message, DataMessage):
             self.succeeded = True
-        self.view.on_slot_end(v, obs.feedback is Feedback.SUCCESS)
+        self.view.on_slot_end(v, obs.feedback is _SUCCESS)
 
 
 class AlignedProtocol(Protocol):

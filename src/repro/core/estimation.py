@@ -105,7 +105,10 @@ class EstimationTally:
 
     Every live job keeps one (identical) tally per tracked class; it is
     advanced once per active estimation step with the slot's feedback.
-    :attr:`total_steps` (``T_ℓ``) is fixed at construction.
+    :attr:`total_steps` (``T_ℓ``) is fixed at construction.  A
+    :class:`~repro.core.schedule.ClassRun` advances its tally's
+    :attr:`counts` and :attr:`steps_seen` itself, as :meth:`record`
+    does, from the run's own step count.
     """
 
     level: int

@@ -87,10 +87,14 @@ _START, _GUARD, _TIMEKEEPER, _ALIGNED, _ELECTION, _ANARCHY = (
     SlotRole.START, SlotRole.GUARD, SlotRole.TIMEKEEPER, SlotRole.ALIGNED,
     SlotRole.ELECTION, SlotRole.ANARCHIST,
 )
-_WAIT_TK, _RECHECK_TK, _SLINGSHOT, _FOLLOW, _LEADING, _FINISHED = (
+_WAIT_TK, _RECHECK_TK, _SLINGSHOT, _FOLLOW, _ANARCHIST, _FINISHED = (
     Stage.WAIT_TK, Stage.RECHECK_TK, Stage.SLINGSHOT, Stage.FOLLOW,
-    (Stage.LEADER, Stage.LEADER_PENDING), Stage.FINISHED,
+    Stage.ANARCHIST, Stage.FINISHED,
 )
+_LEADER_PENDING, _LEADER, _HANDOVER = (
+    Stage.LEADER_PENDING, Stage.LEADER, Stage.HANDOVER,
+)
+_LEADING = (_LEADER, _LEADER_PENDING)
 
 
 def _floor_pow2(x: int) -> int:
@@ -119,12 +123,28 @@ class PunctualProtocol(Protocol):
         self._pending_skip = 0  # timekeeper slots to let pass before leading
         self._my_offset: Optional[int] = None  # my announced vtime offset
         self.last_p = 0.0
+        # Frozen, so one serves every START slot.
+        self._start_msg = StartMessage(ctx.job_id)
+        # The claim and release probabilities, fixed at SLINGSHOT and
+        # ANARCHIST entry from the effective window then in force.
+        self._pullback_p = self._anarchy_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
         if not hasattr(self, "_origin"):
             # Pickled (in a stream checkpoint) before it was cached.
             self._origin = self.sync.origin if self.sync.synced else None
+        if not hasattr(self, "_start_msg"):
+            # Pickled before these were cached.  The effective window
+            # cannot change within SLINGSHOT or ANARCHIST, so today's
+            # gives the probabilities fixed at their entry.
+            self._start_msg = StartMessage(self.ctx.job_id)
+            self._fix_probabilities()
+
+    def _fix_probabilities(self) -> None:
+        window = self.eff_window
+        self._pullback_p = self.params.pullback_probability(window)
+        self._anarchy_p = self.params.anarchist_probability(window)
 
     # ------------------------------------------------------------------ utils
     #
@@ -161,7 +181,7 @@ class PunctualProtocol(Protocol):
         r, index = divmod(slot - self._origin, ROUND_LENGTH)
         role = ROLE_OF_INDEX[index]
         if role is _START:
-            return StartMessage(self.ctx.job_id)
+            return self._start_msg
         if role is _GUARD:
             return None
         if role is _TIMEKEEPER:
@@ -175,15 +195,16 @@ class PunctualProtocol(Protocol):
         return None
 
     def _act_timekeeper(self, t: int, r: int) -> Optional[Message]:
-        if self.stage is Stage.LEADER_PENDING:
+        stage = self.stage
+        if stage is _LEADER_PENDING:
             if self._pending_skip > 0:
                 self._pending_skip -= 1
                 return None
-            self.stage = Stage.LEADER
+            stage = self.stage = Stage.LEADER
             if self._my_offset is None:
                 inherited = self.tracker.vtime_offset
                 self._my_offset = inherited if inherited is not None else 0
-        if self.stage is Stage.LEADER:
+        if stage is _LEADER:
             assert self._my_offset is not None
             vtime = r + self._my_offset
             remaining = self._remaining_rounds(t)
@@ -204,7 +225,7 @@ class PunctualProtocol(Protocol):
                 deadline=remaining,
                 abdicating=False,
             )
-        if self.stage is Stage.HANDOVER:
+        if stage is _HANDOVER:
             off = self._my_offset if self._my_offset is not None else 0
             self.stage = Stage.FINISHED  # resolved in observe
             self.emit("punctual.leader_handover", t)
@@ -218,7 +239,7 @@ class PunctualProtocol(Protocol):
         return None
 
     def _act_aligned(self, r: int) -> Optional[Message]:
-        if self.stage is not Stage.FOLLOW or self.machine is None:
+        if self.stage is not _FOLLOW or self.machine is None:
             return None
         v = self._vnow(r)
         if v is None or self.trim is None:
@@ -233,19 +254,17 @@ class PunctualProtocol(Protocol):
         return msg
 
     def _act_election(self, t: int) -> Optional[Message]:
-        if self.stage is not Stage.SLINGSHOT:
+        if self.stage is not _SLINGSHOT:
             return None
-        p = self.params.pullback_probability(self.eff_window)
-        self.last_p = p
+        p = self.last_p = self._pullback_p
         if self.ctx.rng.random() < p:
             return LeaderClaim(self.ctx.job_id, deadline=self._remaining_rounds(t))
         return None
 
     def _act_anarchist(self, t: int) -> Optional[Message]:
-        if self.stage is not Stage.ANARCHIST or self.succeeded:
+        if self.stage is not _ANARCHIST or self.succeeded:
             return None
-        p = self.params.anarchist_probability(self.eff_window)
-        self.last_p = p
+        p = self.last_p = self._anarchy_p
         if self.ctx.rng.random() < p:
             return DataMessage(self.ctx.job_id)
         return None
@@ -278,6 +297,8 @@ class PunctualProtocol(Protocol):
             self.succeeded = True
 
         stage = self.stage
+        if stage is _ANARCHIST:
+            return  # it only transmits, in its anarchy slots
         if stage is _WAIT_TK and role is _TIMEKEEPER:
             self._decide_after_timekeeper(slot, r, halving=False)
             return
@@ -322,13 +343,18 @@ class PunctualProtocol(Protocol):
             self.eff_end = half_end
             self._enter_follow(t, r)
         else:
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchist(t)
 
     def _enter_slingshot(self, t: int) -> None:
         self.stage = Stage.SLINGSHOT
         self.pullback_left = self.params.pullback_duration(self.eff_window)
+        self._fix_probabilities()
         self.emit("punctual.slingshot_entered", t)
+
+    def _enter_anarchist(self, t: int) -> None:
+        self.stage = Stage.ANARCHIST
+        self._fix_probabilities()
+        self.emit("punctual.anarchist_release", t)
 
     def _enter_follow(self, t: int, r: int) -> None:
         """Adopt the leader; trim and build the embedded ALIGNED machine.
@@ -350,16 +376,14 @@ class PunctualProtocol(Protocol):
         rounds_left = self._remaining_rounds(t)
         v_lo, v_hi = v + 1, v + rounds_left
         if v_hi - v_lo < 2:
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchist(t)
             return
         s, e = trimmed_window(v_lo, v_hi)
         level = window_class(e - s)
         if level < self.params.aligned.min_level:
             # trimmed window too small for the embedded schedule — the
             # paper's large-w₀ regime excludes this; simulate via anarchy.
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchist(t)
             return
         self.machine = AlignedMachine(
             self.ctx.job_id, level, self.params.aligned, self.ctx.rng
@@ -415,10 +439,10 @@ class PunctualProtocol(Protocol):
             and self.tracker.vtime_offset != self._machine_offset
         ):
             self._try_build_machine(t, r)
-        if self.stage is not Stage.FOLLOW:
+        if self.stage is not _FOLLOW:
             return  # _try_build_machine may have demoted us to ANARCHIST
         # 3. leader lost (silent timekeeper / expiry): re-run arrival logic
-        if role is SlotRole.TIMEKEEPER and self.tracker.current(r) is None:
+        if role is _TIMEKEEPER and self.tracker.current(r) is None:
             self.machine = None
             self.trim = None
             self.stage = Stage.WAIT_TK

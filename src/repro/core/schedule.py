@@ -25,6 +25,13 @@ A job of class ℓ released at ``r`` needs no pre-``r`` history: ``r`` is a
 multiple of ``2^ℓ`` and hence of every smaller class's size, so *all*
 classes ≤ ℓ start fresh runs at ``r``.  Larger classes never pre-empt
 smaller ones, so the job need not track them at all.
+
+The active class can change only where a run does: at a multiple of
+``2^min_level`` (the smallest critical time, where some class resets) or
+when the active run completes.  A view keeps the active class as a value
+and re-derives it only there, and a run keeps its next step's estimation
+phase and broadcast position as values, advanced step by step; every
+other slot costs the view its order guards and one mask test.
 """
 
 from __future__ import annotations
@@ -80,6 +87,13 @@ class ClassRun:
     estimate is known) once the estimate resolves, and :attr:`done`
     (``steps_taken`` has reached ``total_steps``) by each
     :meth:`advance`, so the per-slot queries re-derive none of them.
+
+    The next step is kept as values too, so the protocols read it
+    without building a :class:`EstimationStep` or :class:`BroadcastStep`:
+    :attr:`phase` is its 1-indexed estimation phase (0 once estimation is
+    over), and :attr:`sub_len` and :attr:`sub_off` are its broadcast
+    subphase's length and its offset in it.  :meth:`next_step` derives
+    the same from the tally and the schedule.
     """
 
     def __init__(self, level: int, params: AlignedParams) -> None:
@@ -100,6 +114,7 @@ class ClassRun:
             self.schedule = BroadcastSchedule.trivial()
             self.total_steps = 1
         self.done = False
+        self._fix_cursor()
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -120,6 +135,27 @@ class ClassRun:
                 )
             total = self.total_steps
             self.done = total is not None and self.steps_taken >= total
+        if "phase" not in state:
+            # Pickled while the next step was derived on every read.
+            self._fix_cursor()
+
+    def _fix_cursor(self) -> None:
+        """Set the next step's values from ``steps_taken``.
+
+        Called where they cannot be advanced step by step: at
+        construction, when the estimate resolves and on unpickling.
+        """
+        step = self.steps_taken
+        self.phase = 0
+        self.sub_len = self.sub_off = self._bphase = self._bsub = 0
+        if self.done:
+            return
+        if step < self.estimation_steps:
+            self.phase = step // (self.params.lam * self.level) + 1
+        elif self.schedule is not None:
+            pos = self.schedule.position(step - self.estimation_steps)
+            self._bphase, self._bsub = pos.phase, pos.subphase
+            self.sub_len, self.sub_off = pos.length, pos.offset
 
     def next_step(self) -> Step:
         """Describe the step the class takes in its next active slot."""
@@ -144,23 +180,43 @@ class ClassRun:
             raise ProtocolViolationError(
                 f"advance() on completed class-{self.level} run"
             )
-        if self.level > 0 and self.steps_taken < self.estimation_steps:
-            assert self.tally is not None
-            self.tally.record(success)
-            self.steps_taken += 1
-            if self.tally.complete:
-                self.estimate = self.tally.estimate(self.params.tau)
-                self.total_steps = total_active_steps(
+        steps = self.steps_taken = self.steps_taken + 1
+        phase = self.phase
+        if phase:
+            # What EstimationTally.record does, from the run's own count.
+            tally = self.tally
+            if success:
+                tally.counts[phase - 1] += 1
+            tally.steps_seen = steps
+            if steps < self.estimation_steps:
+                self.phase = steps // (self.params.lam * self.level) + 1
+                return
+            self.estimate = tally.estimate(self.params.tau)
+            self.total_steps = total_active_steps(
+                self.level, self.estimate, self.params.lam
+            )
+            if self.estimate:
+                self.schedule = BroadcastSchedule(
                     self.level, self.estimate, self.params.lam
                 )
-                if self.estimate:
-                    self.schedule = BroadcastSchedule(
-                        self.level, self.estimate, self.params.lam
-                    )
-        else:
-            self.steps_taken += 1
-        total = self.total_steps
-        self.done = total is not None and self.steps_taken >= total
+            else:
+                self.done = True
+            self._fix_cursor()
+            return
+        if steps >= self.total_steps:
+            self.done = True
+            return
+        # Move the broadcast cursor to the next step.
+        off = self.sub_off + 1
+        if off == self.sub_len:
+            off = 0
+            sub = self._bsub + 1
+            if sub == self.schedule.lam:
+                sub = 0
+                self._bphase += 1
+                self.sub_len = self.schedule.subphase_lengths[self._bphase]
+            self._bsub = sub
+        self.sub_off = off
 
 
 class PeckingOrderView:
@@ -201,9 +257,29 @@ class PeckingOrderView:
         self.runs: Dict[int, ClassRun] = {
             lv: ClassRun(lv, params) for lv in range(self.min_level, max_level + 1)
         }
+        # Slots where a class resets: multiples of 2^min_level.
+        self._mask = (1 << self.min_level) - 1
         self._expected_slot = origin
         self._active: Optional[int] = None
+        self._run: Optional[ClassRun] = None  # the active level's run
         self._phase = "start"  # alternates start -> end
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_run" not in state:
+            # Pickled while every slot re-derived the active class: its
+            # _active may name a run that has since completed.
+            self._mask = (1 << self.min_level) - 1
+            self._rescan()
+
+    def _rescan(self) -> None:
+        """Make the smallest tracked class with an unfinished run active."""
+        for lv in range(self.min_level, self.max_level + 1):
+            run = self.runs[lv]
+            if not run.done:
+                self._active, self._run = lv, run
+                return
+        self._active = self._run = None
 
     def on_slot_start(self, t: int) -> Optional[int]:
         """Handle boundaries, then return the active level (or None).
@@ -216,16 +292,14 @@ class PeckingOrderView:
                 f"on_slot_start({t}) out of order "
                 f"(expected slot {self._expected_slot}, phase {self._phase})"
             )
-        # The classes whose size 2^lv divides t start fresh runs: those up
-        # to t's number of trailing zero bits (every class at t = 0).
-        top = (t & -t).bit_length() - 1 if t else self.max_level
-        for lv in range(self.min_level, min(top, self.max_level) + 1):
-            self.runs[lv] = ClassRun(lv, self.params)
-        self._active = None
-        for lv in range(self.min_level, self.max_level + 1):
-            if not self.runs[lv].done:
-                self._active = lv
-                break
+        if not t & self._mask:
+            # The classes whose size 2^lv divides t start fresh runs:
+            # those up to t's number of trailing zero bits (every class
+            # at t = 0).
+            top = (t & -t).bit_length() - 1 if t else self.max_level
+            for lv in range(self.min_level, min(top, self.max_level) + 1):
+                self.runs[lv] = ClassRun(lv, self.params)
+            self._rescan()
         self._phase = "end"
         return self._active
 
@@ -236,8 +310,11 @@ class PeckingOrderView:
                 f"on_slot_end({t}) out of order "
                 f"(expected slot {self._expected_slot}, phase {self._phase})"
             )
-        if self._active is not None:
-            self.runs[self._active].advance(success)
+        run = self._run
+        if run is not None:
+            run.advance(success)
+            if run.done:
+                self._rescan()
         self._expected_slot = t + 1
         self._phase = "start"
 
@@ -245,7 +322,11 @@ class PeckingOrderView:
 
     @property
     def active_level(self) -> Optional[int]:
-        """The level chosen by the latest :meth:`on_slot_start`."""
+        """The level :meth:`on_slot_start` chose for the current slot.
+
+        Once :meth:`on_slot_end` completes that level's run, the level
+        the next slot gets unless a class resets there.
+        """
         return self._active
 
     def run_of(self, level: int) -> ClassRun:

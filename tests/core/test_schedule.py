@@ -1,6 +1,10 @@
 """Unit tests for ClassRun and the pecking-order view (Lemma 7 machinery)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schedule import (
     BroadcastStep,
@@ -130,9 +134,87 @@ class TestPeckingOrderView:
         # t=32 starts a fresh class-5 window
         assert v.on_slot_start(32) == 5
 
+    def test_old_state_with_a_completed_active_run_rescans(self):
+        # A view pickled while every slot re-derived the active class
+        # keeps, between slots, the level of a run that has just
+        # completed; loading it must make the next class active.
+        p = params(lam=1, min_level=5)
+        v = PeckingOrderView(p, max_level=6, origin=0)
+        for t in range(25):  # class 5's silent estimation completes
+            v.on_slot_start(t)
+            v.on_slot_end(t, False)
+        state = dict(v.__dict__, _active=5)
+        del state["_run"], state["_mask"]
+        old = PeckingOrderView.__new__(PeckingOrderView)
+        old.__setstate__(state)
+        assert old.on_slot_start(25) == 6
+        old.on_slot_end(25, False)
+        assert old.run_of(6).steps_taken == 1
+
     def test_snapshot_shape(self):
         v = PeckingOrderView(params(min_level=2), max_level=4, origin=0)
         v.on_slot_start(0)
         snap = v.snapshot()
         assert len(snap) == 3
         assert snap[0][0] == 2 and snap[-1][0] == 4
+
+
+class _RescanView:
+    """The rule the view keeps incrementally, applied in full every slot:
+    reset each class whose size divides ``t``, then make the smallest
+    class with an unfinished run active."""
+
+    def __init__(self, params, max_level):
+        self.params = params
+        self.levels = range(params.min_level, max_level + 1)
+        self.runs = {lv: ClassRun(lv, params) for lv in self.levels}
+        self.active = None
+
+    def on_slot_start(self, t):
+        for lv in self.levels:
+            if t % (1 << lv) == 0:
+                self.runs[lv] = ClassRun(lv, self.params)
+        self.active = next(
+            (lv for lv in self.levels if not self.runs[lv].done), None
+        )
+        return self.active
+
+    def on_slot_end(self, t, success):
+        if self.active is not None:
+            self.runs[self.active].advance(success)
+
+    def snapshot(self):
+        return tuple(
+            (lv, r.steps_taken, r.estimate, r.done)
+            for lv, r in ((lv, self.runs[lv]) for lv in self.levels)
+        )
+
+
+@given(
+    min_level=st.integers(min_value=1, max_value=6),
+    extra=st.integers(min_value=0, max_value=3),
+    lam=st.sampled_from([1, 2]),
+    windows=st.integers(min_value=0, max_value=3),
+    p_success=st.sampled_from([0.0, 0.05, 0.3, 0.7]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_incremental_view_matches_a_full_rescan(
+    min_level, extra, lam, windows, p_success, seed
+):
+    """Slot for slot, the view's active class and snapshot equal those
+    of a view that rescans every class every slot, over three top-class
+    windows of random success bits."""
+    p = params(lam=lam, min_level=min_level)
+    max_level = min_level + extra
+    origin = windows << max_level
+    view = PeckingOrderView(p, max_level=max_level, origin=origin)
+    ref = _RescanView(p, max_level)
+    rnd = random.Random(seed)
+    for t in range(origin, origin + (3 << max_level)):
+        assert view.on_slot_start(t) == ref.on_slot_start(t)
+        assert view.snapshot() == ref.snapshot()
+        success = rnd.random() < p_success
+        view.on_slot_end(t, success)
+        ref.on_slot_end(t, success)
+        assert view.snapshot() == ref.snapshot()

@@ -4,13 +4,19 @@
   ``total_steps`` when its estimate resolves, and keeps ``done`` current
   on each ``advance``; an :class:`EstimationTally` fixes ``total_steps``
   at construction.  At every step they equal what
-  :func:`estimation_length` and :func:`total_active_steps` give;
+  :func:`estimation_length` and :func:`total_active_steps` give.  The
+  next step's ``phase``, ``sub_len`` and ``sub_off``, advanced step by
+  step, equal what :meth:`ClassRun.next_step` derives, and the tally the
+  run advances inline equals one fed through
+  :meth:`EstimationTally.record`, also after unpickling a state written
+  without them;
 * once synced, PUNCTUAL derives each slot's local round and role from the
   synchronizer's origin, cached when sync completes.  Every round and role
   its hooks hand on equals :meth:`RoundSynchronizer.round_index` /
   :meth:`RoundSynchronizer.role` at that slot.
 """
 
+import pickle
 import random
 
 from hypothesis import given, settings
@@ -19,11 +25,11 @@ from hypothesis import strategies as st
 from repro.channel.jamming import StochasticJammer
 from repro.channel.messages import StartMessage
 from repro.core.broadcast import total_active_steps
-from repro.core.estimation import estimation_length
+from repro.core.estimation import EstimationTally, estimation_length
 from repro.core.leader import LeaderTracker
 from repro.core.punctual import PunctualProtocol
 from repro.core.rounds import SlotRole
-from repro.core.schedule import ClassRun
+from repro.core.schedule import ClassRun, EstimationStep
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.engine import simulate
 from repro.sim.protocolbase import ProtocolContext
@@ -49,20 +55,49 @@ def _expected_total(run: ClassRun, level: int, lam: int):
 def test_class_run_values_match_the_formulas(level, lam, tau, p_success, seed):
     rnd = random.Random(seed)
     run = ClassRun(level, AlignedParams(lam=lam, tau=tau, min_level=0))
+    ref_tally = EstimationTally(level, lam)
     est_len = estimation_length(level, lam)
     while True:
         assert run.estimation_steps == (est_len if level > 0 else 0)
         if run.tally is not None:
             assert run.tally.total_steps == est_len
             assert run.tally.complete == (run.tally.steps_seen >= est_len)
+            assert run.tally == ref_tally
         total = _expected_total(run, level, lam)
         assert run.total_steps == total
         assert run.done == (total is not None and run.steps_taken >= total)
         if run.done:
             break
-        run.next_step()
-        run.advance(rnd.random() < p_success)
+        _assert_cursor(run)
+        if run.steps_taken % 7 == 3:
+            run = _without_cursor(pickle.loads(pickle.dumps(run)))
+            _assert_cursor(run)
+        success = rnd.random() < p_success
+        if run.phase:
+            ref_tally.record(success)
+        run.advance(success)
     assert run.steps_taken == run.total_steps
+
+
+def _without_cursor(run: ClassRun) -> ClassRun:
+    """The run as unpickled from a state written before it kept its
+    next step as values."""
+    state = dict(run.__dict__)
+    for name in ("phase", "sub_len", "sub_off", "_bphase", "_bsub"):
+        del state[name]
+    old = ClassRun.__new__(ClassRun)
+    old.__setstate__(state)
+    return old
+
+
+def _assert_cursor(run: ClassRun):
+    step = run.next_step()
+    if isinstance(step, EstimationStep):
+        assert run.phase == step.phase
+    else:
+        assert run.phase == 0
+        pos = step.position
+        assert (run.sub_len, run.sub_off) == (pos.length, pos.offset)
 
 
 class _AuditedTracker(LeaderTracker):

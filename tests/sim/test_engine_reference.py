@@ -27,6 +27,7 @@ from repro.core.aligned import aligned_factory
 from repro.core.punctual import punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import SimulationError
+from repro.obs.telemetry import Telemetry
 from repro.params import AlignedParams, PunctualParams
 from repro.registry import KNOB_DEFAULTS, protocol_factories
 from repro.sim.engine import ProtocolFactory, simulate
@@ -389,11 +390,55 @@ class TestPinnedSemantics:
             trace=True,
             **ADVERSARIES[adversary],
         )
-        h = hashlib.sha256()
-        h.update(repr([
-            (o.job.job_id, o.status.name, o.completion_slot, o.transmissions)
-            for o in res.outcomes
-        ]).encode())
-        h.update(repr(res.slots_simulated).encode())
-        h.update(res.trace.contentions().tobytes())
-        assert h.hexdigest()[:16] == digest
+        assert _traced_digest(res) == digest
+
+    @pytest.mark.parametrize(
+        "name, adversary, digest",
+        [
+            ("aligned", "clean", "c00e6ebef7bc75d0"),
+            ("aligned", "jam", "261736588fd19365"),
+            ("aligned", "clock", "9b62cc2ce0abeb1b"),
+            ("aligned", "jobs", "50e2a5d29dcf25b3"),
+            ("trimmed", "clean", "c00e6ebef7bc75d0"),
+            ("trimmed", "jam", "261736588fd19365"),
+            ("trimmed", "clock", "9b62cc2ce0abeb1b"),
+            ("trimmed", "jobs", "eb6ebf64b610cbf6"),
+            ("punctual", "clean", "e5f68aefcc3e61af"),
+            ("punctual", "jam", "3ab938ad259b69e2"),
+            ("punctual", "clock", "f037082966f47d1c"),
+            ("punctual", "jobs", "e9427b228f77aafe"),
+        ],
+    )
+    def test_traced_pecking_order_pin(self, name, adversary, digest):
+        """The same digest, plus the telemetry event records, for the
+        protocols that run the pecking-order machine: ALIGNED and
+        ``trimmed`` on one class-10 window, and PUNCTUAL on a batch in
+        which one leader is elected and the other 63 jobs follow it
+        through the embedded machine (clean and jammed) or are released
+        to anarchy (under clock and job faults)."""
+        if name == "punctual":
+            inst = batch_instance(64, window=2048)
+            factory, seed = punctual_factory(PunctualParams()), 0
+        else:
+            inst = single_class_instance(32, level=10)
+            factory, seed = protocol_factories(KNOB_DEFAULTS, inst)[name], 2
+        tele = Telemetry()
+        res = simulate(
+            inst, factory, seed=seed, trace=True, telemetry=tele,
+            **ADVERSARIES[adversary],
+        )
+        assert _traced_digest(res, tele.events.as_records()) == digest
+
+
+def _traced_digest(res, events=None):
+    """Outcomes, slot count, traced contention and (given) event records."""
+    h = hashlib.sha256()
+    h.update(repr([
+        (o.job.job_id, o.status.name, o.completion_slot, o.transmissions)
+        for o in res.outcomes
+    ]).encode())
+    h.update(repr(res.slots_simulated).encode())
+    h.update(res.trace.contentions().tobytes())
+    if events is not None:
+        h.update(repr(events).encode())
+    return h.hexdigest()[:16]

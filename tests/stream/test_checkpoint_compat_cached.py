@@ -23,6 +23,16 @@ the probability of the next act (``_next_p``), and, for BEB and
 slow-feedback backoff, without the next send slot (``_next_tx_slot``)
 or offset (``_next_send``).
 
+Two more PUNCTUAL checkpoints from the last commit before the
+pecking-order view kept its active class, the class runs their next
+step, and PUNCTUAL its start message and claim and release
+probabilities as values:
+``fixtures/stream_v2_punctual-anarchy-{estimating,broadcasting}.ckpt``
+hold ANARCHIST jobs beside followers whose embedded machines are
+part-way through estimation (the first) or broadcast (the second),
+pickled without ``_start_msg``, ``_anarchy_p``, the views' ``_run`` and
+the runs' ``sub_len``.
+
 Unpickling rebuilds each missing value from the fields the old pickle
 does hold, so all resume bit-exactly.  They were regenerated with::
 
@@ -30,9 +40,10 @@ does hold, so all resume bit-exactly.  They were regenerated with::
     PYTHONPATH=parent/src python tests/stream/test_checkpoint_compat_cached.py \
         tests/stream/fixtures uniform punctual punctual-estimating
 
-and the same with ``34d8954`` and ``sawtooth soft nocd beb slowfb``,
-which runs :func:`_run` below for each named protocol with a checkpoint
-and keeps the first one written.
+and the same with ``34d8954`` and ``sawtooth soft nocd beb slowfb``, and
+with ``f8beea2`` and ``punctual-anarchy-estimating
+punctual-anarchy-broadcasting``, which runs :func:`_run` below for each
+named protocol with a checkpoint and keeps the first one written.
 """
 
 import shutil
@@ -82,6 +93,8 @@ RUNS = {
     "uniform": (dict(OVERLOAD, factory=uniform_factory()), 600),
     "punctual": (PUNCTUAL, 1400),
     "punctual-estimating": (PUNCTUAL, 869),
+    "punctual-anarchy-estimating": (PUNCTUAL, 1060),
+    "punctual-anarchy-broadcasting": (PUNCTUAL, 1240),
     "sawtooth": (dict(OVERLOAD, factory=sawtooth_factory()), 400),
     "soft": (dict(OVERLOAD, factory=softened_factory()), 600),
     "nocd": (dict(OVERLOAD, factory=nocd_factory()), 900),
@@ -93,6 +106,12 @@ CACHED = {
     "uniform": [b"_last_age"],
     "punctual": [b"_origin"],
     "punctual-estimating": [b"_origin"],
+    "punctual-anarchy-estimating": [
+        b"_start_msg", b"_anarchy_p", b"_run", b"sub_len",
+    ],
+    "punctual-anarchy-broadcasting": [
+        b"_start_msg", b"_anarchy_p", b"_run", b"sub_len",
+    ],
     "sawtooth": [b"_coins", b"_next_p"],
     "soft": [b"_coins", b"_next_p"],
     "nocd": [b"_coins", b"_next_p"],
@@ -142,11 +161,21 @@ def test_fixture_predates_the_cached_values(name):
         assert attr not in raw
 
 
+def _broadcasting(run):
+    return run.estimate is not None and not run.done
+
+
+def _estimating(run):
+    return run.tally.steps_seen > 0 and run.estimate is None
+
+
 @pytest.mark.parametrize(
     "name, in_state",
     [
-        ("punctual", lambda r: r.estimate is not None and not r.done),
+        ("punctual", _broadcasting),
         ("punctual-estimating", lambda r: r.tally.steps_seen > 0),
+        ("punctual-anarchy-estimating", _estimating),
+        ("punctual-anarchy-broadcasting", _broadcasting),
     ],
 )
 def test_punctual_fixtures_hold_running_class_runs(tmp_path, name, in_state):
@@ -155,6 +184,8 @@ def test_punctual_fixtures_hold_running_class_runs(tmp_path, name, in_state):
     state, _ = load_checkpoint(str(path))
     protos = state["core"].protos
     assert any(p._origin is not None for p in protos)
+    if "anarchy" in name:
+        assert any(p.stage is Stage.ANARCHIST for p in protos)
     runs = [
         run
         for p in protos
