@@ -184,37 +184,48 @@ class _RescanView:
             self.runs[self.active].advance(success)
 
     def snapshot(self):
+        runs = self.runs
         return tuple(
-            (lv, r.steps_taken, r.estimate, r.done)
-            for lv, r in ((lv, self.runs[lv]) for lv in self.levels)
+            (lv, runs[lv].steps_taken, runs[lv].estimate, runs[lv].done)
+            for lv in self.levels
         )
 
 
 @given(
-    min_level=st.integers(min_value=1, max_value=6),
+    min_level=st.integers(min_value=1, max_value=7),
     extra=st.integers(min_value=0, max_value=3),
     lam=st.sampled_from([1, 2]),
+    tau=st.sampled_from([2, 4]),
     windows=st.integers(min_value=0, max_value=3),
-    p_success=st.sampled_from([0.0, 0.05, 0.3, 0.7]),
+    p_success=st.sampled_from([0.0, 0.05, 0.3, 0.7, None]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
 def test_incremental_view_matches_a_full_rescan(
-    min_level, extra, lam, windows, p_success, seed
+    min_level, extra, lam, tau, windows, p_success, seed
 ):
     """Slot for slot, the view's active class and snapshot equal those
     of a view that rescans every class every slot, over three top-class
-    windows of random success bits."""
-    p = params(lam=lam, min_level=min_level)
+    windows of random success bits.  With ``p_success`` None a slot
+    succeeds only in its active run's first estimation phase, so the
+    estimate is the smallest and broadcasts can run to completion."""
+    p = params(lam=lam, tau=tau, min_level=min_level)
     max_level = min_level + extra
     origin = windows << max_level
     view = PeckingOrderView(p, max_level=max_level, origin=origin)
     ref = _RescanView(p, max_level)
     rnd = random.Random(seed)
     for t in range(origin, origin + (3 << max_level)):
-        assert view.on_slot_start(t) == ref.on_slot_start(t)
+        active = ref.on_slot_start(t)
+        assert view.on_slot_start(t) == active
         assert view.snapshot() == ref.snapshot()
-        success = rnd.random() < p_success
+        if p_success is not None:
+            success = rnd.random() < p_success
+        else:
+            success = (
+                active is not None
+                and ref.runs[active].steps_taken < lam * active
+            )
         view.on_slot_end(t, success)
         ref.on_slot_end(t, success)
         assert view.snapshot() == ref.snapshot()

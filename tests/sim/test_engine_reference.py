@@ -414,8 +414,8 @@ class TestPinnedSemantics:
         protocols that run the pecking-order machine: ALIGNED and
         ``trimmed`` on one class-10 window, and PUNCTUAL on a batch in
         which one leader is elected and the other 63 jobs follow it
-        through the embedded machine (clean and jammed) or are released
-        to anarchy (under clock and job faults)."""
+        through the embedded machine; under clock and job faults some
+        of them are released to anarchy instead."""
         if name == "punctual":
             inst = batch_instance(64, window=2048)
             factory, seed = punctual_factory(PunctualParams()), 0
