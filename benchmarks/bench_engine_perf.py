@@ -69,6 +69,13 @@ KERNEL_TRIALS = 64
 ALIGNED_KERNEL_FLOOR = 550_000
 PUNCTUAL_KERNEL_FLOOR = 3_450_000
 
+#: Seeds/second floor of the seed-major batched UNIFORM driver, by the
+#: same rule over 24 runs on that host (1,466-2,455 seeds/s).  Its ratio
+#: to the per-seed engine loop stays printed, not asserted: once the
+#: engine let idle jobs sleep it read 2.2-2.8x (7 runs), against
+#: 6.2-9.5x before (3 runs), with the batched driver unchanged.
+BATCHED_SEEDS_FLOOR = 1_350
+
 
 # Module-level so the multi-process run_seeds comparison can pickle them.
 def _bench_batch_build():
@@ -185,13 +192,10 @@ def test_p1_engine_throughput(benchmark, emit):
     t0 = time.perf_counter()
     run_seeds(batch_build, batch_proto, range(batched_seeds), fastpath="on")
     batched_per_seed = (time.perf_counter() - t0) / batched_seeds
+    batched_rate = 1.0 / batched_per_seed  # seeds/second, not slots
     speedup["batched"] = engine_per_seed / batched_per_seed
     rows.append(
-        [
-            f"batched / UNIFORM ({batched_seeds:,} seeds)",
-            batched_seeds,
-            1.0 / batched_per_seed,  # seeds/second, not slots
-        ]
+        [f"batched / UNIFORM ({batched_seeds:,} seeds)", batched_seeds, batched_rate]
     )
     for key, label in (
         ("aligned_kernel", "ALIGNED kernel"),
@@ -221,8 +225,8 @@ def test_p1_engine_throughput(benchmark, emit):
     assert kernel_rate["punctual_kernel"] > PUNCTUAL_KERNEL_FLOOR, (
         f"PUNCTUAL kernel below {PUNCTUAL_KERNEL_FLOOR:,} slots/second"
     )
-    assert speedup["batched"] > 5, (
-        "seed-major batching fell below 5x the per-seed loop"
+    assert batched_rate > BATCHED_SEEDS_FLOOR, (
+        f"seed-major batching below {BATCHED_SEEDS_FLOOR:,} seeds/second"
     )
 
     benchmark(

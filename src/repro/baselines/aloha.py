@@ -26,7 +26,13 @@ __all__ = ["SlottedAloha", "aloha_factory", "window_scaled_aloha_factory"]
 
 
 class SlottedAloha(Protocol):
-    """Transmit i.i.d. with probability ``p`` every slot until success."""
+    """Transmit i.i.d. with probability ``p`` every slot until success.
+
+    Slot ``t``'s coin is the stream's ``t``-th :meth:`ProtocolContext.random`
+    value from activation on, as if drawn at each act; the job draws them
+    ahead instead, up to the next coin that comes up, and sleeps until
+    that slot (:attr:`~Protocol.wake`).
+    """
 
     def __init__(self, ctx: ProtocolContext, p: float) -> None:
         super().__init__(ctx)
@@ -34,11 +40,42 @@ class SlottedAloha(Protocol):
             raise InvalidParameterError(f"p must be in (0, 1], got {p}")
         self.p = p
         self.last_p = p
+        self.wake = 0
+        self._send = False  # whether the coin of slot ``wake`` came up
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        if self.wake is None:
+            # Pickled before coins were drawn ahead: the stream stands at
+            # the next act's coin.
+            self.wake, self._send = 0, False
+
+    def _scan(self, slot: int) -> None:
+        """Draw the coins of slots ``slot``, ``slot + 1``, ... until one
+        comes up (wake there to send) or a window's worth of them does
+        not (wake there to draw on)."""
+        random = self.ctx.random
+        p = self.p
+        stop = slot + self.ctx.window
+        while slot < stop:
+            if random() < p:
+                self.wake, self._send = slot, True
+                return
+            slot += 1
+        self.wake, self._send = stop, False
+
+    def on_begin(self, slot: int) -> None:
+        self._scan(slot)
 
     def on_act(self, slot: int) -> Optional[Message]:
-        if self.ctx.random() < self.p:
-            return DataMessage(self.ctx.job_id)
-        return None
+        if slot < self.wake:
+            return None
+        if not self._send:
+            self._scan(slot)
+            if slot < self.wake:
+                return None
+        self._scan(slot + 1)
+        return DataMessage(self.ctx.job_id)
 
     def on_observe(self, slot: int, obs: Observation) -> None:
         pass

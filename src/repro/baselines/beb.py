@@ -41,7 +41,8 @@ class BinaryExponentialBackoff(Protocol):
 
     The next attempt's slot and probability (one over the backoff
     window) are set at activation and at each backoff; ``last_p`` is the
-    probability the latest act used.
+    probability the latest act used.  The next attempt's slot is the
+    job's :attr:`~Protocol.wake`: it sleeps until then.
     """
 
     def __init__(
@@ -62,17 +63,21 @@ class BinaryExponentialBackoff(Protocol):
         self.initial_window = initial_window
         self.max_exponent = max_exponent
         self.attempt = 0  # number of failed attempts so far
-        self._next_tx_slot: int = 0  # slot of the next attempt
+        self.wake = 0  # slot of the next attempt
         self._next_p = 1.0 / self.current_backoff_window()
         self.last_p = 0.0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
+        slot = self.__dict__.pop("_next_tx_slot", None)
+        if slot is not None:
+            # Pickled (in a stream checkpoint) before jobs slept.
+            self.wake = slot
         age = self.__dict__.pop("_next_tx_age", None)
         if age is not None:
-            # Pickled (in a stream checkpoint) when the next attempt was
-            # kept as a local age and its probability derived at each act.
-            self._next_tx_slot = self.start_slot + age
+            # Pickled when the next attempt was kept as a local age and
+            # its probability derived at each act.
+            self.wake = self.start_slot + age
             self._next_p = 1.0 / self.current_backoff_window()
 
     def current_backoff_window(self) -> int:
@@ -84,20 +89,20 @@ class BinaryExponentialBackoff(Protocol):
 
     def on_begin(self, slot: int) -> None:
         w = self.current_backoff_window()
-        self._next_tx_slot = slot + int(self.ctx.rng.integers(w))
+        self.wake = slot + int(self.ctx.rng.integers(w))
 
     def on_act(self, slot: int) -> Optional[Message]:
         self.last_p = self._next_p
-        if slot == self._next_tx_slot:
+        if slot == self.wake:
             return DataMessage(self.ctx.job_id)
         return None
 
     def on_observe(self, slot: int, obs: Observation) -> None:
-        if slot == self._next_tx_slot and not self.succeeded:
+        if slot == self.wake and not self.succeeded:
             # attempt failed: back off into the next, doubled window
             self.attempt += 1
             w = self.current_backoff_window()
-            self._next_tx_slot = slot + 1 + int(self.ctx.rng.integers(w))
+            self.wake = slot + 1 + int(self.ctx.rng.integers(w))
             self._next_p = 1.0 / w
 
 

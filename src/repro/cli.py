@@ -316,10 +316,19 @@ class _StreamProtocol:
     def __setstate__(self, protocol: GridProtocol) -> None:
         self.protocol, self._factory = protocol, None
 
-    def __call__(self, job, rng):
+    def _resolved(self) -> Callable:
         if self._factory is None:
             self._factory = self.protocol(Instance(()))
-        return self._factory(job, rng)
+        return self._factory
+
+    @property
+    def identity(self):
+        """The resolved factory's protocol identity (see
+        :func:`repro.registry.protocol_factories`)."""
+        return self._resolved().identity
+
+    def __call__(self, job, rng):
+        return self._resolved()(job, rng)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -1281,7 +1290,7 @@ def _stream_watchdog(args: argparse.Namespace):
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """Open-arrival streaming runs: sustained load, bounded memory."""
-    from repro.stream import CheckpointConfig, stream_simulate
+    from repro.stream import CheckpointConfig, CheckpointError, stream_simulate
     from repro.stream.report import SustainedLoadReport
     from repro.stream.shard import StreamShardSpec, run_stream_shards
 
@@ -1347,20 +1356,23 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if tracker is not None:
                 tracker.context["rho"] = rho
             if checkpoint is not None:
-                merged = stream_simulate(
-                    process,
-                    factory,
-                    seed=args.seed,
-                    max_jobs=args.max_jobs or None,
-                    max_slots=args.max_slots or None,
-                    budget=budget,
-                    jammer=jammer,
-                    faults=plan,
-                    watchdog=watchdog,
-                    checkpoint=checkpoint,
-                    resume=args.resume,
-                    progress=tracker,
-                )
+                try:
+                    merged = stream_simulate(
+                        process,
+                        factory,
+                        seed=args.seed,
+                        max_jobs=args.max_jobs or None,
+                        max_slots=args.max_slots or None,
+                        budget=budget,
+                        jammer=jammer,
+                        faults=plan,
+                        watchdog=watchdog,
+                        checkpoint=checkpoint,
+                        resume=args.resume,
+                        progress=tracker,
+                    )
+                except CheckpointError as exc:
+                    raise SystemExit(str(exc))
             else:
                 specs = [
                     StreamShardSpec(

@@ -23,8 +23,10 @@ The master per-job state machine of Figure 2:
   timekeeper slot.
 
 Every live synchronized job also broadcasts start messages in both START
-slots of every round (round-keeping), and every job passively feeds the
-:class:`~repro.core.leader.LeaderTracker` regardless of stage.
+slots of every round (round-keeping), and every job but an anarchist
+passively feeds the :class:`~repro.core.leader.LeaderTracker`, whatever
+its stage (ANARCHIST is final, and nothing reads the tracker there: an
+anarchist sleeps between its anarchy and START slots).
 
 Deviations / resolutions of underspecified points are listed in
 DESIGN.md §3; the notable ones: deadlines travel as *remaining rounds*;
@@ -96,6 +98,10 @@ _LEADER_PENDING, _LEADER, _HANDOVER = (
 )
 _LEADING = (_LEADER, _LEADER_PENDING)
 
+#: Slots from a slot of each round index to the anarchist's next one of
+#: indices 9, 0 and 1 (its anarchy and START slots).
+_ANARCHY_GAP = (1, 8, 7, 6, 5, 4, 3, 2, 1, 1)
+
 
 def _floor_pow2(x: int) -> int:
     """Largest power of two <= x (x >= 1)."""
@@ -128,9 +134,14 @@ class PunctualProtocol(Protocol):
         # The claim and release probabilities, fixed at SLINGSHOT and
         # ANARCHIST entry from the effective window then in force.
         self._pullback_p = self._anarchy_p = 0.0
+        # An anarchist sleeps between its anarchy and START slots.
+        self.wake = 0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
+        if self.wake is None:
+            # Pickled before anarchists slept: awake until its next observe.
+            self.wake = 0
         if not hasattr(self, "_origin"):
             # Pickled (in a stream checkpoint) before it was cached.
             self._origin = self.sync.origin if self.sync.synced else None
@@ -283,6 +294,13 @@ class PunctualProtocol(Protocol):
             return
 
         r, index = divmod(slot - self._origin, ROUND_LENGTH)
+        stage = self.stage
+        if stage is _ANARCHIST:
+            # It only transmits, in its anarchy and START slots, and no
+            # later stage reads its tracker.
+            wake = slot + _ANARCHY_GAP[index]
+            self.wake = wake if wake < self.eff_end else self.eff_end
+            return
         role = ROLE_OF_INDEX[index]
         if role is _TIMEKEEPER or role is _ELECTION:
             self.tracker.observe(r, role, obs)  # it ignores other roles
@@ -296,9 +314,6 @@ class PunctualProtocol(Protocol):
         ):
             self.succeeded = True
 
-        stage = self.stage
-        if stage is _ANARCHIST:
-            return  # it only transmits, in its anarchy slots
         if stage is _WAIT_TK and role is _TIMEKEEPER:
             self._decide_after_timekeeper(slot, r, halving=False)
             return
@@ -354,6 +369,8 @@ class PunctualProtocol(Protocol):
     def _enter_anarchist(self, t: int) -> None:
         self.stage = Stage.ANARCHIST
         self._fix_probabilities()
+        wake = t + _ANARCHY_GAP[(t - self._origin) % ROUND_LENGTH]
+        self.wake = wake if wake < self.eff_end else self.eff_end
         self.emit("punctual.anarchist_release", t)
 
     def _enter_follow(self, t: int, r: int) -> None:

@@ -33,7 +33,8 @@ class UniformProtocol(Protocol):
 
     When the window is smaller than ``attempts``, every slot is used.
     A success stops further attempts (the job terminates).  Every
-    per-slot constant is fixed in :meth:`on_begin`.
+    per-slot constant is fixed in :meth:`on_begin`.  The job sleeps
+    between its chosen slots (:attr:`~Protocol.wake`).
     """
 
     def __init__(self, ctx: ProtocolContext, params: UniformParams) -> None:
@@ -42,12 +43,16 @@ class UniformProtocol(Protocol):
         self.chosen: Set[int] = set()
         self.last_p = 0.0
         self._last_age = 0  # the latest chosen age, set at begin
+        self.wake = 0
 
     def __setstate__(self, state: tuple) -> None:
         super().__setstate__(state)
         if not hasattr(self, "_last_age"):
             # Pickled (in a stream checkpoint) before it was cached.
             self._last_age = max(self.chosen, default=0)
+        if self.wake is None:
+            # Pickled before jobs slept: awake until its next observe.
+            self.wake = 0
 
     def on_begin(self, slot: int) -> None:
         w = self.ctx.window
@@ -55,6 +60,7 @@ class UniformProtocol(Protocol):
         picks = self.ctx.rng.choice(w, size=k, replace=False)
         self.chosen = {int(x) for x in picks}
         self._last_age = max(self.chosen)
+        self.wake = slot + min(self.chosen)
         # Marginal per-slot probability, for contention traces: the chance
         # a fresh job would transmit here is attempts/window.
         self.last_p = min(self.params.attempts / w, 1.0)
@@ -69,7 +75,12 @@ class UniformProtocol(Protocol):
         # exhausted its chosen slots without success stays silent forever;
         # we mark it given-up so the engine can retire it early (pure
         # bookkeeping — it would not touch the channel again anyway).
-        if not self.succeeded and slot - self.start_slot >= self._last_age:
+        if slot < self.wake:
+            return
+        age = slot - self.start_slot
+        if age < self._last_age:
+            self.wake = self.start_slot + min(a for a in self.chosen if a > age)
+        elif not self.succeeded:
             self.gave_up = True
             self.emit("uniform.exhausted", slot, attempts=len(self.chosen))
 

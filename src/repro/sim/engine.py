@@ -39,6 +39,21 @@ the suite, so it is written for throughput:
   checker or feedback corruption, for a class that overrides ``act``,
   ``observe`` or ``done``, and for a duck-typed protocol; the ``direct``
   column records which binding each job got;
+* a directly bound job sleeps while its protocol's ``wake`` (see "The
+  wake promise" in :mod:`repro.sim.protocolbase`) is a later slot, in a
+  run with no checker, telemetry, trace or observers (they read every
+  job's per-slot ``last_p``, events and observations).  The ``wake``
+  column holds each job's wake (``-1``: call it every slot), read back
+  after each of its observations.  A run with a sleeper steps through
+  :meth:`SlotCore._step_awake`, which leaves sleepers out of the act
+  loop, the fan-out and the retire scan (deadlines still retire them);
+  a run without one pays a single ``sleepy`` test per slot.  When
+  every live job sleeps past the next slot and no watchdog is attached,
+  the step returns :data:`ASLEEP`, and the driver jumps
+  (:meth:`~SlotCore.skip`) to the earliest wake, admission or arrival,
+  deadline retirement, checkpoint or end of releases, counting each
+  skipped slot as a silent step counts it (the jammer still decides
+  each one);
 * slot resolution is inlined (semantically identical to
   :func:`repro.channel.channel.resolve_slot`), and the jammer callout is
   skipped entirely for the benign :class:`NoJammer`;
@@ -123,7 +138,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
-    "ENGINE_VERSION", "Finalize", "ProtocolFactory", "SlotCore",
+    "ASLEEP", "ENGINE_VERSION", "Finalize", "ProtocolFactory", "SlotCore",
     "SlotObserver", "resolve_adversary", "simulate",
 ]
 
@@ -161,7 +176,8 @@ _NOISE = Feedback.NOISE
 _STATE = (
     "rngs", "ch_rng", "jam", "jam_attempt", "corrupt", "f_rng",
     "clock_fault", "job_fault", "ids", "jobs", "protos", "act", "observe",
-    "deadline", "has_p", "jammed", "direct", "columns", "delivered", "sink",
+    "deadline", "has_p", "jammed", "wake", "direct", "columns", "delivered",
+    "sink",
     "slots", "attempts", "silence_slots", "success_slots", "collision_slots",
     "jammed_slots", "progress_mark",
 )
@@ -170,8 +186,14 @@ _STATE = (
 #: never pickled into a streaming checkpoint.
 _HOOKS = (
     "factory", "checker", "tele", "recorder", "observers",
-    "hooked", "track_contention", "wd", "wd_stall_limit", "wd_deadline",
+    "hooked", "track_contention", "sleepy", "wd", "wd_stall_limit",
+    "wd_deadline",
 )
+
+#: What :meth:`SlotCore.step` returns instead of ``None`` when every live
+#: job sleeps past the next slot (never with a watchdog attached): the
+#: driver may :meth:`~SlotCore.skip` to the next slot that needs a step.
+ASLEEP = object()
 
 
 def resolve_adversary(
@@ -284,10 +306,11 @@ class SlotCore:
         self.deadline: List[int] = []
         self.has_p: List[bool] = []
         self.jammed: List[int] = []  # per-job attempts spent into jammed slots
+        self.wake: List[int] = []  # first slot to call the job; -1: every slot
         self.direct: List[bool] = []  # act/observe are the bare hooks
         self.columns = (
             self.ids, self.jobs, self.protos, self.act, self.observe,
-            self.deadline, self.has_p, self.jammed, self.direct,
+            self.deadline, self.has_p, self.jammed, self.wake, self.direct,
         )
         self.delivered: Dict[int, int] = {}  # job id -> first delivery slot
         self.sink = _Sink()
@@ -303,6 +326,10 @@ class SlotCore:
     def __setstate__(self, state: tuple) -> None:
         for name, value in state[1].items():
             setattr(self, name, value)
+        if "wake" not in state[1]:
+            # Written before jobs slept; attach() fills the column in.
+            self.wake = [-1] * len(self.ids)
+            self.columns = self.columns[:8] + (self.wake,) + self.columns[8:]
         if "direct" not in state[1]:
             # Written before direct binding: every live job is guarded.
             self.direct = [False] * len(self.ids)
@@ -356,6 +383,15 @@ class SlotCore:
             or bool(observers)
         )
         self.track_contention = recorder is not None or telemetry is not None
+        # A job may sleep (its wake column holds the wake its protocol
+        # promises, else -1: call it every slot) only when bound directly
+        # in a run whose hooks read no per-slot values (``last_p``,
+        # events, every job's observation); admit() applies the same rule.
+        self.wake[:] = [
+            -1 if self.hooked or not d or p.wake is None else p.wake
+            for p, d in zip(self.protos, self.direct)
+        ]
+        self.sleepy = max(self.wake, default=-1) >= 0
 
         # Watchdog limits (see sim/watchdog.py); with no watchdog the
         # per-slot cost is a single ``is None`` guard.
@@ -413,6 +449,10 @@ class SlotCore:
         self.has_p.append(hasattr(proto, "last_p"))
         self.jammed.append(0)
         self.direct.append(direct)
+        wake = -1 if self.hooked or not direct or proto.wake is None else proto.wake
+        self.wake.append(wake)
+        if wake >= 0:
+            self.sleepy = True
 
     def evict(self, i: int) -> Tuple[int, int]:
         """Drop live job ``i`` unfinished; returns its
@@ -429,11 +469,13 @@ class SlotCore:
 
         Retired jobs go to ``finalize``.  Returns the
         :class:`~repro.sim.watchdog.WatchdogTrip` that cancels the run
-        (see :meth:`cancel`), or ``None``.
+        (see :meth:`cancel`), :data:`ASLEEP`, or ``None``.
         """
+        if self.sleepy:
+            return self._step_awake(t, finalize)
         (
             live_ids, _, live_protos, live_act, live_observe, live_deadline,
-            live_has_p, live_jammed, live_direct,
+            live_has_p, live_jammed, _, live_direct,
         ) = self.columns
         n_live = len(live_protos)
 
@@ -564,10 +606,121 @@ class SlotCore:
             return None
         return self._watchdog(t, delivered_now)
 
+    def _resolve(
+        self, t: int, tx_idx: List[int], tx_msg: List[Message]
+    ) -> Tuple[int, Observation, Observation]:
+        """Resolve slot ``t`` from its sends and count it, as :meth:`step`
+        does inline (a call per slot would cost every run without
+        sleepers about 2%).  Returns ``(delivered job id or -1, listener
+        observation, transmitter observation)``."""
+        self.slots += 1
+        n_tx = len(tx_idx)
+        self.attempts += n_tx
+        jam_attempt = self.jam_attempt
+        jammed = jam_attempt is not None and jam_attempt(
+            t, n_tx, tx_msg[0] if n_tx == 1 else None, self.ch_rng
+        )
+        if jammed:
+            self.jammed_slots += 1
+            live_jammed = self.jammed
+            for i in tx_idx:
+                live_jammed[i] += 1
+        if n_tx > 1:
+            self.collision_slots += 1
+        if jammed or n_tx > 1:
+            return -1, _OBS_NOISE, _OBS_NOISE_TX
+        if not n_tx:
+            self.silence_slots += 1
+            return -1, _OBS_SILENCE, _OBS_SILENCE
+        self.success_slots += 1
+        msg0 = tx_msg[0]
+        i = tx_idx[0]
+        own = msg0.sender == self.ids[i]
+        delivered_now = -1
+        kind = msg0.kind
+        if kind == KIND_DATA:
+            self.delivered.setdefault(msg0.sender, t)
+            delivered_now = msg0.sender
+            if own and self.direct[i]:
+                # What the guarded observe() does for its own delivery.
+                self.protos[i].succeeded = True
+        elif kind == KIND_BEACON and msg0.payload is not None:
+            self.delivered.setdefault(msg0.payload.sender, t)
+            delivered_now = msg0.payload.sender
+        return (
+            delivered_now,
+            Observation(_SUCCESS, msg0, False, False),
+            Observation(_SUCCESS, msg0, True, own),
+        )
+
+    def _step_awake(self, t: int, finalize: Finalize) -> Optional[WatchdogTrip]:
+        """:meth:`step` for a run whose jobs may sleep: only the jobs
+        awake at ``t`` act, observe and are checked for retirement
+        (deadlines still retire sleepers).  Such a run has no per-slot
+        hooks and no feedback corruption."""
+        protos, act, observe, deadline, direct, wake = (
+            self.protos, self.act, self.observe, self.deadline, self.direct,
+            self.wake,
+        )
+        awake = [i for i, w in enumerate(wake) if w <= t]
+        tx_idx: List[int] = []
+        tx_msg: List[Message] = []
+        for i in awake:
+            msg = act[i](t)
+            if msg is not None:
+                tx_idx.append(i)
+                tx_msg.append(msg)
+        for i in tx_idx:
+            if direct[i]:
+                protos[i].transmissions += 1
+
+        delivered_now, obs_listen, obs_tx = self._resolve(t, tx_idx, tx_msg)
+
+        finished = False
+        txs = set(tx_idx) if tx_idx else ()
+        for i in awake:
+            p = protos[i]
+            observe[i](t, obs_tx if i in txs else obs_listen)
+            if wake[i] >= 0:
+                wake[i] = p.wake
+            if p.succeeded or p.gave_up:
+                finished = True
+
+        end = t + 1
+        if finished or end >= min(deadline):
+            self._retire(end, finalize)
+        if self.wd is not None:
+            return self._watchdog(t, delivered_now)
+        if wake and min(wake) > end:
+            return ASLEEP
+        return None
+
+    def next_wake(self) -> int:
+        """The first slot that needs a :meth:`step` when every live job
+        sleeps: the earliest wake, or the slot that retires the earliest
+        deadline."""
+        return min(min(self.wake), min(self.deadline) - 1)
+
+    def skip(self, t: int, stop: int) -> int:
+        """Count slots ``t`` to ``stop - 1``, in which every live job
+        sleeps, exactly as silent steps count them (the jammer still
+        decides each one), and return ``stop``."""
+        n = stop - t
+        self.slots += n
+        jam_attempt = self.jam_attempt
+        if jam_attempt is None:
+            self.silence_slots += n
+            return stop
+        rng = self.ch_rng
+        jammed = sum(1 for s in range(t, stop) if jam_attempt(s, 0, None, rng))
+        self.jammed_slots += jammed
+        self.silence_slots += n - jammed
+        return stop
+
     def _retire(self, end: float, finalize: Finalize) -> None:
         """Finalize, in live order, every job that is over by slot
         ``end``, and compact the live set around the survivors."""
-        ids, jobs, protos, act, observe, deadline, has_p, jammed, direct = (
+        ids, jobs, protos, act, observe, deadline, has_p, jammed, wake, direct = (
             self.columns
         )
         delivered = self.delivered
@@ -596,7 +749,7 @@ class SlotCore:
             finalize(job, status, comp, proto.transmissions, jammed[i])
         for i in reversed(done):
             del ids[i], jobs[i], protos[i], act[i], observe[i], deadline[i]
-            del has_p[i], jammed[i], direct[i]
+            del has_p[i], jammed[i], wake[i], direct[i]
 
     def _watchdog(self, t: int, delivered_now: int) -> Optional[WatchdogTrip]:
         wd = self.wd
@@ -762,7 +915,17 @@ def simulate(
             continue
         trip = step(t, finalize)
         t += 1
-        if trip is not None or (next_job >= n_total and not live):
+        if trip is not None:
+            if trip is not ASLEEP:
+                break
+            # Every live job sleeps: jump to the next wake, retirement
+            # or admission.
+            trip = None
+            stop = core.next_wake()
+            if next_job < n_total:
+                stop = min(stop, pending[next_job][0])
+            t = core.skip(t, stop)
+        elif next_job >= n_total and not live:
             break
 
     if trip is not None:

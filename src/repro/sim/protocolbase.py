@@ -25,6 +25,25 @@ calling order for direct callers.  Implement the ``on_*`` hooks: the
 slot core calls them directly where it can, and overriding ``act``,
 ``observe`` or ``done`` means the engine drives the class through the
 slower guarded path (see :class:`~repro.sim.engine.SlotCore`).
+
+The wake promise
+----------------
+Most of a job's slots are idle by design: UNIFORM sends in one slot of
+its window, PUNCTUAL's anarchist acts only in the anarchy and START
+slots of a round.  A protocol that knows it sits a stretch out says so
+by keeping :attr:`Protocol.wake` current.  ``wake = w`` promises that in
+every slot ``t < w``:
+
+* ``on_act(t)`` returns ``None`` and draws nothing, and
+* ``on_observe(t, obs)`` changes nothing that a later call reads,
+
+so calling the hooks in those slots or not gives the same bits.  The
+hooks must stay correct when they are called anyway (a traced run
+calls every job in every slot), and a wake at or before the current
+slot means "call me every slot".  ``wake = None``, the default, makes
+no promise.  The slot core leaves a sleeping job out of its act loop,
+fan-out and retire scan, and jumps over slots every live job sleeps
+through (see :class:`~repro.sim.engine.SlotCore`).
 """
 
 from __future__ import annotations
@@ -117,6 +136,11 @@ class Protocol(abc.ABC):
     instance dict; subclasses without their own ``__slots__`` still get a
     ``__dict__`` for protocol-specific state.
     """
+
+    #: The first slot whose hook calls matter (see "The wake promise" in
+    #: the module docs); ``None`` makes no promise.  A protocol that keeps
+    #: the promise sets it on the instance.
+    wake: Optional[int] = None
 
     __slots__ = (
         "ctx",

@@ -57,6 +57,7 @@ from repro.errors import InvalidParameterError
 from repro.faults.plan import FaultPlan, _JobRecord
 from repro.obs.sketches import QuantileSketch, ReservoirSampler
 from repro.sim.engine import (
+    ASLEEP,
     ENGINE_VERSION,
     ProtocolFactory,
     SlotCore,
@@ -97,7 +98,8 @@ POLICIES = ("shed-newest", "shed-loosest-deadline", "block")
 #: Chunk size for unbounded next-arrival scans (max_jobs mode).
 _SCAN_CHUNK = 1 << 16
 
-#: The driver state a checkpoint holds besides its ``config`` key.
+#: The driver state a checkpoint holds besides its ``config`` and
+#: ``identity`` keys.
 _RESUMABLE = (
     "core", "bound", "t", "next_id", "releasing", "pending", "blocked", "result",
 )
@@ -408,6 +410,9 @@ def stream_simulate(
         None if faults is None else faults.describe(),
         None if jammer is None else repr(jammer),
     )
+    # The protocol and its knobs, when the factory names them (registry
+    # factories do; see repro.registry.protocol_factories).
+    identity = getattr(factory, "identity", None)
 
     pol = budget.policy if budget is not None else None
     max_live = budget.max_live if budget is not None else None
@@ -418,6 +423,14 @@ def stream_simulate(
             raise CheckpointError(
                 f"checkpoint {checkpoint.path} was written by a different "
                 "run configuration; refusing to resume"
+            )
+        # Checkpoints written before identities, or by a factory without
+        # one, carry none and resume as before.
+        written = state.get("identity")
+        if None not in (written, identity) and written != identity:
+            raise CheckpointError(
+                f"checkpoint {checkpoint.path} was written by protocol "
+                f"{written}, not {identity}; refusing to resume"
             )
         core, bound, t, next_id, releasing, pending, blocked, res = (
             state[key] for key in _RESUMABLE
@@ -522,7 +535,12 @@ def stream_simulate(
                 core, bound, t, next_id, releasing, pending, list(blocked), res,
             )
             save_checkpoint(
-                ckpt.path, {"config": cfg_key, **dict(zip(_RESUMABLE, resumable))}
+                ckpt.path,
+                {
+                    "config": cfg_key,
+                    "identity": identity,
+                    **dict(zip(_RESUMABLE, resumable)),
+                },
             )
             res.checkpoints_written += 1
             next_mark = (core.slots // every + 1) * every
@@ -639,8 +657,31 @@ def stream_simulate(
                 report_progress()
 
         if trip is not None:
-            break
-        if not releasing and not pending and not blocked and not live:
+            if trip is not ASLEEP:
+                break
+            # 3. every live job sleeps: jump to the next slot that needs
+            # a step (a wake, a retirement, an admission or arrival, a
+            # checkpoint, the end of releases), counting the slots in
+            # between as silent steps.
+            trip = None
+            stop = core.next_wake()
+            if pending:
+                stop = min(stop, pending[0][0])
+            if ckpt is not None:
+                stop = min(stop, t + next_mark - core.slots)
+            if blocked and len(live) < max_live:
+                stop = t  # the FIFO drains into the freed slots first
+            if releasing:
+                if max_slots is not None:
+                    stop = min(stop, max_slots)
+                arr = bound.next_arrival_at(t, stop)
+                if arr is not None:
+                    stop = arr
+            before, t = t, core.skip(t, stop)
+            bound.release_before(t)
+            if progress is not None and (t >> 8) != (before >> 8):
+                report_progress()
+        elif not releasing and not pending and not blocked and not live:
             break
 
     unstarted = 0

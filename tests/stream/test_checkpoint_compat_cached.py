@@ -69,6 +69,7 @@ from repro.core.punctual import Stage, punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.obs.telemetry import Telemetry
 from repro.params import PunctualParams
+from repro.sim.engine import SlotCore
 from repro.stream.arrivals import PoissonProcess
 from repro.stream.checkpoint import CheckpointConfig, load_checkpoint
 from repro.stream.engine import StreamBudget, stream_simulate
@@ -233,6 +234,35 @@ def test_parent_checkpoint_resumes_bit_exactly(tmp_path, name, invariants):
     # The resumed slots report the contention the uninterrupted run did.
     tail = _contention(part)
     assert tail and _contention(full)[-len(tail):] == tail
+
+
+#: Fixtures whose resumed runs have live jobs that sleep (see the wake
+#: promise in repro.sim.protocolbase).
+SLEEPING = {
+    "uniform", "beb", "punctual", "punctual-estimating",
+    "punctual-anarchy-estimating", "punctual-anarchy-broadcasting",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_parent_checkpoint_resumes_asleep(tmp_path, monkeypatch, name):
+    """With no per-slot hook attached, the resumed jobs sleep: their
+    unpickled protocols promise a wake they did not have when written."""
+    slept = []
+    step_awake = SlotCore._step_awake
+
+    def counted(core, t, finalize):
+        slept.append(sum(1 for w in core.wake if w > t))
+        return step_awake(core, t, finalize)
+
+    monkeypatch.setattr(SlotCore, "_step_awake", counted)
+    path = tmp_path / "ck.bin"
+    shutil.copyfile(_fixture(name), path)
+    every = RUNS[name][1]
+    resumed = _run(name, CheckpointConfig(str(path), every_slots=every), True)
+    assert resumed.resumed_at_slot > 0
+    assert (sum(slept) > 0) == (name in SLEEPING)
+    assert _comparable(resumed) == _comparable(_run(name))
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "soft", "nocd", "beb", "slowfb"])
