@@ -141,21 +141,33 @@ def test_closed_runs_sleep_bit_exactly(recorded, workload, adversary):
             assert slept > 0, name
 
 
-def _stream(factory, path, marks, budget, **kw):
+#: ``stream_simulate`` limits and budgets: evictions, a blocked FIFO that
+#: drains as slots free up, and an unbounded run that stops releasing at
+#: ``max_slots``.
+STREAM_RUNS = {
+    "shed": dict(
+        max_jobs=300,
+        budget=StreamBudget(max_live=6, policy="shed-loosest-deadline"),
+    ),
+    "block": dict(
+        max_jobs=300,
+        budget=StreamBudget(max_live=6, policy="block", queue_capacity=8),
+    ),
+    "max-slots": dict(max_slots=1500),
+}
+
+
+def _stream(factory, path, marks, run, **kw):
     """Everything one streaming run counts, with its checkpoint marks."""
     marks.clear()
     res = stream_simulate(
         PROCESS,
         factory,
         seed=6,
-        max_jobs=300,
-        budget=(
-            StreamBudget(max_live=6, policy="shed-loosest-deadline")
-            if budget else None
-        ),
         checkpoint=CheckpointConfig(str(path), every_slots=150),
         record_outcomes=True,
         reservoir_capacity=32,
+        **STREAM_RUNS[run],
         **kw,
     )
     return (
@@ -165,10 +177,10 @@ def _stream(factory, path, marks, budget, **kw):
     )
 
 
-@pytest.mark.parametrize("budget", [True, False], ids=["budget", "unbounded"])
+@pytest.mark.parametrize("run", sorted(STREAM_RUNS))
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
 def test_stream_runs_sleep_bit_exactly(
-    recorded, tmp_path, monkeypatch, adversary, budget
+    recorded, tmp_path, monkeypatch, adversary, run
 ):
     marks = []  # (slot, slots simulated) of each checkpoint written
     save = stream_engine.save_checkpoint
@@ -182,10 +194,10 @@ def test_stream_runs_sleep_bit_exactly(
     for name in STREAM_PROTOCOLS:
         factory = protocol_factory(name, {}, Instance(()))
         recorded.slept = 0
-        asleep = _stream(factory, tmp_path / f"{name}-a", marks, budget, **kw)
+        asleep = _stream(factory, tmp_path / f"{name}-a", marks, run, **kw)
         slept = recorded.slept
         awake = _stream(
-            factory, tmp_path / f"{name}-b", marks, budget,
+            factory, tmp_path / f"{name}-b", marks, run,
             telemetry=Telemetry(), **kw,
         )
         assert asleep == awake, name
