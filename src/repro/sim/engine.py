@@ -850,7 +850,10 @@ def simulate(
         partial result carries the :class:`~repro.sim.watchdog.WatchdogTrip`
         in :attr:`~repro.sim.metrics.SimulationResult.watchdog`.  Nothing
         is raised.  Absent (or with no limits set) the hot loop pays one
-        ``is None`` guard per slot and results are bit-identical.
+        ``is None`` guard per slot and results are bit-identical.  While
+        one is attached the run steps every slot, even one every live
+        job sleeps through, so a trip lands where it would without
+        sleeping jobs.
 
     Returns
     -------
