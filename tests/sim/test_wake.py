@@ -16,7 +16,7 @@ import pytest
 
 import repro.sim.engine as engine
 import repro.stream.engine as stream_engine
-from repro.adversary import fault_plan
+from repro.adversary import FAMILIES, fault_plan
 from repro.channel.jamming import StochasticJammer
 from repro.core.punctual import PunctualProtocol, Stage
 from repro.core.uniform import UniformProtocol
@@ -155,6 +155,24 @@ STREAM_RUNS = {
     ),
     "max-slots": dict(max_slots=1500),
 }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_adversary_family_sleeps_bit_exactly(recorded, family):
+    """Stateful and reactive jammers see each skipped slot as silent."""
+    kw = {"faults": fault_plan(family, 0.3)}
+    for instance in INSTANCES.values():
+        factories = protocol_factories({}, instance)
+        for name in SLEEPERS:
+            for horizon in (None, 700):
+                asleep, _ = _closed(
+                    instance, factories[name], recorded, horizon=horizon, **kw
+                )
+                awake, _ = _closed(
+                    instance, factories[name], recorded, horizon=horizon,
+                    observers=[_noop], **kw,
+                )
+                assert asleep == awake, (name, horizon)
 
 
 def _stream(factory, path, marks, run, **kw):
