@@ -141,22 +141,6 @@ def test_closed_runs_sleep_bit_exactly(recorded, workload, adversary):
             assert slept > 0, name
 
 
-#: ``stream_simulate`` limits and budgets: evictions, a blocked FIFO that
-#: drains as slots free up, and an unbounded run that stops releasing at
-#: ``max_slots``.
-STREAM_RUNS = {
-    "shed": dict(
-        max_jobs=300,
-        budget=StreamBudget(max_live=6, policy="shed-loosest-deadline"),
-    ),
-    "block": dict(
-        max_jobs=300,
-        budget=StreamBudget(max_live=6, policy="block", queue_capacity=8),
-    ),
-    "max-slots": dict(max_slots=1500),
-}
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_adversary_family_sleeps_bit_exactly(recorded, family):
     """Stateful and reactive jammers see each skipped slot as silent."""
@@ -173,6 +157,22 @@ def test_every_adversary_family_sleeps_bit_exactly(recorded, family):
                     observers=[_noop], **kw,
                 )
                 assert asleep == awake, (name, horizon)
+
+
+#: ``stream_simulate`` limits and budgets: evictions, a blocked FIFO that
+#: drains as slots free up, and an unbounded run that stops releasing at
+#: ``max_slots``.
+STREAM_RUNS = {
+    "shed": dict(
+        max_jobs=300,
+        budget=StreamBudget(max_live=6, policy="shed-loosest-deadline"),
+    ),
+    "block": dict(
+        max_jobs=300,
+        budget=StreamBudget(max_live=6, policy="block", queue_capacity=8),
+    ),
+    "max-slots": dict(max_slots=1500),
+}
 
 
 def _stream(factory, path, marks, run, **kw):
