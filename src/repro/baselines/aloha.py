@@ -31,7 +31,8 @@ class SlottedAloha(Protocol):
     Slot ``t``'s coin is the stream's ``t``-th :meth:`ProtocolContext.random`
     value from activation on, as if drawn at each act; the job draws them
     ahead instead, up to the next coin that comes up, and sleeps until
-    that slot (:attr:`~Protocol.wake`).
+    that slot (:attr:`~Protocol.wake`).  After a send it draws nothing
+    until the next act, so a job whose send succeeds draws no more.
     """
 
     def __init__(self, ctx: ProtocolContext, p: float) -> None:
@@ -59,10 +60,12 @@ class SlottedAloha(Protocol):
         stop = slot + self.ctx.window
         while slot < stop:
             if random() < p:
-                self.wake, self._send = slot, True
+                self._send = True
+                self.sleep_until(slot)
                 return
             slot += 1
-        self.wake, self._send = stop, False
+        self._send = False
+        self.sleep_until(stop)
 
     def on_begin(self, slot: int) -> None:
         self._scan(slot)
@@ -74,7 +77,8 @@ class SlottedAloha(Protocol):
             self._scan(slot)
             if slot < self.wake:
                 return None
-        self._scan(slot + 1)
+        # Awake next slot, whose coin the next act draws.
+        self.wake, self._send = slot + 1, False
         return DataMessage(self.ctx.job_id)
 
     def on_observe(self, slot: int, obs: Observation) -> None:

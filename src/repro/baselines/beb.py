@@ -89,7 +89,7 @@ class BinaryExponentialBackoff(Protocol):
 
     def on_begin(self, slot: int) -> None:
         w = self.current_backoff_window()
-        self.wake = slot + int(self.ctx.rng.integers(w))
+        self.sleep_until(slot + int(self.ctx.rng.integers(w)))
 
     def on_act(self, slot: int) -> Optional[Message]:
         self.last_p = self._next_p
@@ -102,7 +102,7 @@ class BinaryExponentialBackoff(Protocol):
             # attempt failed: back off into the next, doubled window
             self.attempt += 1
             w = self.current_backoff_window()
-            self.wake = slot + 1 + int(self.ctx.rng.integers(w))
+            self.sleep_until(slot + 1 + int(self.ctx.rng.integers(w)))
             self._next_p = 1.0 / w
 
 

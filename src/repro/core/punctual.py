@@ -299,7 +299,7 @@ class PunctualProtocol(Protocol):
             # It only transmits, in its anarchy and START slots, and no
             # later stage reads its tracker.
             wake = slot + _ANARCHY_GAP[index]
-            self.wake = wake if wake < self.eff_end else self.eff_end
+            self.sleep_until(wake if wake < self.eff_end else self.eff_end)
             return
         role = ROLE_OF_INDEX[index]
         if role is _TIMEKEEPER or role is _ELECTION:
@@ -370,7 +370,7 @@ class PunctualProtocol(Protocol):
         self.stage = Stage.ANARCHIST
         self._fix_probabilities()
         wake = t + _ANARCHY_GAP[(t - self._origin) % ROUND_LENGTH]
-        self.wake = wake if wake < self.eff_end else self.eff_end
+        self.sleep_until(wake if wake < self.eff_end else self.eff_end)
         self.emit("punctual.anarchist_release", t)
 
     def _enter_follow(self, t: int, r: int) -> None:

@@ -60,7 +60,7 @@ class UniformProtocol(Protocol):
         picks = self.ctx.rng.choice(w, size=k, replace=False)
         self.chosen = {int(x) for x in picks}
         self._last_age = max(self.chosen)
-        self.wake = slot + min(self.chosen)
+        self.sleep_until(slot + min(self.chosen))
         # Marginal per-slot probability, for contention traces: the chance
         # a fresh job would transmit here is attempts/window.
         self.last_p = min(self.params.attempts / w, 1.0)
@@ -79,7 +79,7 @@ class UniformProtocol(Protocol):
             return
         age = slot - self.start_slot
         if age < self._last_age:
-            self.wake = self.start_slot + min(a for a in self.chosen if a > age)
+            self.sleep_until(self.start_slot + min(a for a in self.chosen if a > age))
         elif not self.succeeded:
             self.gave_up = True
             self.emit("uniform.exhausted", slot, attempts=len(self.chosen))

@@ -109,14 +109,6 @@ STREAM_PROTOCOLS: Tuple[str, ...] = tuple(
     p for p in PROTOCOLS if p not in INSTANCE_PROTOCOLS
 )
 
-#: The knobs each protocol's factory reads; the others build workloads.
-_PROTOCOL_KNOBS: Dict[str, Tuple[str, ...]] = {
-    "punctual": ("lam", "min_level", "pullback_exp", "slingshot_exp"),
-    "aligned": ("lam", "min_level"),
-    "trimmed": ("lam", "min_level"),
-}
-
-
 def _knob(params: Mapping[str, Any], key: str) -> Any:
     return params[key] if key in params else KNOB_DEFAULTS[key]
 
@@ -186,8 +178,9 @@ def protocol_factories(
     least the knobs' ``min_level``.
     """
     aligned = aligned_params(params)
+    punctual = punctual_params(params)
     factories: Dict[str, Callable] = {
-        "punctual": punctual_factory(punctual_params(params)),
+        "punctual": punctual_factory(punctual),
         "uniform": uniform_factory(),
         "beb": beb_factory(),
         "sawtooth": sawtooth_factory(),
@@ -206,15 +199,14 @@ def protocol_factories(
         not len(instance) or instance.min_window >= 1 << aligned.min_level
     ):
         factories["aligned"] = aligned_factory(aligned)
+    # What each factory is built from besides its name: the parameter
+    # bundle the knobs select (the others read no knob).
+    built_from = {"punctual": punctual, "aligned": aligned, "trimmed": aligned}
     for name, factory in factories.items():
-        # The name and the knobs the factory reads, as a function
-        # attribute (left out of cache keys, like the fastpath markers):
-        # a stream checkpoint records it and refuses to resume under
-        # another protocol.
-        factory.identity = (
-            name,
-            tuple((k, _knob(params, k)) for k in _PROTOCOL_KNOBS.get(name, ())),
-        )
+        # A function attribute (left out of cache keys, like the fastpath
+        # markers): a stream checkpoint records it and refuses to resume
+        # under another protocol or parameter bundle.
+        factory.identity = (name, built_from.get(name))
     return factories
 
 

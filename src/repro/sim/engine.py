@@ -43,17 +43,21 @@ the suite, so it is written for throughput:
   wake promise" in :mod:`repro.sim.protocolbase`) is a later slot, in a
   run with no checker, telemetry, trace or observers (they read every
   job's per-slot ``last_p``, events and observations).  The ``wake``
-  column holds each job's wake (``-1``: call it every slot), read back
-  after each of its observations.  A run with a sleeper steps through
-  :meth:`SlotCore._step_awake`, which leaves sleepers out of the act
-  loop, the fan-out and the retire scan (deadlines still retire them);
-  a run without one pays a single ``sleepy`` test per slot.  When
-  every live job sleeps past the next slot and no watchdog is attached,
-  the step returns :data:`ASLEEP`, and the driver jumps
-  (:meth:`~SlotCore.skip`) to the earliest wake, admission or arrival,
-  deadline retirement, checkpoint or end of releases, counting each
-  skipped slot as a silent step counts it (the jammer still decides
-  each one);
+  column holds each job's wake as last read (``-1``: call it every
+  slot, never read).  In a slot in which some live job sleeps
+  (``napping``), only the awake jobs act, observe (each has its wake
+  read back after its observation) and are checked for retirement;
+  deadlines still retire sleepers.  Any other slot runs the dense loops
+  over every job, and reads the wakes back afterwards only when some
+  protocol moved one since the last read (:meth:`Protocol.sleep_until
+  <repro.sim.protocolbase.Protocol.sleep_until>` counts the moves in
+  :data:`~repro.sim.protocolbase.PROMISES`), so a job that never
+  sleeps costs a few tests per slot.  When every live job sleeps past
+  the next slot and no watchdog is attached, the step returns
+  :data:`ASLEEP`, and the driver jumps (:meth:`~SlotCore.skip`) to the
+  earliest wake, admission or arrival, deadline retirement, checkpoint
+  or end of releases, counting each skipped slot as a silent step
+  counts it (the jammer still decides each one);
 * slot resolution is inlined (semantically identical to
   :func:`repro.channel.channel.resolve_slot`), and the jammer callout is
   skipped entirely for the benign :class:`NoJammer`;
@@ -122,7 +126,7 @@ from repro.sim.instance import Instance
 from repro.sim.invariants import InvariantChecker
 from repro.sim.job import Job, JobStatus
 from repro.sim.metrics import JobOutcome, SimulationResult
-from repro.sim.protocolbase import Protocol
+from repro.sim.protocolbase import PROMISES, Protocol
 from repro.sim.rng import PREPARE_BLOCK, RngFactory
 from repro.sim.trace import TraceRecorder
 from repro.sim.watchdog import (
@@ -186,8 +190,8 @@ _STATE = (
 #: never pickled into a streaming checkpoint.
 _HOOKS = (
     "factory", "checker", "tele", "recorder", "observers",
-    "hooked", "track_contention", "sleepy", "wd", "wd_stall_limit",
-    "wd_deadline",
+    "hooked", "track_contention", "sleepy", "napping", "promises", "wd",
+    "wd_stall_limit", "wd_deadline",
 )
 
 #: What :meth:`SlotCore.step` returns instead of ``None`` when every live
@@ -391,7 +395,11 @@ class SlotCore:
             -1 if self.hooked or not d or p.wake is None else p.wake
             for p, d in zip(self.protos, self.direct)
         ]
+        # Whether a live job may sleep; whether one sleeps through slot
+        # t; the wake moves counted when the column was last read.
         self.sleepy = max(self.wake, default=-1) >= 0
+        self.napping = max(self.wake, default=-1) > t
+        self.promises = PROMISES[0]
 
         # Watchdog limits (see sim/watchdog.py); with no watchdog the
         # per-slot cost is a single ``is None`` guard.
@@ -453,6 +461,8 @@ class SlotCore:
         self.wake.append(wake)
         if wake >= 0:
             self.sleepy = True
+            if wake > t:
+                self.napping = True
 
     def evict(self, i: int) -> Tuple[int, int]:
         """Drop live job ``i`` unfinished; returns its
@@ -471,18 +481,24 @@ class SlotCore:
         :class:`~repro.sim.watchdog.WatchdogTrip` that cancels the run
         (see :meth:`cancel`), :data:`ASLEEP`, or ``None``.
         """
-        if self.sleepy:
-            return self._step_awake(t, finalize)
         (
             live_ids, _, live_protos, live_act, live_observe, live_deadline,
-            live_has_p, live_jammed, _, live_direct,
+            live_has_p, live_jammed, live_wake, live_direct,
         ) = self.columns
         n_live = len(live_protos)
+        # Whether a live job sleeps through slot t: then only the awake
+        # jobs act, observe and are checked for retirement.
+        napping = self.napping
+        awake = (
+            [i for i, w in enumerate(live_wake) if w <= t]
+            if napping
+            else range(n_live)
+        )
 
         # 1. collect actions
         tx_idx: List[int] = []
         tx_msg: List[Message] = []
-        for i in range(n_live):
+        for i in awake:
             msg = live_act[i](t)
             if msg is not None:
                 tx_idx.append(i)
@@ -554,7 +570,18 @@ class SlotCore:
         # 3. fan the observation out, in live order: the transmitters
         # get ``obs_tx``, everyone else ``obs_listen``.
         corrupt = self.corrupt
-        if corrupt is None:
+        if napping:
+            # An awake job's wake is read back after its observation (a
+            # withdrawn promise, ``None``, reads as slot 0).
+            finished = False
+            for i in awake:
+                p = live_protos[i]
+                live_observe[i](t, obs_tx if i in tx_idx else obs_listen)
+                if live_wake[i] >= 0:
+                    live_wake[i] = p.wake or 0
+                if p.succeeded or p.gave_up:
+                    finished = True
+        elif corrupt is None:
             if not tx_idx:
                 for observe in live_observe:
                     observe(t, obs_listen)
@@ -596,104 +623,30 @@ class SlotCore:
         end = t + 1
         if end >= min(live_deadline):
             self._retire(end, finalize)
+        elif napping:
+            if finished:
+                self._retire(end, finalize)
         else:
             for p in live_protos:
                 if p.succeeded or p.gave_up:
                     self._retire(end, finalize)
                     break
 
+        if self.sleepy and (napping or self.promises != PROMISES[0]):
+            if not napping:
+                # Every job was awake, and a wake has moved since they
+                # were last read back: read them all.
+                self.promises = PROMISES[0]
+                live_wake[:] = [
+                    w if w < 0 else p.wake or 0
+                    for w, p in zip(live_wake, live_protos)
+                ]
+            napping = self.napping = bool(live_wake) and max(live_wake) > end
+            if napping and self.wd is None and min(live_wake) > end:
+                return ASLEEP
         if self.wd is None:
             return None
         return self._watchdog(t, delivered_now)
-
-    def _resolve(
-        self, t: int, tx_idx: List[int], tx_msg: List[Message]
-    ) -> Tuple[int, Observation, Observation]:
-        """Resolve slot ``t`` from its sends and count it, as :meth:`step`
-        does inline (a call per slot would cost every run without
-        sleepers about 2%).  Returns ``(delivered job id or -1, listener
-        observation, transmitter observation)``."""
-        self.slots += 1
-        n_tx = len(tx_idx)
-        self.attempts += n_tx
-        jam_attempt = self.jam_attempt
-        jammed = jam_attempt is not None and jam_attempt(
-            t, n_tx, tx_msg[0] if n_tx == 1 else None, self.ch_rng
-        )
-        if jammed:
-            self.jammed_slots += 1
-            live_jammed = self.jammed
-            for i in tx_idx:
-                live_jammed[i] += 1
-        if n_tx > 1:
-            self.collision_slots += 1
-        if jammed or n_tx > 1:
-            return -1, _OBS_NOISE, _OBS_NOISE_TX
-        if not n_tx:
-            self.silence_slots += 1
-            return -1, _OBS_SILENCE, _OBS_SILENCE
-        self.success_slots += 1
-        msg0 = tx_msg[0]
-        i = tx_idx[0]
-        own = msg0.sender == self.ids[i]
-        delivered_now = -1
-        kind = msg0.kind
-        if kind == KIND_DATA:
-            self.delivered.setdefault(msg0.sender, t)
-            delivered_now = msg0.sender
-            if own and self.direct[i]:
-                # What the guarded observe() does for its own delivery.
-                self.protos[i].succeeded = True
-        elif kind == KIND_BEACON and msg0.payload is not None:
-            self.delivered.setdefault(msg0.payload.sender, t)
-            delivered_now = msg0.payload.sender
-        return (
-            delivered_now,
-            Observation(_SUCCESS, msg0, False, False),
-            Observation(_SUCCESS, msg0, True, own),
-        )
-
-    def _step_awake(self, t: int, finalize: Finalize) -> Optional[WatchdogTrip]:
-        """:meth:`step` for a run whose jobs may sleep: only the jobs
-        awake at ``t`` act, observe and are checked for retirement
-        (deadlines still retire sleepers).  Such a run has no per-slot
-        hooks and no feedback corruption."""
-        protos, act, observe, deadline, direct, wake = (
-            self.protos, self.act, self.observe, self.deadline, self.direct,
-            self.wake,
-        )
-        awake = [i for i, w in enumerate(wake) if w <= t]
-        tx_idx: List[int] = []
-        tx_msg: List[Message] = []
-        for i in awake:
-            msg = act[i](t)
-            if msg is not None:
-                tx_idx.append(i)
-                tx_msg.append(msg)
-        for i in tx_idx:
-            if direct[i]:
-                protos[i].transmissions += 1
-
-        delivered_now, obs_listen, obs_tx = self._resolve(t, tx_idx, tx_msg)
-
-        finished = False
-        txs = set(tx_idx) if tx_idx else ()
-        for i in awake:
-            p = protos[i]
-            observe[i](t, obs_tx if i in txs else obs_listen)
-            if wake[i] >= 0:
-                wake[i] = p.wake
-            if p.succeeded or p.gave_up:
-                finished = True
-
-        end = t + 1
-        if finished or end >= min(deadline):
-            self._retire(end, finalize)
-        if self.wd is not None:
-            return self._watchdog(t, delivered_now)
-        if wake and min(wake) > end:
-            return ASLEEP
-        return None
 
     def next_wake(self) -> int:
         """The first slot that needs a :meth:`step` when every live job

@@ -31,8 +31,8 @@ The wake promise
 Most of a job's slots are idle by design: UNIFORM sends in one slot of
 its window, PUNCTUAL's anarchist acts only in the anarchy and START
 slots of a round.  A protocol that knows it sits a stretch out says so
-by keeping :attr:`Protocol.wake` current.  ``wake = w`` promises that in
-every slot ``t < w``:
+through :attr:`Protocol.wake`.  ``wake = w`` promises that in every slot
+``t < w``:
 
 * ``on_act(t)`` returns ``None`` and draws nothing, and
 * ``on_observe(t, obs)`` changes nothing that a later call reads,
@@ -40,10 +40,14 @@ every slot ``t < w``:
 so calling the hooks in those slots or not gives the same bits.  The
 hooks must stay correct when they are called anyway (a traced run
 calls every job in every slot), and a wake at or before the current
-slot means "call me every slot".  ``wake = None``, the default, makes
-no promise.  The slot core leaves a sleeping job out of its act loop,
-fan-out and retire scan, and jumps over slots every live job sleeps
-through (see :class:`~repro.sim.engine.SlotCore`).
+slot means "call me every slot".  ``wake = None``, the class default,
+makes no promise.  A protocol that keeps the promise sets ``wake`` to
+an int in ``__init__`` and moves it with :meth:`Protocol.sleep_until`,
+which also tells a slot core that is calling every job that a wake
+moved; setting ``None`` later withdraws the promise.  The slot core
+leaves a sleeping job out of its act loop, fan-out and retire scan, and
+jumps over slots every live job sleeps through (see
+:class:`~repro.sim.engine.SlotCore`).
 """
 
 from __future__ import annotations
@@ -58,12 +62,19 @@ from repro.channel.messages import DataMessage, Message
 from repro.errors import ProtocolViolationError
 from repro.sim.job import Job
 
-__all__ = ["Protocol", "ProtocolContext"]
+__all__ = ["PROMISES", "Protocol", "ProtocolContext"]
 
 #: Values :meth:`ProtocolContext.random` draws from the stream at a time:
 #: smaller blocks cost more per coin, larger ones no less, and each live
 #: job holds its unread block.
 COIN_BLOCK = 32
+
+#: How many times :meth:`Protocol.sleep_until` ran in this process, in a
+#: one-item list.  A slot core that last saw every live job awake reads
+#: their wakes back only when the count moved.  Reading them at any other
+#: time changes nothing (the wake promise), so a count shared by every
+#: core of the process costs at most a spare read.
+PROMISES = [0]
 
 
 class ProtocolContext:
@@ -139,7 +150,8 @@ class Protocol(abc.ABC):
 
     #: The first slot whose hook calls matter (see "The wake promise" in
     #: the module docs); ``None`` makes no promise.  A protocol that keeps
-    #: the promise sets it on the instance.
+    #: the promise sets it on the instance in ``__init__``, then moves it
+    #: with :meth:`sleep_until`.
     wake: Optional[int] = None
 
     __slots__ = (
@@ -172,6 +184,12 @@ class Protocol(abc.ABC):
             self.__dict__.update(inst)
         for name, value in (slots or {}).items():
             setattr(self, name, value)
+
+    def sleep_until(self, slot: int) -> None:
+        """Promise that the hooks change nothing before ``slot`` (the
+        job's :attr:`wake`), and tell the slot core that a wake moved."""
+        self.wake = slot
+        PROMISES[0] += 1
 
     # -- engine-facing lifecycle ------------------------------------------
 

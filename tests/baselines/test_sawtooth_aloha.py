@@ -73,6 +73,27 @@ class TestAloha:
             p.observe(t, Observation.noise(transmitted=False))
         assert 0.22 < tx / n < 0.28
 
+    def test_a_send_draws_no_coin_ahead(self):
+        """Coins are drawn up to the slot whose coin comes up, and the
+        next ones only at the next act: a job whose send succeeds draws
+        no more."""
+
+        class Counting(ProtocolContext):
+            __slots__ = ("drawn",)
+
+            def random(self):
+                self.drawn += 1
+                return super().random()
+
+        c = Counting(0, 1024, np.random.default_rng(3))
+        c.drawn = 0
+        p = SlottedAloha(c, p=0.25)
+        p.begin(0)
+        t = p.wake
+        assert c.drawn == t + 1
+        assert p.act(t) is not None
+        assert c.drawn == t + 1
+
     def test_window_scaled_factory(self):
         make = window_scaled_aloha_factory(c=4.0)
         p = make(Job(0, 0, 100), np.random.default_rng(0))

@@ -18,6 +18,7 @@ import repro.sim.engine as engine
 import repro.stream.engine as stream_engine
 from repro.adversary import FAMILIES, fault_plan
 from repro.channel.jamming import StochasticJammer
+from repro.channel.messages import DataMessage
 from repro.core.punctual import PunctualProtocol, Stage
 from repro.core.uniform import UniformProtocol
 from repro.obs.telemetry import Telemetry
@@ -30,7 +31,7 @@ from repro.registry import (
 )
 from repro.sim.instance import Instance
 from repro.sim.job import Job
-from repro.sim.protocolbase import ProtocolContext
+from repro.sim.protocolbase import Protocol, ProtocolContext
 from repro.sim.watchdog import Watchdog
 from repro.stream.arrivals import PoissonProcess
 from repro.stream.checkpoint import CheckpointConfig, CheckpointError, load_checkpoint
@@ -81,9 +82,10 @@ class _Recorded(engine.SlotCore):
         super().__init__(*args, **kwargs)
         self.made.append(self)
 
-    def _step_awake(self, t, finalize):
-        _Recorded.slept += sum(1 for w in self.wake if w > t)
-        return super()._step_awake(t, finalize)
+    def step(self, t, finalize):
+        if self.napping:
+            _Recorded.slept += sum(1 for w in self.wake if w > t)
+        return super().step(t, finalize)
 
     def skip(self, t, stop):
         _Recorded.slept += (stop - t) * len(self.wake)
@@ -263,6 +265,56 @@ def test_a_late_wake_fails_the_comparison(recorded, make):
     assert asleep != awake
 
 
+class _Withdrawing(Protocol):
+    """Sleeps until a drawn slot, withdraws its promise there
+    (``wake = None``), and from then on sends on each coin that comes up."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.wake = 0
+
+    def on_begin(self, slot):
+        self.sleep_until(slot + int(self.ctx.rng.integers(self.ctx.window)))
+
+    def on_act(self, slot):
+        if self.wake is None and self.ctx.rng.random() < 0.125:
+            return DataMessage(self.ctx.job_id)
+        return None
+
+    def on_observe(self, slot, obs):
+        if self.wake is not None and slot >= self.wake:
+            self.wake = None
+
+
+class _Unannounced(UniformProtocol):
+    """Moves its wake by plain assignment, which tells no slot core."""
+
+    def sleep_until(self, slot):
+        self.wake = slot
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_Withdrawing, lambda ctx: _Unannounced(ctx, UniformParams())],
+    ids=["withdrawn", "unannounced"],
+)
+@pytest.mark.parametrize("adversary", ["clean", "jam"])
+def test_promises_the_core_was_not_told_of_stay_exact(recorded, make, adversary):
+    """A withdrawn promise makes the job an every-slot job again, and a
+    wake moved without :meth:`Protocol.sleep_until` is read only when the
+    core reads the job's wake anyway: both run bit-exactly."""
+
+    def factory(job, rng):
+        return make(ProtocolContext.for_job(job, rng))
+
+    kw = ADVERSARIES[adversary]
+    for instance in INSTANCES.values():
+        asleep, slept = _closed(instance, factory, recorded, **kw)
+        awake, _ = _closed(instance, factory, recorded, observers=[_noop], **kw)
+        assert asleep == awake
+        assert slept > 0
+
+
 @pytest.mark.parametrize(
     "watchdog",
     [Watchdog(max_slots=700), Watchdog(stall_factor=0.05)],
@@ -338,12 +390,19 @@ class TestProtocolIdentity:
         with pytest.raises(CheckpointError, match="sawtooth"):
             self._run(tmp_path, "beb", resume=True)
 
+    def test_knobs_that_build_the_same_protocol_share_an_identity(self):
+        def identity(name, knobs):
+            return protocol_factory(name, knobs, Instance(())).identity
+
+        # PUNCTUAL runs with lam at least 2.
+        assert identity("punctual", {"lam": 1}) == identity("punctual", {"lam": 2})
+        assert identity("punctual", {}) != identity("punctual", {"lam": 3})
+        # Workload knobs build no protocol.
+        assert identity("beb", {"n": 3, "window": 64}) == identity("beb", {})
+
     def test_resuming_under_other_knobs_is_refused(self, tmp_path):
         self._run(tmp_path, "punctual")
         other = protocol_factory("punctual", {"lam": 3}, Instance(()))
-        assert other.identity != protocol_factory(
-            "punctual", {}, Instance(())
-        ).identity
         with pytest.raises(CheckpointError, match="punctual"):
             stream_simulate(
                 PoissonProcess(rate=0.25, window_sizes=(16, 64)),
@@ -357,7 +416,7 @@ class TestProtocolIdentity:
     def test_a_factory_without_identity_resumes(self, tmp_path):
         full = self._run(tmp_path, "beb")
         state, _ = load_checkpoint(str(tmp_path / "ck"))
-        assert state["identity"] == ("beb", ())
+        assert state["identity"] == ("beb", None)
         inner = protocol_factory("beb", {}, Instance(()))
         resumed = stream_simulate(
             PoissonProcess(rate=0.25, window_sizes=(16, 64)),

@@ -249,13 +249,14 @@ def test_parent_checkpoint_resumes_asleep(tmp_path, monkeypatch, name):
     """With no per-slot hook attached, the resumed jobs sleep: their
     unpickled protocols promise a wake they did not have when written."""
     slept = []
-    step_awake = SlotCore._step_awake
+    step = SlotCore.step
 
     def counted(core, t, finalize):
-        slept.append(sum(1 for w in core.wake if w > t))
-        return step_awake(core, t, finalize)
+        if core.napping:
+            slept.append(sum(1 for w in core.wake if w > t))
+        return step(core, t, finalize)
 
-    monkeypatch.setattr(SlotCore, "_step_awake", counted)
+    monkeypatch.setattr(SlotCore, "step", counted)
     path = tmp_path / "ck.bin"
     shutil.copyfile(_fixture(name), path)
     every = RUNS[name][1]
