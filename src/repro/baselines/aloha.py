@@ -44,13 +44,6 @@ class SlottedAloha(Protocol):
         self.wake = 0
         self._send = False  # whether the coin of slot ``wake`` came up
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        if self.wake is None:
-            # Pickled before coins were drawn ahead: the stream stands at
-            # the next act's coin.
-            self.wake, self._send = 0, False
-
     def _scan(self, slot: int) -> None:
         """Draw the coins of slots ``slot``, ``slot + 1``, ... until one
         comes up (wake there to send) or a window's worth of them does

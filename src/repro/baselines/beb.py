@@ -67,19 +67,6 @@ class BinaryExponentialBackoff(Protocol):
         self._next_p = 1.0 / self.current_backoff_window()
         self.last_p = 0.0
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        slot = self.__dict__.pop("_next_tx_slot", None)
-        if slot is not None:
-            # Pickled (in a stream checkpoint) before jobs slept.
-            self.wake = slot
-        age = self.__dict__.pop("_next_tx_age", None)
-        if age is not None:
-            # Pickled when the next attempt was kept as a local age and
-            # its probability derived at each act.
-            self.wake = self.start_slot + age
-            self._next_p = 1.0 / self.current_backoff_window()
-
     def current_backoff_window(self) -> int:
         """The backoff window for the upcoming attempt."""
         exp = self.attempt

@@ -89,12 +89,6 @@ class NoCollisionDetectionBackoff(Protocol):
         self._fix_estimate()
         self.last_p = 0.0
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        # Pickled (in a stream checkpoint) when both were derived from
-        # ``m`` every slot.
-        self._fix_estimate()
-
     def _fix_estimate(self) -> None:
         """Derive the per-slot values of the current estimate ``m``."""
         self._next_p = min(1.0, 1.0 / self.estimate)

@@ -48,12 +48,6 @@ class SawtoothBackoff(Protocol):
         self._next_p = 1.0 / initial_run  # the current round's probability
         self.last_p = 0.0
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        # Pickled (in a stream checkpoint) when the probability was
-        # derived at each act.
-        self._next_p = 1.0 / self.round_size
-
     def on_act(self, slot: int) -> Optional[Message]:
         p = self.last_p = self._next_p
         if self.ctx.random() < p:

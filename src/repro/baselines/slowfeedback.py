@@ -64,18 +64,6 @@ class SlowFeedbackBackoff(Protocol):
         self.last_p = 0.0
         self._start_epoch(base)
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        sent = self.__dict__.pop("_send_i", None)
-        if sent is not None:
-            # Pickled (in a stream checkpoint) with all of the epoch's
-            # offsets, ascending, and the index of the next one.
-            rest = self._sends[sent:]
-            rest.reverse()
-            self._sends = rest
-            self._next_send = rest.pop() if rest else -1
-            self._next_p = min(self.budget, self.epoch_len) / self.epoch_len
-
     def _start_epoch(self, length: int) -> None:
         self.epoch_len = length
         self.epoch_pos = 0

@@ -80,7 +80,7 @@ from repro.campaign.spec import GridProtocol, GridWorkload
 from repro.channel.jamming import NoJammer, StochasticJammer
 from repro.errors import InvalidParameterError
 from repro.params import AlignedParams
-from repro.sim.engine import simulate
+from repro.sim.engine import resolve_adversary, simulate
 from repro.sim.feasibility import peak_density
 from repro.sim.instance import Instance
 
@@ -369,6 +369,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "own adversary; pick one"
                 )
             jammer = None
+        # A plan that carries only a jammer runs exactly like that jammer,
+        # so it routes and reports like --jam (as run_seeds does).
+        rest, run_jammer = resolve_adversary(faults, jammer)
+        if rest is None:
+            faults, jammer = None, run_jammer
         plan = None
         if getattr(args, "fastpath", "off") != "off":
             # Tracing, CSV export, and single-run telemetry all want the

@@ -122,12 +122,6 @@ class EstimationTally:
             self.counts = [0] * self.level
         self.total_steps = estimation_length(self.level, self.lam)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "total_steps" not in state:
-            # Pickled (in a stream checkpoint) while it was a property.
-            self.total_steps = estimation_length(self.level, self.lam)
-
     @property
     def complete(self) -> bool:
         return self.steps_seen >= self.total_steps

@@ -137,21 +137,6 @@ class PunctualProtocol(Protocol):
         # An anarchist sleeps between its anarchy and START slots.
         self.wake = 0
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        if self.wake is None:
-            # Pickled before anarchists slept: awake until its next observe.
-            self.wake = 0
-        if not hasattr(self, "_origin"):
-            # Pickled (in a stream checkpoint) before it was cached.
-            self._origin = self.sync.origin if self.sync.synced else None
-        if not hasattr(self, "_start_msg"):
-            # Pickled before these were cached.  The effective window
-            # cannot change within SLINGSHOT or ANARCHIST, so today's
-            # gives the probabilities fixed at their entry.
-            self._start_msg = StartMessage(self.ctx.job_id)
-            self._fix_probabilities()
-
     def _fix_probabilities(self) -> None:
         window = self.eff_window
         self._pullback_p = self.params.pullback_probability(window)

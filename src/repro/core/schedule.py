@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.broadcast import BroadcastSchedule, SubphasePosition, total_active_steps
-from repro.core.estimation import EstimationTally, estimation_length
+from repro.core.estimation import EstimationTally
 from repro.errors import InvalidParameterError, ProtocolViolationError
 from repro.params import AlignedParams
 
@@ -116,34 +116,11 @@ class ClassRun:
         self.done = False
         self._fix_cursor()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "done" not in state:
-            # Pickled (in a stream checkpoint) while these three were
-            # derived on every read: derive them once, as those did.
-            lam = self.params.lam
-            self.estimation_steps = (
-                estimation_length(self.level, lam) if self.level else 0
-            )
-            if self.level == 0:
-                self.total_steps = 1
-            elif self.estimate is None:
-                self.total_steps = None
-            else:
-                self.total_steps = total_active_steps(
-                    self.level, self.estimate, lam
-                )
-            total = self.total_steps
-            self.done = total is not None and self.steps_taken >= total
-        if "phase" not in state:
-            # Pickled while the next step was derived on every read.
-            self._fix_cursor()
-
     def _fix_cursor(self) -> None:
         """Set the next step's values from ``steps_taken``.
 
         Called where they cannot be advanced step by step: at
-        construction, when the estimate resolves and on unpickling.
+        construction and when the estimate resolves.
         """
         step = self.steps_taken
         self.phase = 0
@@ -263,14 +240,6 @@ class PeckingOrderView:
         self._active: Optional[int] = None
         self._run: Optional[ClassRun] = None  # the active level's run
         self._phase = "start"  # alternates start -> end
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "_run" not in state:
-            # Pickled while every slot re-derived the active class: its
-            # _active may name a run that has since completed.
-            self._mask = (1 << self.min_level) - 1
-            self._rescan()
 
     def _rescan(self) -> None:
         """Make the smallest tracked class with an unfinished run active."""

@@ -45,15 +45,6 @@ class UniformProtocol(Protocol):
         self._last_age = 0  # the latest chosen age, set at begin
         self.wake = 0
 
-    def __setstate__(self, state: tuple) -> None:
-        super().__setstate__(state)
-        if not hasattr(self, "_last_age"):
-            # Pickled (in a stream checkpoint) before it was cached.
-            self._last_age = max(self.chosen, default=0)
-        if self.wake is None:
-            # Pickled before jobs slept: awake until its next observe.
-            self.wake = 0
-
     def on_begin(self, slot: int) -> None:
         w = self.ctx.window
         k = min(self.params.attempts, w)

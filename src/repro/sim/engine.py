@@ -327,18 +327,6 @@ class SlotCore:
     def __getstate__(self) -> tuple:
         return None, {name: getattr(self, name) for name in _STATE}
 
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        if "wake" not in state[1]:
-            # Written before jobs slept; attach() fills the column in.
-            self.wake = [-1] * len(self.ids)
-            self.columns = self.columns[:8] + (self.wake,) + self.columns[8:]
-        if "direct" not in state[1]:
-            # Written before direct binding: every live job is guarded.
-            self.direct = [False] * len(self.ids)
-            self.columns += (self.direct,)
-
     def attach(
         self,
         factory: ProtocolFactory,

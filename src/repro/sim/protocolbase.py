@@ -103,13 +103,6 @@ class ProtocolContext:
         self.rng = rng
         self._coins: list = []  # unread draws, the next one last
 
-    def __setstate__(self, state: tuple) -> None:
-        # A context pickled before coins were drawn in blocks has none
-        # unread: its generator stands at the next coin.
-        self._coins = []
-        for name, value in state[1].items():
-            setattr(self, name, value)
-
     @classmethod
     def for_job(cls, job: Job, rng: np.random.Generator) -> "ProtocolContext":
         return cls(job.job_id, job.window, rng)
@@ -174,16 +167,6 @@ class Protocol(abc.ABC):
         self.transmissions = 0
         self._awaiting_observation = False
         self._events = None  # telemetry sink; bound by the engine
-
-    def __setstate__(self, state) -> None:
-        # What unpickling does by default (the instance dict, then the
-        # base-class slots), spelled out so that a subclass can rebuild a
-        # cached value that an older pickle lacks.
-        inst, slots = state if isinstance(state, tuple) else (state, None)
-        if inst:
-            self.__dict__.update(inst)
-        for name, value in (slots or {}).items():
-            setattr(self, name, value)
 
     def sleep_until(self, slot: int) -> None:
         """Promise that the hooks change nothing before ``slot`` (the

@@ -206,8 +206,6 @@ class RngFactory:
         return {"seed": self.seed, "_cache": self._cache}
 
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before prepare() existed also carry an
-        # unused root SeedSequence under "_root"; it is dropped.
         self.__init__(state["seed"])
         self._cache = state["_cache"]
 

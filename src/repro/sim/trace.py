@@ -41,8 +41,8 @@ class SlotRecord:
     n_live:
         Jobs live (released, window open, not finished) during the slot.
     contention:
-        Sum of live jobs' transmit probabilities for the slot, when the
-        protocol reports one via ``transmit_probability``; ``nan`` when
+        Sum of live jobs' transmit probabilities for the slot, over the
+        protocols that report one in ``last_p``; ``nan`` when
         unavailable.  This is the paper's ``C(t)``.
     jammed:
         Whether the jammer corrupted the slot.

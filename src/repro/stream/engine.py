@@ -88,9 +88,12 @@ __all__ = [
 
 #: Version of the streaming engine's observable semantics *and* its
 #: checkpoint state layout.  Bump on any change that can alter a
-#: :class:`StreamResult` or that breaks resuming an older checkpoint.
+#: :class:`StreamResult` or what a checkpoint pickles: a checkpoint
+#: resumes only under the version that wrote it.
 #: 2: checkpoints hold the shared :class:`~repro.sim.engine.SlotCore`.
-STREAM_VERSION = 2
+#: 3: the layout that holds each live job's unread coin block, cached
+#:    per-slot values and wake, restored as pickled.
+STREAM_VERSION = 3
 
 #: Admission-control policies for :class:`StreamBudget`.
 POLICIES = ("shed-newest", "shed-loosest-deadline", "block")
@@ -419,14 +422,21 @@ def stream_simulate(
 
     if resume:
         state, healed = load_checkpoint(checkpoint.path)
+        version = state["config"][0]
+        if version != STREAM_VERSION:
+            raise CheckpointError(
+                f"checkpoint {checkpoint.path} has STREAM_VERSION {version}, "
+                f"this build resumes version {STREAM_VERSION}; finish that "
+                "run with the build that wrote it"
+            )
         if state["config"] != cfg_key:
             raise CheckpointError(
                 f"checkpoint {checkpoint.path} was written by a different "
                 "run configuration; refusing to resume"
             )
-        # Checkpoints written before identities, or by a factory without
-        # one, carry none and resume as before.
-        written = state.get("identity")
+        # A checkpoint written by a factory without an identity carries
+        # none and resumes as before.
+        written = state["identity"]
         if None not in (written, identity) and written != identity:
             raise CheckpointError(
                 f"checkpoint {checkpoint.path} was written by protocol "

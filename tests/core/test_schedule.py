@@ -134,23 +134,6 @@ class TestPeckingOrderView:
         # t=32 starts a fresh class-5 window
         assert v.on_slot_start(32) == 5
 
-    def test_old_state_with_a_completed_active_run_rescans(self):
-        # A view pickled while every slot re-derived the active class
-        # keeps, between slots, the level of a run that has just
-        # completed; loading it must make the next class active.
-        p = params(lam=1, min_level=5)
-        v = PeckingOrderView(p, max_level=6, origin=0)
-        for t in range(25):  # class 5's silent estimation completes
-            v.on_slot_start(t)
-            v.on_slot_end(t, False)
-        state = dict(v.__dict__, _active=5)
-        del state["_run"], state["_mask"]
-        old = PeckingOrderView.__new__(PeckingOrderView)
-        old.__setstate__(state)
-        assert old.on_slot_start(25) == 6
-        old.on_slot_end(25, False)
-        assert old.run_of(6).steps_taken == 1
-
     def test_snapshot_shape(self):
         v = PeckingOrderView(params(min_level=2), max_level=4, origin=0)
         v.on_slot_start(0)

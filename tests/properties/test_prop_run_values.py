@@ -70,24 +70,13 @@ def test_class_run_values_match_the_formulas(level, lam, tau, p_success, seed):
             break
         _assert_cursor(run)
         if run.steps_taken % 7 == 3:
-            run = _without_cursor(pickle.loads(pickle.dumps(run)))
+            run = pickle.loads(pickle.dumps(run))
             _assert_cursor(run)
         success = rnd.random() < p_success
         if level and run.steps_taken < est_len:
             ref_tally.record(success)
         run.advance(success)
     assert run.steps_taken == run.total_steps
-
-
-def _without_cursor(run: ClassRun) -> ClassRun:
-    """The run as unpickled from a state written before it kept its
-    next step as values."""
-    state = dict(run.__dict__)
-    for name in ("phase", "sub_len", "sub_off", "_bphase", "_bsub"):
-        del state[name]
-    old = ClassRun.__new__(ClassRun)
-    old.__setstate__(state)
-    return old
 
 
 def _assert_cursor(run: ClassRun):

@@ -52,17 +52,6 @@ class TestRandom:
         tail = [ctx.random() for _ in range(2 * COIN_BLOCK)]
         assert head + tail == [ref.random() for _ in range(3 * COIN_BLOCK + 9)]
 
-    def test_context_pickled_without_a_block_draws_from_its_generator(self):
-        # The state a context pickled before blocks carries.
-        rng = np.random.default_rng(3)
-        rng.random(5)
-        ctx = ProtocolContext.__new__(ProtocolContext)
-        ctx.__setstate__((None, {"job_id": 4, "window": 64, "rng": rng}))
-        ref = np.random.default_rng(3)
-        ref.random(5)
-        assert ctx._coins == []
-        assert [ctx.random() for _ in range(70)] == [ref.random() for _ in range(70)]
-
 
 def _outcomes(res):
     return res.slots_simulated, [

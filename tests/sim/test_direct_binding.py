@@ -10,9 +10,6 @@ duck-typed protocols.  ``invariants=True`` guards every job, so each
 comparison below runs one binding against the other, send for send.
 """
 
-import shutil
-from pathlib import Path
-
 import pytest
 
 from repro.analysis.capture import StageCapture
@@ -34,9 +31,6 @@ from repro.workloads import batch_instance
 
 INSTANCE = batch_instance(12, 1024)
 JAMS = (None, 0.25)
-FIXTURE = (
-    Path(__file__).parents[1] / "stream" / "fixtures" / "stream_v2_seedsequence.ckpt"
-)
 
 
 def _jammer(p):
@@ -256,13 +250,3 @@ class TestCheckpoints:
         assert core.protos and not any(core.direct)
         assert core.act == [p.act for p in core.protos]
         assert core.observe == [p.observe for p in core.protos]
-
-    def test_checkpoint_without_the_column_loads_guarded(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        shutil.copyfile(FIXTURE, path)
-        state, _ = load_checkpoint(str(path))
-        core = state["core"]
-        assert core.protos
-        assert core.direct == [False] * len(core.protos)
-        assert core.columns[-1] is core.direct
-        assert all(len(col) == len(core.protos) for col in core.columns)

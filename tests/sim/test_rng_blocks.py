@@ -78,17 +78,6 @@ class TestPickling:
         assert seed_kind(g.fresh("job", 1)) == "SeedSequence"
         assert seed_kind(f.fresh("job", 1)) == "_DerivedSeed"
 
-    def test_factory_pickled_before_prepare_existed_loads(self):
-        old = RngFactory.__new__(RngFactory)
-        chan = np.random.default_rng(7)
-        old.__setstate__(
-            {"seed": 4, "_root": np.random.SeedSequence(4), "_cache": {("c", 0): chan}}
-        )
-        assert not hasattr(old, "_root")
-        assert old.stream("c") is chan
-        old.prepare("job", [0])
-        assert seed_kind(old.fresh("job", 0)) == "_DerivedSeed"
-
 
 # -- both engines: prepared runs equal unprepared ones ---------------------
 

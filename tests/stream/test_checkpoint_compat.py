@@ -1,30 +1,30 @@
-"""Stream checkpoints written before job streams were derived in blocks.
+"""A checkpoint written under another ``STREAM_VERSION`` is refused.
 
-``fixtures/stream_v2_seedsequence.ckpt`` is a ``STREAM_VERSION`` 2
-checkpoint from the last commit before :meth:`RngFactory.prepare`
-existed: its factory pickles an unused root ``SeedSequence`` under
-``_root``, and every live job's generator carries a ``SeedSequence``.
-It was regenerated with::
-
-    mkdir parent && git archive 2d22640 src | tar -x -C parent
-    PYTHONPATH=parent/src python tests/stream/test_checkpoint_compat.py
-
-which runs :func:`_run` below with a checkpoint and keeps the first one
-written.
+``fixtures/stream_v2_seedsequence.ckpt`` is the first checkpoint of
+:func:`_run` below as an older build (commit 2d22640) wrote it, under
+``STREAM_VERSION`` 2.  This build loads it, but a checkpoint resumes
+only under the version that wrote it: the resume raises
+:class:`CheckpointError` naming both versions before anything runs.
 """
 
 import shutil
-import sys
 from pathlib import Path
+
+import pytest
 
 from repro.baselines.sawtooth import sawtooth_factory
 from repro.channel.jamming import StochasticJammer
+from repro.cli import main
 from repro.stream.arrivals import PoissonProcess
-from repro.stream.checkpoint import CheckpointConfig
-from repro.stream.engine import StreamBudget, stream_simulate
+from repro.stream.checkpoint import CheckpointConfig, CheckpointError, load_checkpoint
+from repro.stream.engine import STREAM_VERSION, StreamBudget, stream_simulate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "stream_v2_seedsequence.ckpt"
 EVERY_SLOTS = 600
+REFUSAL = (
+    f"has STREAM_VERSION 2, this build resumes version {STREAM_VERSION}; "
+    "finish that run with the build that wrote it"
+)
 
 
 def _run(checkpoint=None, resume=False):
@@ -42,41 +42,37 @@ def _run(checkpoint=None, resume=False):
     )
 
 
-def _comparable(res):
-    d = res.to_dict()
-    d.pop("checkpoints_written")
-    d.pop("resumed_at_slot")
-    return d, res.outcomes, sorted(res.latency_sample.values.tolist())
+@pytest.fixture
+def old(tmp_path):
+    """A copy of the fixture, which a refused resume must leave as it is."""
+    path = tmp_path / "ck.bin"
+    shutil.copyfile(FIXTURE, path)
+    yield path
+    assert path.read_bytes() == FIXTURE.read_bytes()
 
 
 def test_fixture_is_small():
     assert FIXTURE.stat().st_size < 16 * 1024
 
 
-def test_parent_checkpoint_resumes_bit_exactly(tmp_path):
-    path = tmp_path / "ck.bin"
-    shutil.copyfile(FIXTURE, path)
-    resumed = _run(CheckpointConfig(str(path), every_slots=EVERY_SLOTS), True)
-    assert resumed.resumed_at_slot > 0
-    assert _comparable(resumed) == _comparable(_run())
+def test_older_version_loads(old):
+    state, healed = load_checkpoint(str(old))
+    assert not healed
+    assert state["config"][0] == 2 != STREAM_VERSION
 
 
-if __name__ == "__main__":
-    import repro.stream.engine as engine
+def test_older_version_is_refused(old):
+    with pytest.raises(CheckpointError, match=REFUSAL):
+        _run(CheckpointConfig(str(old), every_slots=EVERY_SLOTS), True)
 
-    class _Written(Exception):
-        pass
 
-    save = engine.save_checkpoint
-
-    def save_first(path, state):
-        save(path, state)
-        raise _Written
-
-    engine.save_checkpoint = save_first
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE
-    out.parent.mkdir(exist_ok=True)
-    try:
-        _run(CheckpointConfig(str(out), every_slots=EVERY_SLOTS))
-    except _Written:
-        print(f"wrote {out} ({out.stat().st_size} bytes)")
+def test_cli_refuses_an_older_version(old):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "stream", "--rho", "0.3", "--windows", "16,64",
+                "--protocol", "sawtooth", "--max-jobs", "600",
+                "--checkpoint", str(old), "--resume",
+            ]
+        )
+    assert REFUSAL in str(exc.value.code)

@@ -1,80 +1,58 @@
-"""Stream checkpoints written before protocols cached their per-slot values.
+"""Mid-run stream checkpoints of every streamable protocol resume bit-exactly.
 
-Three ``STREAM_VERSION`` 2 checkpoints from the last commit before the
-slot core bound protocol hooks directly and the protocols fixed their
-per-slot constants once:
+Each entry of :data:`RUNS` is cut at its first checkpoint: the *parent*
+run writes it at the cut slot and stops, as a run killed just after the
+write would, and the tests resume a copy of it.  The cut slots catch
+live jobs mid-run:
 
-* ``fixtures/stream_v2_uniform.ckpt`` — live UNIFORM jobs pickled
-  without ``_last_age``;
-* ``fixtures/stream_v2_punctual.ckpt`` and
-  ``fixtures/stream_v2_punctual-estimating.ckpt`` — live PUNCTUAL jobs
-  pickled without ``_origin``, some of them following a leader with an
-  embedded ALIGNED machine whose ``ClassRun`` and ``EstimationTally``
-  objects were pickled while ``done``, ``total_steps`` and
-  ``estimation_steps`` were properties.  In the first, class runs are
-  broadcasting; in the second, they are part-way through estimation.
+* ``punctual``, ``punctual-estimating``, ``punctual-anarchy-estimating``
+  and ``punctual-anarchy-broadcasting`` — PUNCTUAL followers whose
+  embedded ALIGNED machines have class runs part-way through broadcast
+  or estimation, the last two with anarchists beside them;
+* the other streamable protocols — live jobs that have backed off, sent
+  or drawn coins ahead.
 
-Five more from the last commit before coin flips were drawn in blocks
-and the baselines fixed their per-slot values where they change:
-``fixtures/stream_v2_{sawtooth,soft,nocd,beb,slowfb}.ckpt`` hold live
-jobs of those baselines whose contexts were pickled without ``_coins``
-(no unread block: each generator stands at the job's next coin), without
-the probability of the next act (``_next_p``), and, for BEB and
-slow-feedback backoff, without the next send slot (``_next_tx_slot``)
-or offset (``_next_send``).
-
-Two more PUNCTUAL checkpoints from the last commit before the
-pecking-order view kept its active class, the class runs their next
-step, and PUNCTUAL its start message and claim and release
-probabilities as values:
-``fixtures/stream_v2_punctual-anarchy-{estimating,broadcasting}.ckpt``
-hold ANARCHIST jobs beside followers whose embedded machines are
-part-way through estimation (the first) or broadcast (the second),
-pickled without ``_start_msg``, ``_anarchy_p``, the views' ``_run`` and
-the runs' ``sub_len``.
-
-Unpickling rebuilds each missing value from the fields the old pickle
-does hold, so all resume bit-exactly.  They were regenerated with::
-
-    mkdir parent && git archive dce3891 src | tar -x -C parent
-    PYTHONPATH=parent/src python tests/stream/test_checkpoint_compat_cached.py \
-        tests/stream/fixtures uniform punctual punctual-estimating
-
-and the same with ``34d8954`` and ``sawtooth soft nocd beb slowfb``, and
-with ``f8beea2`` and ``punctual-anarchy-estimating
-punctual-anarchy-broadcasting``, which runs :func:`_run` below for each
-named protocol with a checkpoint and keeps the first one written.
+The parent checkpoints also pin what a checkpoint holds: the attribute
+names the objects of each ``repro`` class hold once loaded hash to
+:data:`LAYOUT`'s digest for the current ``STREAM_VERSION``.
 """
 
+import enum
+import hashlib
+import json
 import shutil
-import sys
-from pathlib import Path
+import types
+from collections import deque
 
 import pytest
 
+import repro.stream.engine as engine
 from repro.baselines import (
     BinaryExponentialBackoff,
     CollisionSofteningBackoff,
     NoCollisionDetectionBackoff,
     SawtoothBackoff,
+    SlottedAloha,
     SlowFeedbackBackoff,
+    UrgencyAloha,
     beb_factory,
     nocd_factory,
     sawtooth_factory,
     slowfeedback_factory,
     softened_factory,
+    urgency_aloha_factory,
+    window_scaled_aloha_factory,
 )
 from repro.channel.jamming import StochasticJammer
 from repro.core.punctual import Stage, punctual_factory
 from repro.core.uniform import uniform_factory
 from repro.obs.telemetry import Telemetry
 from repro.params import PunctualParams
+from repro.registry import STREAM_PROTOCOLS
 from repro.sim.engine import SlotCore
 from repro.stream.arrivals import PoissonProcess
 from repro.stream.checkpoint import CheckpointConfig, load_checkpoint
-from repro.stream.engine import StreamBudget, stream_simulate
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from repro.stream.engine import STREAM_VERSION, StreamBudget, stream_simulate
 
 PUNCTUAL = dict(
     process=PoissonProcess(rate=0.02, window_sizes=(2048,)),
@@ -89,7 +67,7 @@ OVERLOAD = dict(
     budget=StreamBudget(max_live=8, policy="shed-loosest-deadline"),
     jammer=StochasticJammer(0.25),
 )
-# fixture name -> (keyword arguments of the run, slots between checkpoints)
+# case name -> (keyword arguments of the run, slots between checkpoints)
 RUNS = {
     "uniform": (dict(OVERLOAD, factory=uniform_factory()), 600),
     "punctual": (PUNCTUAL, 1400),
@@ -101,28 +79,15 @@ RUNS = {
     "nocd": (dict(OVERLOAD, factory=nocd_factory()), 900),
     "beb": (dict(OVERLOAD, factory=beb_factory()), 600),
     "slowfb": (dict(OVERLOAD, factory=slowfeedback_factory()), 600),
-}
-# The attributes each fixture predates, checked in its raw bytes.
-CACHED = {
-    "uniform": [b"_last_age"],
-    "punctual": [b"_origin"],
-    "punctual-estimating": [b"_origin"],
-    "punctual-anarchy-estimating": [
-        b"_start_msg", b"_anarchy_p", b"_run", b"sub_len",
-    ],
-    "punctual-anarchy-broadcasting": [
-        b"_start_msg", b"_anarchy_p", b"_run", b"sub_len",
-    ],
-    "sawtooth": [b"_coins", b"_next_p"],
-    "soft": [b"_coins", b"_next_p"],
-    "nocd": [b"_coins", b"_next_p"],
-    "beb": [b"_coins", b"_next_p", b"_next_tx_slot"],
-    "slowfb": [b"_coins", b"_next_p", b"_next_send"],
+    "aloha": (dict(OVERLOAD, factory=window_scaled_aloha_factory()), 500),
+    "urgency": (dict(OVERLOAD, factory=urgency_aloha_factory()), 800),
 }
 
-
-def _fixture(name):
-    return FIXTURES / f"stream_v2_{name}.ckpt"
+#: The digest of the attribute names each ``repro`` class's objects hold
+#: in the loaded parent checkpoints, by ``STREAM_VERSION``.  A change to
+#: what a checkpoint holds changes the digest: bump ``STREAM_VERSION``
+#: and pin the new one.
+LAYOUT = {3: "9c48923a49e9dec7"}
 
 
 def _run(name, checkpoint=None, resume=False, invariants=False, telemetry=None):
@@ -142,6 +107,48 @@ def _run(name, checkpoint=None, resume=False, invariants=False, telemetry=None):
     )
 
 
+class _Cut(Exception):
+    """Stops a parent run after its first checkpoint write."""
+
+
+@pytest.fixture(scope="module")
+def parents(tmp_path_factory):
+    """``parent(name)``: the path of the run's parent checkpoint, written
+    once per module."""
+    written = {}
+
+    def parent(name):
+        if name not in written:
+            path = tmp_path_factory.mktemp(name) / "ck.bin"
+            save = engine.save_checkpoint
+
+            def save_and_stop(p, state):
+                save(p, state)
+                raise _Cut
+
+            every = RUNS[name][1]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "save_checkpoint", save_and_stop)
+                with pytest.raises(_Cut):
+                    _run(name, CheckpointConfig(str(path), every_slots=every))
+            written[name] = path
+        return written[name]
+
+    return parent
+
+
+@pytest.fixture
+def copy(parents, tmp_path):
+    """``copy(name)``: a copy of the run's parent checkpoint to resume."""
+
+    def make(name):
+        path = tmp_path / "ck.bin"
+        shutil.copyfile(parents(name), path)
+        return path
+
+    return make
+
+
 def _comparable(res):
     d = res.to_dict()
     d.pop("checkpoints_written")
@@ -154,12 +161,9 @@ def _contention(telemetry):
     return telemetry.metrics.histogram("contention").values
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_fixture_predates_the_cached_values(name):
-    raw = _fixture(name).read_bytes()
-    assert len(raw) < 32 * 1024
-    for attr in CACHED[name]:
-        assert attr not in raw
+def test_every_streamable_protocol_has_a_case():
+    cased = {name.split("-")[0] for name in RUNS}
+    assert cased == set(STREAM_PROTOCOLS)
 
 
 def _broadcasting(run):
@@ -179,10 +183,8 @@ def _estimating(run):
         ("punctual-anarchy-broadcasting", _broadcasting),
     ],
 )
-def test_punctual_fixtures_hold_running_class_runs(tmp_path, name, in_state):
-    path = tmp_path / "ck.bin"
-    shutil.copyfile(_fixture(name), path)
-    state, _ = load_checkpoint(str(path))
+def test_punctual_fixtures_hold_running_class_runs(parents, name, in_state):
+    state, _ = load_checkpoint(str(parents(name)))
     protos = state["core"].protos
     assert any(p._origin is not None for p in protos)
     if "anarchy" in name:
@@ -205,29 +207,26 @@ def test_punctual_fixtures_hold_running_class_runs(tmp_path, name, in_state):
         ("nocd", NoCollisionDetectionBackoff, lambda p: p.estimate > 2.0),
         ("beb", BinaryExponentialBackoff, lambda p: p.attempt > 0),
         ("slowfb", SlowFeedbackBackoff, lambda p: p.epoch_len > p.base),
+        ("aloha", SlottedAloha, lambda p: p.transmissions > 0),
+        ("urgency", UrgencyAloha, lambda p: p.transmissions > 0),
     ],
 )
-def test_baseline_fixtures_hold_live_jobs(tmp_path, name, cls, progressed):
-    path = tmp_path / "ck.bin"
-    shutil.copyfile(_fixture(name), path)
-    state, _ = load_checkpoint(str(path))
+def test_baseline_fixtures_hold_live_jobs(parents, name, cls, progressed):
+    state, _ = load_checkpoint(str(parents(name)))
     protos = state["core"].protos
     assert len(protos) >= 4
     assert all(type(p) is cls for p in protos)
     assert any(progressed(p) for p in protos)
-    assert all(p.ctx._coins == [] for p in protos)
 
 
 @pytest.mark.parametrize("invariants", [False, True])
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_parent_checkpoint_resumes_bit_exactly(tmp_path, name, invariants):
-    path = tmp_path / "ck.bin"
-    shutil.copyfile(_fixture(name), path)
+def test_parent_checkpoint_resumes_bit_exactly(copy, name, invariants):
     every = RUNS[name][1]
     part, full = Telemetry(), Telemetry()
     resumed = _run(
-        name, CheckpointConfig(str(path), every_slots=every), True, invariants,
-        part,
+        name, CheckpointConfig(str(copy(name)), every_slots=every), True,
+        invariants, part,
     )
     assert resumed.resumed_at_slot > 0
     assert _comparable(resumed) == _comparable(_run(name, telemetry=full))
@@ -236,18 +235,19 @@ def test_parent_checkpoint_resumes_bit_exactly(tmp_path, name, invariants):
     assert tail and _contention(full)[-len(tail):] == tail
 
 
-#: Fixtures whose resumed runs have live jobs that sleep (see the wake
-#: promise in repro.sim.protocolbase).
+#: Runs whose resumed jobs sleep (see the wake promise in
+#: repro.sim.protocolbase).
 SLEEPING = {
-    "uniform", "beb", "punctual", "punctual-estimating",
+    "uniform", "beb", "aloha", "punctual", "punctual-estimating",
     "punctual-anarchy-estimating", "punctual-anarchy-broadcasting",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_parent_checkpoint_resumes_asleep(tmp_path, monkeypatch, name):
-    """With no per-slot hook attached, the resumed jobs sleep: their
-    unpickled protocols promise a wake they did not have when written."""
+def test_parent_checkpoint_resumes_asleep(copy, monkeypatch, name):
+    """With no per-slot hook attached, the resumed jobs sleep on the
+    wakes their protocols were pickled with."""
+    path = copy(name)
     slept = []
     step = SlotCore.step
 
@@ -257,8 +257,6 @@ def test_parent_checkpoint_resumes_asleep(tmp_path, monkeypatch, name):
         return step(core, t, finalize)
 
     monkeypatch.setattr(SlotCore, "step", counted)
-    path = tmp_path / "ck.bin"
-    shutil.copyfile(_fixture(name), path)
     every = RUNS[name][1]
     resumed = _run(name, CheckpointConfig(str(path), every_slots=every), True)
     assert resumed.resumed_at_slot > 0
@@ -268,8 +266,9 @@ def test_parent_checkpoint_resumes_asleep(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["sawtooth", "soft", "nocd", "beb", "slowfb"])
 def test_current_checkpoint_resumes_bit_exactly(tmp_path, name):
-    """The same runs resume bit-exactly from a checkpoint this code wrote
-    (unread coin blocks, cached values and slowfb's descending offsets)."""
+    """The same runs resume bit-exactly from the last checkpoint a whole
+    run wrote (unread coin blocks, cached values and slowfb's descending
+    offsets)."""
     config = CheckpointConfig(str(tmp_path / "ck.bin"), every_slots=RUNS[name][1])
     part, full = Telemetry(), Telemetry()
     first = _run(name, config, telemetry=full)
@@ -280,25 +279,52 @@ def test_current_checkpoint_resumes_bit_exactly(tmp_path, name):
     assert tail and _contention(full)[-len(tail):] == tail
 
 
-if __name__ == "__main__":
-    import repro.stream.engine as engine
+def _pickled_names(state):
+    """For each ``repro`` class reachable from ``state``, the attribute
+    names its objects hold (instance dict plus set slots), walking
+    lists, tuples, dicts, deques and bound methods' ``__self__``."""
+    names = {}
+    seen = set()
+    todo = [state]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple, deque)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj)
+            todo.extend(obj.values())
+        elif isinstance(obj, types.MethodType):
+            todo.append(obj.__self__)
+        elif type(obj).__module__.startswith("repro.") and not isinstance(
+            obj, enum.Enum
+        ):
+            attrs = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if slot not in ("__dict__", "__weakref__") and hasattr(obj, slot):
+                        attrs[slot] = getattr(obj, slot)
+            cls = type(obj)
+            names.setdefault(f"{cls.__module__}.{cls.__qualname__}", set()).update(
+                attrs
+            )
+            todo.extend(attrs.values())
+    return names
 
-    class _Written(Exception):
-        pass
 
-    save = engine.save_checkpoint
-
-    def save_first(path, state):
-        save(path, state)
-        raise _Written
-
-    engine.save_checkpoint = save_first
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURES
-    out_dir.mkdir(exist_ok=True)
-    for name in sys.argv[2:] or RUNS:
-        every = RUNS[name][1]
-        out = out_dir / _fixture(name).name
-        try:
-            _run(name, CheckpointConfig(str(out), every_slots=every))
-        except _Written:
-            print(f"wrote {out} ({out.stat().st_size} bytes)")
+def test_pickled_layout_is_pinned_to_the_stream_version(parents):
+    names = {}
+    for name in RUNS:
+        state, _ = load_checkpoint(str(parents(name)))
+        for cls, attrs in _pickled_names(state).items():
+            names.setdefault(cls, set()).update(attrs)
+    layout = json.dumps({cls: sorted(attrs) for cls, attrs in sorted(names.items())})
+    digest = hashlib.sha256(layout.encode()).hexdigest()[:16]
+    assert digest == LAYOUT.get(STREAM_VERSION), (
+        f"checkpoints now pickle another layout (digest {digest}, "
+        f"{len(names)} classes): bump STREAM_VERSION and pin the digest "
+        f"in LAYOUT\n{layout}"
+    )

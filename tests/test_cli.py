@@ -374,6 +374,23 @@ class TestSimulateFaults:
                 ]
             )
 
+    @pytest.mark.parametrize("fastpath", ["auto", "on"])
+    def test_jammer_only_fault_routes_like_jam(self, capsys, fastpath):
+        base = [
+            "simulate",
+            "--workload", "batch",
+            "--n", "16",
+            "--window", "2048",
+            "--protocol", "punctual",
+            "--seed", "1",
+            "--fastpath", fastpath,
+        ]
+        assert main(base + ["--jam", "0.25"]) == 0
+        jam = capsys.readouterr().out
+        assert "fastpath: punctual kernel" in jam
+        assert main(base + ["--fault", "jam:0.25"]) == 0
+        assert capsys.readouterr().out == jam
+
     def test_jamming_fault_conflicts_with_jam_flag(self):
         with pytest.raises(SystemExit, match="conflicts"):
             main(
