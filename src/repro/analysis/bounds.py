@@ -13,7 +13,7 @@ Lemma 2 envelope) and various test oracles.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 

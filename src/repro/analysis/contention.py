@@ -9,7 +9,7 @@ and provides the Monte-Carlo machinery for experiment E3: estimate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -9,10 +9,12 @@ functions plus thin file helpers; no dependencies beyond the stdlib.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 from typing import Any, Dict, List, Union
 
+from repro.durable import write_atomic
 from repro.sim.metrics import SimulationResult
 from repro.sim.trace import TraceRecorder
 
@@ -77,16 +79,14 @@ def result_summary_dict(result: SimulationResult) -> Dict[str, Any]:
 
 def write_csv(records: List[Dict[str, Any]], path: PathLike) -> None:
     """Write homogeneous dict records as CSV (column order = first record)."""
-    path = pathlib.Path(path)
-    if not records:
-        path.write_text("")
-        return
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+    buf = io.StringIO()
+    if records:
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]))
         writer.writeheader()
         writer.writerows(records)
+    write_atomic(path, buf.getvalue().encode())
 
 
 def write_json(payload: Any, path: PathLike) -> None:
     """Write any JSON-serializable payload, indented for humans."""
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())

@@ -15,7 +15,7 @@ its tolerance and what "holds" means concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

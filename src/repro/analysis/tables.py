@@ -8,7 +8,7 @@ from a live simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 __all__ = ["format_table", "render_schedule"]
 

@@ -13,7 +13,7 @@ with any simulation run with ``trace=True``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 

@@ -11,7 +11,7 @@ expects ``c`` attempts within its window).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

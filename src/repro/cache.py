@@ -35,6 +35,7 @@ root (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a path string or
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -306,8 +307,10 @@ class ResultCache:
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out to
     keep directories small).  All operations are safe against concurrent
-    writers: writes go through :func:`repro.durable.write_atomic`, and
-    unreadable entries are treated as misses and deleted.
+    writers: writes go through :func:`repro.durable.write_atomic`.  An
+    entry that cannot be opened (missing, or not readable by this user in
+    a shared cache) is a miss and stays; one that opens but does not
+    unpickle (truncated, corrupted) is a miss and is deleted.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -323,18 +326,18 @@ class ResultCache:
         """The stored value, or ``None`` on a miss or corrupted entry."""
         path = self.path_for(key)
         try:
-            with open(path, "rb") as f:
-                value = pickle.load(f)
-        except FileNotFoundError:
+            f = open(path, "rb")
+        except OSError:
             self.misses += 1
             return None
+        try:
+            with f:
+                value = pickle.load(f)
         except Exception:
-            # Corrupted / truncated / unreadable: recover by recomputing.
+            # Corrupted / truncated: recover by recomputing.
             self.misses += 1
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             return None
         self.hits += 1
         return value

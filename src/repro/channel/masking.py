@@ -33,7 +33,7 @@ import numpy as np
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.messages import Message
 from repro.sim.job import Job
-from repro.sim.protocolbase import Protocol, ProtocolContext
+from repro.sim.protocolbase import Protocol
 
 __all__ = ["FeedbackMode", "FeedbackMaskingProtocol", "masked_factory"]
 

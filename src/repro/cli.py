@@ -67,11 +67,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
-
-import numpy as np
 
 from repro import registry
 from repro.adversary import FAMILIES, check_family, fault_plan
@@ -94,10 +93,11 @@ def _knobs(args: argparse.Namespace) -> Dict[str, Any]:
     registry call and builder in this module reads this dict.  Any other
     flag (seed counts, workers, ladders, caches, sinks) changes how runs
     execute or what is printed, never which run one is, so it never
-    reaches a cache key.
+    reaches a cache key.  A knob the command does not register
+    (``stream`` builds no workload) takes its registry default.
     """
-    knobs = {key: getattr(args, key) for key in registry.KNOB_DEFAULTS}
-    knobs["workload"] = args.workload
+    knobs = {k: getattr(args, k, v) for k, v in registry.KNOB_DEFAULTS.items()}
+    knobs["workload"] = getattr(args, "workload", "batch")
     return knobs
 
 
@@ -979,6 +979,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Assemble archived experiment tables into one markdown report."""
     import pathlib
 
+    from repro.durable import write_atomic
+
     results = pathlib.Path(args.results_dir)
     if not results.is_dir():
         print(f"no results directory at {results} — run the benchmarks first:")
@@ -998,7 +1000,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections.append("")
     text = "\n".join(sections)
     if args.output:
-        pathlib.Path(args.output).write_text(text)
+        write_atomic(args.output, text.encode())
         print(f"wrote {args.output} ({len(files)} experiments)")
     else:
         print(text)
@@ -1511,12 +1513,13 @@ _SEED = _int_at_least(0)
 _SEEDS = _int_at_least(1)
 
 
-def _add_perf_flags(sp) -> None:
+def _add_perf_flags(sp, cache: bool = True) -> None:
     sp.add_argument("--processes", type=int, default=1,
                     help="worker processes for seed replication")
-    sp.add_argument("--cache", default="", metavar="DIR",
-                    help="cache results on disk: a directory, or 'default' "
-                         "for $REPRO_CACHE_DIR / ~/.cache/repro")
+    if cache:
+        sp.add_argument("--cache", default="", metavar="DIR",
+                        help="cache results on disk: a directory, or 'default' "
+                             "for $REPRO_CACHE_DIR / ~/.cache/repro")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1528,19 +1531,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # Exact flag names only: by prefix, --seed would parse as a command's
+    # --seeds, and stream's --window as its --windows.
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=exact)
 
-    def add_common(sp):
-        sp.add_argument("--workload", default="batch",
-                        choices=list(registry.WORKLOADS))
-        sp.add_argument("--n", type=int, default=8)
-        sp.add_argument("--window", type=int, default=4096)
-        sp.add_argument("--level", type=int, default=9)
-        sp.add_argument("--gamma", type=float, default=0.02)
-        sp.add_argument("--workload-seed", type=_SEED, default=0)
-        sp.add_argument("--seed", type=_SEED, default=0)
-        sp.add_argument("--jam", type=float, default=0.0,
-                        help="stochastic jamming probability")
+    def add_common(sp, workload=True, seed=True, jam=True):
+        # Each command registers only the flags it reads.
+        if workload:
+            sp.add_argument("--workload", default="batch",
+                            choices=list(registry.WORKLOADS))
+            sp.add_argument("--n", type=int, default=8)
+            sp.add_argument("--window", type=int, default=4096)
+            sp.add_argument("--level", type=int, default=9)
+            sp.add_argument("--gamma", type=float, default=0.02)
+            sp.add_argument("--workload-seed", type=_SEED, default=0)
+        if seed:
+            sp.add_argument("--seed", type=_SEED, default=0)
+        if jam:
+            sp.add_argument("--jam", type=float, default=0.0,
+                            help="stochastic jamming probability")
         sp.add_argument("--lam", type=int, default=1)
         sp.add_argument("--min-level", type=int, default=9)
         sp.add_argument("--pullback-exp", type=int, default=1)
@@ -1570,7 +1580,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser(
         "sweep", help="sweep one workload parameter for one protocol"
     )
-    add_common(swp)
+    add_common(swp, seed=False)
     swp.add_argument("--protocol", default="punctual",
                      choices=list(registry.PROTOCOLS))
     swp.add_argument("--param", default="n",
@@ -1585,7 +1595,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=cmd_sweep)
 
     cmp_ = sub.add_parser("compare", help="run every protocol on one workload")
-    add_common(cmp_)
+    add_common(cmp_, seed=False)
     cmp_.add_argument("--seeds", type=_SEEDS, default=3)
     _add_perf_flags(cmp_)
     _add_telemetry_flag(cmp_)
@@ -1596,7 +1606,7 @@ def build_parser() -> argparse.ArgumentParser:
         "robustness",
         help="sweep fault severity per family; print degradation profiles",
     )
-    add_common(rob)
+    add_common(rob, seed=False, jam=False)
     rob.add_argument("--protocols", default="uniform,aligned,punctual",
                      help="comma-separated protocol names to profile")
     rob.add_argument("--families", default="jam,rate,feedback,clock,jobs",
@@ -1620,7 +1630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certify",
         help="bisect empirical breaking points per adversary family",
     )
-    add_common(cert)
+    add_common(cert, seed=False, jam=False)
     # Calibrated certification workload: small enough that the cliff
     # sits inside [0, 1] and sharp enough that the jam family crosses
     # the target within +-0.05 of the Theorem-14 boundary.
@@ -1656,7 +1666,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier",
         help="deadline-miss x energy frontier under identical jam budgets",
     )
-    add_common(fro)
+    add_common(fro, seed=False, jam=False)
     fro.add_argument("--protocols",
                      default="punctual,uniform,beb,sawtooth,soft,slowfb,nocd",
                      help="comma-separated protocol names to place on the "
@@ -1678,7 +1688,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream",
         help="open-arrival streaming runs: sustained load, bounded memory",
     )
-    add_common(stm)
+    add_common(stm, workload=False)
     stm.add_argument("--protocol", default="sawtooth",
                      choices=list(registry.STREAM_PROTOCOLS),
                      help="per-job protocol (instance-level protocols like "
@@ -1732,7 +1742,7 @@ def build_parser() -> argparse.ArgumentParser:
     stm.add_argument("--rss-budget-mb", type=float, default=0.0,
                      help="exit nonzero if peak RSS exceeds this many MiB "
                           "(the CI stream-smoke gate)")
-    _add_perf_flags(stm)
+    _add_perf_flags(stm, cache=False)
     _add_obs_flags(stm)
     stm.set_defaults(func=cmd_stream)
 
@@ -1854,7 +1864,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.set_defaults(func=cmd_perf)
 
     feas = sub.add_parser("feasibility", help="report a workload's slack")
-    add_common(feas)
+    add_common(feas, seed=False, jam=False)
     feas.set_defaults(func=cmd_feasibility)
 
     sched = sub.add_parser("schedule", help="render a Figure-1 schedule")
@@ -1874,7 +1884,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``): the output
+        # ends here.  Point stdout at devnull so the interpreter's final
+        # flush cannot raise again, and exit 1 as Python's signal docs do.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return rc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import InvalidParameterError
 from repro.sim.job import is_power_of_two

@@ -29,10 +29,9 @@ one implementation of the estimate rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import InvalidParameterError, ProtocolViolationError
-from repro.params import AlignedParams
 
 __all__ = [
     "estimation_length",

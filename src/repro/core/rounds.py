@@ -38,7 +38,7 @@ import enum
 from collections import deque
 from typing import Deque, Optional
 
-from repro.channel.feedback import Feedback, Observation
+from repro.channel.feedback import Observation
 from repro.channel.messages import Message, StartMessage
 from repro.errors import ProtocolViolationError
 

@@ -10,7 +10,7 @@ run ALIGNED inside the trimmed windows.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import InvalidInstanceError
 from repro.sim.instance import Instance

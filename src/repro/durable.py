@@ -1,11 +1,24 @@
-"""The one durable-write path: atomic file replacement and JSONL appends.
+"""The one durable-write path: every file the package writes goes through it.
 
-Files rewritten in place (cache entries, heartbeats, the perf trajectory,
-stream checkpoints) go through :func:`write_atomic`, so a reader or a
-crash sees the old file or the new one, never a torn one.  Append-only
-logs (the run ledger, campaign state) go through
+:func:`write_atomic` writes like ``open(path, "wb")``, except that the
+write is atomic: a reader, an error partway or a killed process leaves
+the old file or the new one, never a torn one.  Everything else is what
+``open()`` does:
+
+* a new file gets mode ``0o666`` less the umask; a file it replaces
+  keeps its mode;
+* a symlink stays, and the file it points to is replaced;
+* a path that exists and is not a regular file once links are followed
+  (a FIFO, a terminal, ``/dev/stdout`` feeding a pipe) is written in
+  place.
+
+The one addition is that missing parent directories are created.
+Cache entries, checkpoints, heartbeats, the perf trajectory, telemetry,
+trace, frontier and certify artifacts, stream reports, exports, saved
+instances and ``repro report --output`` are all written this way.
+Append-only logs (the run ledger, campaign state) go through
 :func:`append_jsonl_atomic` and are read back by
-:func:`read_jsonl_tolerant`.
+:func:`read_jsonl_tolerant`, as are telemetry artifacts.
 """
 
 from __future__ import annotations
@@ -13,43 +26,64 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
+import stat
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterable, List, Union
 
 __all__ = ["append_jsonl_atomic", "read_jsonl_tolerant", "write_atomic"]
 
 
 def write_atomic(
-    path: Union[str, Path], data: bytes, *, fsync: bool = False
+    path: Union[str, Path],
+    data: Union[bytes, Iterable[bytes]],
+    *,
+    fsync: bool = False,
 ) -> None:
-    """Replace ``path`` with ``data`` via a temp file and ``os.replace``.
+    """Write ``data`` to ``path`` like ``open(path, "wb")``, atomically.
 
-    The temp file is unique (``mkstemp`` in the target's directory), so
-    concurrent writers of one path never collide on it, and it is
-    removed on any failure.  ``fsync=True`` also syncs the file before
-    the rename and the directory after it, so the new contents survive
-    a power loss, not only a killed process.
+    ``data`` is bytes or an iterable of byte chunks, written in order, so
+    a long artifact streams to disk without being joined in memory.  The
+    chunks go to a unique temp file beside the target, which
+    ``os.replace`` moves into place; on any failure, an exception raised
+    while ``data`` is iterated included, the temp file is removed and the
+    old file stays as it was.  ``fsync=True`` also syncs the file before
+    the rename and the directory after it, so the new contents survive a
+    power loss, not only a killed process.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
+    # Stat the path as given: /dev/stdout feeding a pipe resolves to a
+    # name (/proc/<pid>/fd/pipe:[N]) that does not exist.
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as fh:  # nothing to replace: write in place
+            fh.writelines(data)
+        return
+    target = Path(os.path.realpath(path))  # replace a symlink's target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+    # "x" never opens an existing file, and creates one as open(path,
+    # "wb") does: mode 0o666 less the umask.
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            if st is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            fh.writelines(data)
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
     if fsync:
         try:  # pragma: no cover - some platforms cannot open a directory
-            dirfd = os.open(path.parent, os.O_RDONLY)
+            dirfd = os.open(target.parent, os.O_RDONLY)
         except OSError:
             return
         try:
@@ -81,7 +115,7 @@ def append_jsonl_atomic(path: Union[str, Path], record: Dict[str, Any]) -> None:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 payload = b"\n" + payload
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
     try:
         os.write(fd, payload)
     finally:

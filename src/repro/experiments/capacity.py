@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.broadcast import total_active_steps
 from repro.core.estimation import estimation_length

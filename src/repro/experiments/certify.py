@@ -58,6 +58,7 @@ from repro.adversary import REACTIVE, check_family, fault_plan
 from repro.analysis.stats import ProportionEstimate, bootstrap_proportion
 from repro.analysis.tables import format_table
 from repro.cache import ResultCache
+from repro.durable import write_atomic
 from repro.errors import InvalidParameterError, PaperGuaranteeWarning
 from repro.experiments.parallel import (
     FactoryBuilder,
@@ -332,9 +333,7 @@ class CertificationReport:
     def to_jsonl(self, path) -> int:
         """Write one JSON line per cell; returns the line count."""
         records = self.as_records()
-        with open(path, "w", encoding="utf-8") as f:
-            for rec in records:
-                f.write(json.dumps(rec) + "\n")
+        write_atomic(path, ((json.dumps(r) + "\n").encode() for r in records))
         return len(records)
 
 

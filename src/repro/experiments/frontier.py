@@ -38,6 +38,7 @@ from typing import (
 from repro.analysis.tables import format_table
 from repro.cache import ResultCache
 from repro.channel.jamming import StochasticJammer
+from repro.durable import write_atomic
 from repro.errors import InvalidParameterError
 from repro.experiments.parallel import (
     FactoryBuilder,
@@ -169,9 +170,8 @@ class FrontierReport:
 
     def to_jsonl(self, path: str) -> int:
         """Write one JSON record per point; returns the record count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in self.points:
-                fh.write(json.dumps(p.as_record(), sort_keys=True) + "\n")
+        lines = (json.dumps(p.as_record(), sort_keys=True) for p in self.points)
+        write_atomic(path, (f"{line}\n".encode() for line in lines))
         return len(self.points)
 
 

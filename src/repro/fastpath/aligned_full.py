@@ -38,7 +38,7 @@ slots can be flipped, so empty-class estimations still resolve to 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -11,8 +11,6 @@ distributions).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.estimation import resolve_estimate

@@ -18,7 +18,7 @@ difference is irrelevant for the paper's claims (which are stated for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -23,7 +23,7 @@ un-instrumented run performs no event work at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "EVENT_KINDS",

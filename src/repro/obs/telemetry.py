@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from repro.durable import read_jsonl_tolerant, write_atomic
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -327,14 +328,10 @@ class Telemetry:
         return records
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
-        """Serialize the full artifact; returns the written path."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as f:
-            for rec in self.as_records():
-                f.write(json.dumps(rec) + "\n")
-        return path
+        """Serialize the full artifact atomically; returns the path."""
+        records = self.as_records()
+        write_atomic(path, ((json.dumps(r) + "\n").encode() for r in records))
+        return Path(path)
 
 
 @dataclass
@@ -374,16 +371,11 @@ class TelemetryArtifact:
 
 
 def read_artifact(path: Union[str, Path]) -> TelemetryArtifact:
-    """Load one JSONL artifact (tolerates a truncated final line)."""
+    """Load one JSONL artifact; a torn or foreign line is skipped."""
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"no telemetry artifact at {path}")
     art = TelemetryArtifact(path=str(path))
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated tail from a killed writer
+    for rec in read_jsonl_tolerant(path):
         kind = rec.get("type")
         if kind == "manifest":
             art.manifest = rec

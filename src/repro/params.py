@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.errors import InvalidParameterError
 from repro.sim.instance import Instance

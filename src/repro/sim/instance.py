@@ -8,12 +8,12 @@ computed lazily and cached; the instance itself is immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.errors import InvalidInstanceError
-from repro.sim.job import Job, is_power_of_two
+from repro.sim.job import Job
 
 __all__ = ["Instance", "WindowKey"]
 

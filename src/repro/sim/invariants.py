@@ -33,7 +33,7 @@ the first broken slot instead of a corrupted aggregate.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import InvariantViolationError
 from repro.sim.job import Job

@@ -14,14 +14,15 @@ guidance for simulation inner loops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
 from repro.channel.channel import SlotOutcome
 from repro.channel.feedback import Feedback
+from repro.durable import write_atomic
 
 __all__ = ["SlotRecord", "TraceRecorder"]
 
@@ -193,13 +194,9 @@ class TraceRecorder:
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """One JSON object per slot; reload with :meth:`read_jsonl`."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as f:
-            for r in self.records:
-                f.write(json.dumps(r.as_record()) + "\n")
-        return path
+        records = (r.as_record() for r in self.records)
+        write_atomic(path, ((json.dumps(r) + "\n").encode() for r in records))
+        return Path(path)
 
     @classmethod
     def read_jsonl(cls, path: Union[str, Path]) -> "TraceRecorder":

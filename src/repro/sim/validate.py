@@ -31,7 +31,6 @@ from repro.experiments.capacity import max_feasible_gamma, punctual_overheads
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.feasibility import peak_density
 from repro.sim.instance import Instance
-from repro.sim.job import window_class
 
 __all__ = ["Severity", "Finding", "Certificate", "certify"]
 

@@ -67,4 +67,5 @@ __all__ = [
     "materialize",
     "run_stream_shards",
     "save_checkpoint",
+    "stream_simulate",
 ]

@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 _MAGIC = b"RSTRCKPT"
-#: Bump on any incompatible change to the checkpoint state dict.
+#: The version of the frame: magic, this version, payload length and
+#: CRC-32.  What the pickled state holds is versioned by
+#: ``STREAM_VERSION`` (repro.stream.engine; see CONTRIBUTING.md).
 CHECKPOINT_VERSION = 1
 
 _HEADER = struct.Struct("<8sIQI")  # magic, version, payload length, crc32

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
+from repro.durable import write_atomic
 from repro.stream.engine import StreamResult
 
 __all__ = ["SustainedLoadReport"]
@@ -117,6 +118,5 @@ class SustainedLoadReport:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        write_atomic(path, text.encode())

@@ -18,7 +18,7 @@ they are picklable and independent of construction order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.adversary import fault_plan

@@ -13,7 +13,7 @@ Lemma 11's proof).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

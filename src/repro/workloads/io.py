@@ -11,10 +11,12 @@ spreadsheet-side inspection.  Both round-trip exactly through
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 from typing import Union
 
+from repro.durable import write_atomic
 from repro.errors import InvalidInstanceError
 from repro.sim.instance import Instance
 from repro.sim.job import Job
@@ -85,7 +87,7 @@ def instance_from_json(text: str) -> Instance:
 
 def save_instance(instance: Instance, path: PathLike) -> None:
     """Write an instance to a JSON file."""
-    pathlib.Path(path).write_text(instance_to_json(instance) + "\n")
+    write_atomic(path, (instance_to_json(instance) + "\n").encode())
 
 
 def load_instance(path: PathLike) -> Instance:
@@ -95,11 +97,12 @@ def load_instance(path: PathLike) -> Instance:
 
 def save_instance_csv(instance: Instance, path: PathLike) -> None:
     """Write an instance as a ``job_id,release,deadline`` CSV."""
-    with pathlib.Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["job_id", "release", "deadline"])
-        for j in instance.by_release:
-            writer.writerow([j.job_id, j.release, j.deadline])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["job_id", "release", "deadline"])
+    for j in instance.by_release:
+        writer.writerow([j.job_id, j.release, j.deadline])
+    write_atomic(path, buf.getvalue().encode())
 
 
 def load_instance_csv(path: PathLike) -> Instance:

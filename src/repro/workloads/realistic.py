@@ -10,7 +10,7 @@ paper actually cares about.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

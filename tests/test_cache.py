@@ -138,6 +138,28 @@ class TestResultCache:
         cache.put(key, [4])
         assert cache.get(key) == [4]
 
+    def test_entry_it_cannot_open_is_a_miss_and_stays(
+        self, tmp_path, monkeypatch
+    ):
+        """In a shared cache another user's entry may be unreadable:
+        missing it must not delete it."""
+        import repro.cache as cache_mod
+
+        cache = ResultCache(tmp_path)
+        key = "ef" * 32
+        cache.put(key, [1])
+        path = cache.path_for(key)
+
+        def forbidden(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(cache_mod, "open", forbidden, raising=False)
+        assert cache.get(key) is None
+        monkeypatch.undo()
+        assert path.exists()
+        assert cache.misses == 1
+        assert cache.get(key) == [1]
+
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for i in range(3):

@@ -1,9 +1,27 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro import registry
+from repro.cli import _knobs, build_parser, main
 from repro.obs import read_artifact
+
+#: Flags each command used to accept without reading them.
+_UNREAD_FLAGS = {
+    "sweep": ["--seed"],
+    "compare": ["--seed"],
+    "robustness": ["--seed", "--jam"],
+    "certify": ["--seed", "--jam"],
+    "frontier": ["--seed", "--jam"],
+    "feasibility": ["--seed", "--jam"],
+    "stream": ["--workload", "--n", "--window", "--level", "--gamma",
+               "--workload-seed", "--cache"],
+}
 
 
 class TestParser:
@@ -42,6 +60,53 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[c, f] for c, flags in _UNREAD_FLAGS.items() for f in flags],
+        ids=" ".join,
+    )
+    def test_a_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        command, flag = argv
+        argv = argv + ["batch" if flag == "--workload" else "1"]
+        if command == "sweep":
+            argv += ["--values", "4"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_stream_knobs_are_the_registry_defaults(self):
+        knobs = _knobs(build_parser().parse_args(["stream"]))
+        assert knobs == {"workload": "batch", **registry.KNOB_DEFAULTS}
+
+
+class TestClosedStdout:
+    def test_a_reader_that_leaves_early_ends_repro_quietly(self):
+        """``repro ... | head -1``: the export (87 KB, more than a pipe
+        holds) meets a closed pipe; repro exits 1 and prints nothing."""
+        with subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "simulate",
+                "--workload", "batch", "--n", "2000", "--window", "8192",
+                "--protocol", "uniform", "--fastpath", "off",
+                "--export", "/dev/stdout",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1]), "PATH": ""},
+        ) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                err = proc.stderr.read()
+                rc = proc.wait(timeout=120)
+            finally:
+                proc.kill()
+        assert first
+        assert err == b""
+        assert rc == 1
 
 
 class TestSimulate:

@@ -34,6 +34,9 @@ SUBPACKAGES = [
     "repro.obs",
     "repro.verify",
     "repro.campaign",
+    "repro.stream",
+    "repro.adversary",
+    "repro.faults",
 ]
 
 
