@@ -1,24 +1,17 @@
 """The one durable-write path: every file the package writes goes through it.
 
-:func:`write_atomic` writes like ``open(path, "wb")``, except that the
-write is atomic: a reader, an error partway or a killed process leaves
-the old file or the new one, never a torn one.  Everything else is what
-``open()`` does:
+:func:`write_atomic` writes like ``open(path, "wb")`` but atomically: an
+error partway or a killed process leaves the old file or the new one,
+never a torn one.  Otherwise it does what ``open()`` does: a new file
+gets mode ``0o666`` less the umask, a replaced file keeps its mode, a
+symlink stays and its target is replaced, and a path that is not a
+regular file once links are followed (a FIFO, a terminal,
+``/dev/stdout`` feeding a pipe) is written in place.  It also creates
+missing parent directories.
 
-* a new file gets mode ``0o666`` less the umask; a file it replaces
-  keeps its mode;
-* a symlink stays, and the file it points to is replaced;
-* a path that exists and is not a regular file once links are followed
-  (a FIFO, a terminal, ``/dev/stdout`` feeding a pipe) is written in
-  place.
-
-The one addition is that missing parent directories are created.
-Cache entries, checkpoints, heartbeats, the perf trajectory, telemetry,
-trace, frontier and certify artifacts, stream reports, exports, saved
-instances and ``repro report --output`` are all written this way.
 Append-only logs (the run ledger, campaign state) go through
-:func:`append_jsonl_atomic` and are read back by
-:func:`read_jsonl_tolerant`, as are telemetry artifacts.
+:func:`append_jsonl_atomic`; :func:`read_jsonl_tolerant` reads them, and
+telemetry artifacts, back.
 """
 
 from __future__ import annotations
