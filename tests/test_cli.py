@@ -11,7 +11,7 @@ from repro import registry
 from repro.cli import _knobs, build_parser, main
 from repro.obs import read_artifact
 
-#: Flags each command used to accept without reading them.
+#: Flags a command does not read, and so does not register.
 _UNREAD_FLAGS = {
     "sweep": ["--seed"],
     "compare": ["--seed"],

@@ -217,8 +217,8 @@ def _csv(path):
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_a_writer_that_fails_partway_keeps_the_old_file(tmp_path, write):
-    """Each of these writers used to open (and truncate) its target
-    before serializing input that can fail."""
+    """A serialization error partway through a writer leaves the old
+    file byte-identical and no temp file beside it."""
     path = tmp_path / "artifact"
     path.write_bytes(b"old\n")
     with pytest.raises((TypeError, ValueError)):
