@@ -7,7 +7,9 @@ gets mode ``0o666`` less the umask, a replaced file keeps its mode, a
 symlink stays and its target is replaced, and a path that is not a
 regular file once links are followed (a FIFO, a terminal,
 ``/dev/stdout`` feeding a pipe) is written in place.  It also creates
-missing parent directories.
+missing parent directories, and flushes ``sys.stdout`` first, so what a
+command printed before writing an artifact to the pipe or terminal it
+prints to comes out first.
 
 Append-only logs (the run ledger, campaign state) go through
 :func:`append_jsonl_atomic`; :func:`read_jsonl_tolerant` reads them, and
@@ -20,6 +22,7 @@ import contextlib
 import json
 import os
 import stat
+import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
@@ -45,6 +48,8 @@ def write_atomic(
     """
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = (data,)
+    if sys.stdout is not None:
+        sys.stdout.flush()
     # Stat the path as given: /dev/stdout feeding a pipe resolves to a
     # name (/proc/<pid>/fd/pipe:[N]) that does not exist.
     try:

@@ -1,23 +1,22 @@
 """Vectorized numpy fast paths, cross-validated against the slot engine.
 
-Two tiers live here:
+Each protocol stage has one vectorized implementation, the one the
+**full-protocol kernels** run: ``aligned_full`` (ALIGNED's class runs
+under the pecking order), ``punctual_full`` (PUNCTUAL's batch cohort,
+its anarchist stage included) and the engine-exact UNIFORM replay in
+``batched``, which resolves slots with ``uniform_fast``.  They replay
+whole engine runs as array programs; ``batched.seed_route`` routes a
+seed vector of ``run_seeds(fastpath=...)`` onto them.
 
-* **component kernels** (``estimation_fast``, ``broadcast_fast``,
-  ``aligned_fast`` class runs, ``anarchist_fast``, ``uniform_fast``) —
-  one protocol stage at a time, used by analysis scripts and as paired
-  references in the verify battery;
-* **full-protocol kernels** (``aligned_full``, ``punctual_full``, the
-  engine-exact UNIFORM replay in ``batched``) — whole engine runs as
-  array programs, plus the routing helper ``batched.seed_route`` by
-  which ``run_seeds(fastpath=...)`` runs a seed vector on them.
+The component entry points run that same code one stage at a time, for
+analysis scripts and experiments: ``estimation_fast`` (many estimation
+trials at once), ``aligned_fast`` (one class run, the one
+``run_pecking_region`` plays for every occupied class) and
+``uniform_fast`` (one UNIFORM trial).
 """
 
 from repro.fastpath.aligned_fast import ClassRunResult, simulate_class_run_fast
 from repro.fastpath.aligned_full import run_pecking_region, simulate_aligned_full
-from repro.fastpath.anarchist_fast import (
-    AnarchistFastResult,
-    simulate_anarchists_fast,
-)
 from repro.fastpath.batched import (
     KERNEL_VERSION,
     FastpathPlan,
@@ -26,7 +25,6 @@ from repro.fastpath.batched import (
     seed_route,
     simulate_fastpath,
 )
-from repro.fastpath.broadcast_fast import BroadcastFastResult, simulate_broadcast_fast
 from repro.fastpath.estimation_fast import (
     estimation_success_counts,
     simulate_estimation_fast,
@@ -44,16 +42,12 @@ __all__ = [
     "simulate_class_run_fast",
     "run_pecking_region",
     "simulate_aligned_full",
-    "AnarchistFastResult",
-    "simulate_anarchists_fast",
     "KERNEL_VERSION",
     "FastpathPlan",
     "FastpathUnavailableError",
     "plan_fastpath",
     "seed_route",
     "simulate_fastpath",
-    "BroadcastFastResult",
-    "simulate_broadcast_fast",
     "estimation_success_counts",
     "simulate_estimation_fast",
     "FullProtocolResult",

@@ -1,11 +1,13 @@
 """Vectorized single-class ALIGNED runs (estimation + broadcast).
 
-Chains the fast estimation and fast broadcast for one class occupancy —
+One class occupancy, played by
+:func:`~repro.fastpath.aligned_full._run_occupied` — the code the full
+ALIGNED kernel runs for every occupied class — over consecutive steps:
 the statistics behind Theorem 14 at the granularity of one window, with
 optional jamming and an optional active-step budget (truncation).  The
-pecking-order interaction across classes is exercised by the (slower)
-slot engine; this fast path answers "given the active steps, does the
-class algorithm deliver everyone?" over many trials.
+pecking-order interaction across classes is left to the full kernel and
+the slot engine; this answers "given the active steps, does the class
+algorithm deliver everyone?" over many trials.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.broadcast import total_active_steps
-from repro.core.estimation import estimation_length
-from repro.fastpath.broadcast_fast import BroadcastFastResult, simulate_broadcast_fast
-from repro.fastpath.estimation_fast import simulate_estimation_fast
+from repro.errors import InvalidParameterError
+from repro.fastpath.aligned_full import _run_occupied
 from repro.params import AlignedParams
 
 __all__ = ["ClassRunResult", "simulate_class_run_fast"]
@@ -42,12 +43,6 @@ class ClassRunResult:
     def n_failed(self) -> int:
         return self.n_jobs - self.n_succeeded
 
-    @property
-    def estimate_in_lemma8_band(self) -> bool:
-        """Whether ``2n̂ <= n_ℓ <= τ²n̂`` — without τ's value this is
-        meaningless, so callers pass their own τ via the params used."""
-        return self.estimate >= 2 * self.n_jobs if self.n_jobs else True
-
 
 def simulate_class_run_fast(
     n_jobs: int,
@@ -62,25 +57,25 @@ def simulate_class_run_fast(
 
     ``active_step_budget`` models pecking-order truncation: if the budget
     ends during estimation the estimate resolves to 0 and nobody
-    broadcasts (the paper's truncation rule); if it ends mid-broadcast
-    the remaining jobs give up.
+    broadcasts (the paper's truncation rule); if it ends mid-broadcast,
+    the jobs whose picks fall before the cut are still delivered, as in
+    the engine, and the rest give up.
     """
-    est_len = estimation_length(level, params.lam)
-    budget = active_step_budget
-    if budget is not None and budget < est_len:
-        return ClassRunResult(n_jobs, 0, 0, budget, True)
-    estimate = int(
-        simulate_estimation_fast(
-            n_jobs, level, params, rng, n_trials=1, p_jam=p_jam
-        )[0]
+    if n_jobs < 0 or level < 1:
+        raise InvalidParameterError(
+            f"need n_jobs >= 0 and level >= 1, got {n_jobs} and {level}"
+        )
+    # The estimate caps at the window 2^level, and so does the run.
+    steps = total_active_steps(level, 1 << level, params.lam)
+    if active_step_budget is not None:
+        steps = min(steps, active_step_budget)
+    success = np.zeros(n_jobs, dtype=bool)
+    unit = np.full(n_jobs, -1, dtype=np.int64)
+    used, estimate = _run_occupied(
+        np.arange(n_jobs), level, np.arange(steps), params, rng, p_jam,
+        success, unit, unit.copy(),
     )
-    if estimate == 0:
-        return ClassRunResult(n_jobs, 0, 0, est_len, False)
-    bcast_budget = None if budget is None else budget - est_len
-    res: BroadcastFastResult = simulate_broadcast_fast(
-        n_jobs, level, estimate, params, rng, p_jam=p_jam, step_budget=bcast_budget
+    truncated = used < total_active_steps(level, estimate, params.lam)
+    return ClassRunResult(
+        n_jobs, estimate, int(success.sum()), used, truncated
     )
-    total = total_active_steps(level, estimate, params.lam)
-    used = est_len + res.steps_used
-    truncated = used < total
-    return ClassRunResult(n_jobs, estimate, res.n_succeeded, used, truncated)

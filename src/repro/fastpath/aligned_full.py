@@ -17,7 +17,9 @@ mask therefore replays the schedule without stepping slots:
   resolves the estimate with the shared
   :func:`~repro.core.estimation.resolve_estimate` rule, then plays the
   broadcast subphases with bincount uniqueness per subphase, honouring
-  truncation when the window runs out of free slots mid-run.
+  truncation when the window runs out of free slots mid-run
+  (:func:`~repro.fastpath.aligned_fast.simulate_class_run_fast` plays
+  one such run alone).
 
 Agreement with the engine is **statistical** (the kernel consumes its
 own RNG stream, not the engine's per-job streams); the differential
@@ -67,21 +69,22 @@ def _run_occupied(
     success: np.ndarray,
     win_unit: np.ndarray,
     done_unit: np.ndarray,
-) -> int:
-    """One occupied class run over ``free_units``; returns units consumed.
+) -> Tuple[int, int]:
+    """One occupied class run over ``free_units``.
 
     ``free_units`` are the absolute slot/round indices available to this
     run, already in temporal order.  Winners get ``success``/``win_unit``
     set; if the run completes (estimation + broadcast fit), every
     occupant gets ``done_unit`` = the run's last consumed unit.  A
     truncated run leaves ``done_unit`` at -1 (the job never observes its
-    run finishing and stays live until its deadline).
+    run finishing and stays live until its deadline).  Returns the units
+    consumed and the resolved estimate (0 when the estimation is cut).
     """
     lam, tau = params.lam, params.tau
     est_len = estimation_length(level, lam)
     nf = free_units.size
     if nf < est_len:
-        return nf  # estimation itself is truncated: no estimate, no end
+        return nf, 0  # estimation itself is truncated: no estimate, no end
     counts = estimation_success_counts(
         len(jobs_here), level, params, rng, n_trials=1, p_jam=p_jam
     )[0]
@@ -89,7 +92,7 @@ def _run_occupied(
     if est == 0:
         # No broadcast stage: the run ends with the estimation.
         done_unit[jobs_here] = free_units[est_len - 1]
-        return est_len
+        return est_len, 0
 
     schedule = BroadcastSchedule(level, est, lam)
     alive = jobs_here
@@ -98,7 +101,7 @@ def _run_occupied(
     for length in schedule.subphase_lengths:
         for _ in range(lam):
             if budget <= 0:
-                return pos  # truncated mid-run: the run never completes
+                return pos, est  # truncated mid-run: the run never completes
             # A partial subphase (b < length) still has every live job
             # draw over the full [0, length); picks landing past the cut
             # simply never transmit — exactly the engine's behaviour
@@ -121,7 +124,7 @@ def _run_occupied(
             budget -= b
     if pos == est_len + schedule.total_steps:
         done_unit[alive] = free_units[pos - 1]
-    return pos
+    return pos, est
 
 
 def run_pecking_region(
@@ -164,7 +167,7 @@ def run_pecking_region(
                 k = min(estimation_length(level, params.lam), free.size)
                 consumed[free[:k]] = True
             else:
-                used = _run_occupied(
+                used, _ = _run_occupied(
                     jobs_here, level, free + origin, params, rng, p_jam,
                     success, win_unit, done_unit,
                 )

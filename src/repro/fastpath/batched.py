@@ -56,6 +56,7 @@ from repro.fastpath.fullproto import (
     union_active_slots,
 )
 from repro.fastpath.punctual_full import simulate_punctual_full
+from repro.fastpath.uniform_fast import simulate_uniform_fast
 from repro.sim.engine import resolve_adversary
 from repro.sim.instance import Instance
 from repro.sim.job import window_class
@@ -279,11 +280,11 @@ def _uniform_exact(
 
     Reproduces the engine's randomness stream-for-stream: each job's
     slot offset is the first (only) ``choice`` draw of its ``"job"``
-    stream, and jam coins come off the ``"channel"`` stream exactly
-    where :class:`~repro.channel.jamming.StochasticJammer` draws them —
-    once per single-transmitter slot, in increasing slot order.  Every
-    job retires at its transmit slot (success or exhausted), so the
-    digest matches the engine field-for-field.
+    stream, and :func:`~repro.fastpath.uniform_fast.simulate_uniform_fast`
+    resolves the slots with the ``"channel"`` stream, whose jam coins it
+    draws where :class:`~repro.channel.jamming.StochasticJammer` draws
+    them.  Every job retires at its transmit slot (success or
+    exhausted), so the digest matches the engine field-for-field.
     """
     jobs = instance.by_release
     n = len(jobs)
@@ -297,16 +298,10 @@ def _uniform_exact(
         )
         offsets[i] = int(picks[0])
     slots = releases + offsets
-    uniq, inverse, counts = np.unique(
-        slots, return_inverse=True, return_counts=True
-    )
-    success = counts[inverse] == 1
-    if p_jam > 0.0 and success.any():
-        single = uniq[counts == 1]  # ascending: np.unique sorts
-        coins = factory.fresh("channel").random(single.size)
-        jammed = single[coins < p_jam]
-        if jammed.size:
-            success &= ~np.isin(slots, jammed)
+    channel = factory.fresh("channel") if p_jam > 0.0 else None
+    success = simulate_uniform_fast(
+        instance, channel, p_jam=p_jam, offsets=offsets
+    ).success
     completion = np.where(success, slots, -1)
     # Single-attempt UNIFORM transmits exactly once per job, jammed or
     # not — engine-exact energy accounting for free.

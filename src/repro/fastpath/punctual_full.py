@@ -63,6 +63,8 @@ _TK = 3
 _ALIGNED = 5
 _ELECTION = 7
 _ANARCHY = 9
+#: Anarchy slots per transmitter-count draw of :func:`_run_anarchy`.
+_ANARCHY_CHUNK = 32
 
 
 def _run_anarchy(
@@ -88,10 +90,9 @@ def _run_anarchy(
     alive = np.array(alive, dtype=np.int64)
     n_alive = int(alive.size)
     total = int(slots.size)
-    chunk = 32
     i = 0
     while n_alive and i < total:
-        end = min(i + chunk, total)
+        end = min(i + _ANARCHY_CHUNK, total)
         tx = rng.binomial(n_alive, p_tx, size=end - i)
         cand = np.flatnonzero(tx == 1)
         if p_jam > 0.0 and cand.size:

@@ -47,7 +47,7 @@ class UniformFastResult:
 
 def simulate_uniform_fast(
     instance: Instance,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     *,
     attempts: int = 1,
     p_jam: float = 0.0,
@@ -61,14 +61,19 @@ def simulate_uniform_fast(
         The jobs; each picks ``attempts`` distinct slots of its window
         (all window slots when the window is smaller).
     rng:
-        Randomness source.
+        Randomness source: the slot picks, then one jam coin per
+        single-transmitter slot in increasing slot order, the coins
+        :class:`~repro.channel.jamming.StochasticJammer` draws from the
+        engine's ``"channel"`` stream.  ``None`` is allowed when nothing
+        is drawn (``offsets`` given, ``p_jam`` 0).
     p_jam:
         Stochastic jamming of would-be successes (Section 3's adversary).
     offsets:
         Optional per-job slot offsets (``by_release`` order) replacing the
         internal draw; requires ``attempts == 1``.  The differential
         verifier uses this to replay the *engine's* per-job draws through
-        the kernel, turning the statistical cross-check into an exact one.
+        the kernel; with the run's ``"channel"`` stream as ``rng`` the
+        outcome is the engine's, jammed or not.
 
     Returns
     -------
@@ -120,11 +125,15 @@ def simulate_uniform_fast(
         job_idx = np.concatenate(job_list)
         slots = np.concatenate(slot_list)
 
-    uniq, inverse, counts = np.unique(slots, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(slots, return_inverse=True, return_counts=True)
     unique_slot = counts[inverse] == 1
     if p_jam > 0.0:
-        jam_roll = rng.random(uniq.size) < p_jam
-        unique_slot = unique_slot & ~jam_roll[inverse]
+        # One coin per single-transmitter slot, in increasing slot order:
+        # the coins StochasticJammer draws in the engine.
+        single = counts == 1
+        jammed = np.zeros(counts.size, dtype=bool)
+        jammed[single] = rng.random(int(single.sum())) < p_jam
+        unique_slot &= ~jammed[inverse]
 
     success = np.zeros(n, dtype=bool)
     np.logical_or.at(success, job_idx, unique_slot)

@@ -766,8 +766,10 @@ def simulate(
     observers:
         Extra per-slot callbacks (e.g. schedule reconstruction).
     horizon:
-        Last slot (exclusive) to simulate; defaults to the instance
-        horizon.  Jobs are hard-stopped at their own deadlines regardless.
+        Admission cut (exclusive), as ``stream_simulate``'s
+        ``max_slots``: only jobs released before it run, and they run to
+        their own deadlines; every later job fails with zero
+        transmissions.  Defaults to the instance horizon.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`.  A plan may carry
         its own jammer, mutually exclusive with ``jammer=``.  A no-op
@@ -805,14 +807,17 @@ def simulate(
 
     # Activation order: by_release, stably re-sorted by the activation
     # slot when faults release jobs late (ties keep by_release order).
+    # Only jobs released before the horizon are admitted.
     jobs = instance.by_release
+    end = instance.horizon if horizon is None else min(horizon, instance.horizon)
     records = [core.fault_record(job) for job in jobs]
     pending = sorted(
         (job.release if rec is None else rec.activation, i, job, rec)
         for i, (job, rec) in enumerate(zip(jobs, records))
+        if job.release < end
     )
-    n_total = len(pending)
-    end = instance.horizon if horizon is None else min(horizon, instance.horizon)
+    n_total = len(jobs)
+    n_admit = len(pending)
 
     recorder = TraceRecorder() if trace else None
     core.attach(
@@ -843,8 +848,8 @@ def simulate(
     next_job = 0
     t = pending[0][0] if pending else 0
     trip: Optional[WatchdogTrip] = None
-    while t < end or live:
-        while next_job < n_total and pending[next_job][0] == t:
+    while next_job < n_admit or live:
+        while next_job < n_admit and pending[next_job][0] == t:
             if not next_job % PREPARE_BLOCK:
                 # Derive the job streams of the next block of admissions.
                 block = pending[next_job : next_job + PREPARE_BLOCK]
@@ -853,7 +858,7 @@ def simulate(
             core.admit(job, t, rec)
             core.progress_mark = core.slots  # activation counts as progress
             next_job += 1
-        if next_job < n_total and not live:
+        if not live:
             # jump over idle gaps between batches
             t = pending[next_job][0]
             continue
@@ -866,11 +871,9 @@ def simulate(
             # or admission.
             trip = None
             stop = core.next_wake()
-            if next_job < n_total:
+            if next_job < n_admit:
                 stop = min(stop, pending[next_job][0])
             t = core.skip(t, stop)
-        elif next_job >= n_total and not live:
-            break
 
     if trip is not None:
         # The result is partial: live jobs fail as at a horizon cut.

@@ -120,10 +120,6 @@ class ProtocolContext:
             coins.reverse()
         return coins.pop()
 
-    def data_message(self) -> DataMessage:
-        """The job's unit data message."""
-        return DataMessage(self.job_id)
-
 
 class Protocol(abc.ABC):
     """Abstract per-job contention-resolution state machine.

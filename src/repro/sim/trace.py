@@ -126,9 +126,6 @@ class TraceRecorder:
         """Per-slot contention ``C(t)`` (nan where unreported)."""
         return np.array([r.contention for r in self.records], dtype=np.float64)
 
-    def live_counts(self) -> np.ndarray:
-        return np.array([r.n_live for r in self.records], dtype=np.int64)
-
     def success_slots(self) -> np.ndarray:
         """Indices of slots carrying a successful broadcast."""
         return np.array(

@@ -85,10 +85,6 @@ class CheckpointConfig:
                 f"every_slots must be positive, got {self.every_slots}"
             )
 
-    @property
-    def prev_path(self) -> str:
-        return self.path + ".prev"
-
 
 def save_checkpoint(path: str, state: Any) -> None:
     """Atomically write ``state`` to ``path``, rotating the previous file.

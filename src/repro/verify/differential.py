@@ -23,18 +23,24 @@ kernel over-counts contention: any job the kernel marks successful must
 also succeed in the engine (the converse may fail).  The replayed picks
 make this a per-job, per-seed check, not a statistical one.
 
-**Paired-draw naive references.**  The remaining kernels (estimation,
-broadcast, anarchist, the aligned chain) vectorize their models in ways
-the engine's draw order cannot reproduce.  For these the differential is
-against a naive scalar re-implementation that consumes *exactly the same
-generator draws* — same calls, same order — so any disagreement is a
-logic bug in the vectorization (``np.unique`` bookkeeping, ``bincount``
-indexing), not Monte-Carlo noise.
+**Paired-draw naive references.**  The estimation kernel, the ALIGNED
+class run (:func:`~repro.fastpath.aligned_full._run_occupied`, which
+the full ALIGNED kernel plays for every occupied class and
+:func:`~repro.fastpath.aligned_fast.simulate_class_run_fast` plays
+alone) and PUNCTUAL's anarchist stage
+(:func:`~repro.fastpath.punctual_full._run_anarchy`) vectorize their
+models in ways the engine's draw order cannot reproduce.  For these the
+differential is against a naive scalar re-implementation that consumes
+*exactly the same generator draws* — same calls, same order — so any
+disagreement is a logic bug in the vectorization (``bincount``
+indexing, the cut inside a subphase, swap-remove bookkeeping), not
+Monte-Carlo noise.
 
-**Statistical.**  Jammed UNIFORM runs draw jam decisions in different
-orders in the two implementations, so only distribution-level agreement
-is checkable: mean success rates over many seeds/trials within an
-empirically derived tolerance.
+**Statistical.**  :func:`~repro.fastpath.uniform_fast.simulate_uniform_fast`
+drawing its own offsets under jamming is checked in distribution: mean
+success rates over many seeds/trials within an empirically derived
+tolerance.  Given the engine's offsets and the run's channel stream it
+is bit-exact, jammed or not, which the full-kernel checks below pin.
 
 **Full-protocol kernels.**  The seed-major batched path
 (:mod:`repro.fastpath.batched`) gets its own checks at the same two
@@ -61,16 +67,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.feedback import Feedback
-from repro.core.broadcast import BroadcastSchedule
-from repro.core.estimation import resolve_estimate
+from repro.core.broadcast import BroadcastSchedule, total_active_steps
+from repro.core.estimation import estimation_length, resolve_estimate
 from repro.experiments.parallel import SeedDigest, run_seeds
+from repro.fastpath.aligned_full import _run_occupied
 from repro.fastpath.batched import plan_fastpath, simulate_fastpath
-from repro.fastpath.broadcast_fast import simulate_broadcast_fast
 from repro.fastpath.estimation_fast import (
     estimation_success_counts,
     simulate_estimation_fast,
 )
-from repro.fastpath.anarchist_fast import simulate_anarchists_fast
+from repro.fastpath.punctual_full import _ANARCHY_CHUNK, _run_anarchy
 from repro.fastpath.uniform_fast import simulate_uniform_fast
 from repro.core.rounds import ROUND_LENGTH
 from repro.obs.telemetry import Telemetry
@@ -86,7 +92,6 @@ from repro.verify.report import Discrepancy
 __all__ = [
     "diff_aligned_kernel",
     "diff_anarchist_kernel",
-    "diff_broadcast_kernel",
     "diff_estimation_kernel",
     "diff_fastpath_batched",
     "diff_fastpath_exact",
@@ -270,54 +275,56 @@ def diff_uniform_dominance(case: VerifyCase, seed: int) -> List[Discrepancy]:
     return out
 
 
+def _rates_agree(
+    case: VerifyCase, check: str, kernel_rates: List[float], kernel: str
+) -> List[Discrepancy]:
+    """The engine's mean per-run success rate over the case's seeds must
+    match the kernel trials' within five combined standard errors (plus
+    a small absolute floor for tiny variances)."""
+    instance = case.instance()
+    e = np.asarray([
+        simulate(instance, case.factory(), jammer=case.jammer(), seed=seed)
+        .success_rate
+        for seed in case.seeds
+    ])
+    k = np.asarray(kernel_rates)
+    se = math.sqrt(
+        float(e.var(ddof=1)) / e.size + float(k.var(ddof=1)) / k.size
+    )
+    tol = 5.0 * se + 0.02
+    if abs(float(e.mean()) - float(k.mean())) <= tol:
+        return []
+    return [
+        Discrepancy(
+            case=case.name,
+            seed=-1,
+            check=check,
+            quantity="mean success rate",
+            expected=f"{float(k.mean()):.4f} ± {tol:.4f}",
+            actual=f"{float(e.mean()):.4f}",
+            detail=f"{e.size} engine seeds vs {k.size} {kernel} trials",
+        )
+    ]
+
+
 def diff_uniform_statistical(
     case: VerifyCase, *, n_trials: int = 2000
 ) -> List[Discrepancy]:
     """Jammed UNIFORM: engine and kernel success rates must agree.
 
-    Jam decisions are drawn in different orders by the two
-    implementations, so the comparison is distributional: the mean
-    per-run success rate over the case's seeds (engine) and over
-    ``n_trials`` kernel trials must agree within five combined standard
-    errors (plus a small absolute floor for tiny variances).
+    The kernel draws its own offsets and jam coins from one generator,
+    not the engine's per-job and channel streams, so the comparison is
+    distributional (:func:`_rates_agree`) over the case's engine seeds
+    and ``n_trials`` kernel trials.
     """
     instance = case.instance()
-    jammer = case.jammer()
-    p_jam = float(getattr(jammer, "p_jam", 0.0))
-
-    engine_rates = []
-    for seed in case.seeds:
-        res = simulate(
-            instance, case.factory(), jammer=case.jammer(), seed=seed
-        )
-        engine_rates.append(res.success_rate)
-
+    p_jam = float(getattr(case.jammer(), "p_jam", 0.0))
     rng = np.random.default_rng(20200707)  # fixed: the check is a pin
-    fast_rates = []
-    for _ in range(n_trials):
-        fast = simulate_uniform_fast(instance, rng, p_jam=p_jam)
-        fast_rates.append(fast.success_rate)
-
-    e = np.asarray(engine_rates)
-    f = np.asarray(fast_rates)
-    se = math.sqrt(
-        float(e.var(ddof=1)) / e.size + float(f.var(ddof=1)) / f.size
-    )
-    gap = abs(float(e.mean()) - float(f.mean()))
-    tol = 5.0 * se + 0.02
-    if gap > tol:
-        return [
-            Discrepancy(
-                case=case.name,
-                seed=-1,
-                check="uniform-statistical",
-                quantity="mean success rate",
-                expected=f"{float(f.mean()):.4f} ± {tol:.4f}",
-                actual=f"{float(e.mean()):.4f}",
-                detail=f"{e.size} engine seeds vs {f.size} kernel trials",
-            )
-        ]
-    return []
+    fast_rates = [
+        simulate_uniform_fast(instance, rng, p_jam=p_jam).success_rate
+        for _ in range(n_trials)
+    ]
+    return _rates_agree(case, "uniform-statistical", fast_rates, "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +338,17 @@ _PU = PunctualParams(
     pullback_exp=1,
     slingshot_exp=2,
 )
+
+
+def _paired(case: str, seed: int, quantity: str, expected, actual) -> Discrepancy:
+    return Discrepancy(
+        case=case,
+        seed=seed,
+        check="paired-draws",
+        quantity=quantity,
+        expected=str(expected),
+        actual=str(actual),
+    )
 
 
 def diff_estimation_kernel(seed: int) -> List[Discrepancy]:
@@ -351,26 +369,40 @@ def diff_estimation_kernel(seed: int) -> List[Discrepancy]:
             n_jobs, level, _AL, np.random.default_rng(seed),
             n_trials=16, p_jam=p_jam,
         )
-        ref = np.array(
-            [
-                resolve_estimate(list(counts[t]), _AL.tau, level)
-                for t in range(counts.shape[0])
-            ],
-            dtype=np.int64,
-        )
-        if not np.array_equal(fast, ref):
-            out.append(
-                Discrepancy(
-                    case="estimation-kernel",
-                    seed=seed,
-                    check="paired-draws",
-                    quantity=f"estimates(n={n_jobs}, level={level}, "
-                    f"p_jam={p_jam})",
-                    expected=str(ref.tolist()),
-                    actual=str(fast.tolist()),
-                )
-            )
+        ref = [resolve_estimate(list(row), _AL.tau, level) for row in counts]
+        if fast.tolist() != ref:
+            out.append(_paired(
+                "estimation-kernel", seed,
+                f"estimates(n={n_jobs}, level={level}, p_jam={p_jam})",
+                ref, fast.tolist(),
+            ))
     return out
+
+
+def _naive_class_run(
+    n_jobs: int,
+    level: int,
+    units: np.ndarray,
+    params: AlignedParams,
+    rng: np.random.Generator,
+    p_jam: float,
+) -> Tuple[int, int, List[int], List[int]]:
+    """Scalar class run, same draws as ``_run_occupied``: estimation,
+    then :func:`_naive_broadcast`.  Returns the units used, the estimate,
+    and each job's winning unit and run-end unit (-1 for none)."""
+    est_len = estimation_length(level, params.lam)
+    win = [-1] * n_jobs
+    if len(units) < est_len:
+        return len(units), 0, win, win[:]
+    counts = estimation_success_counts(n_jobs, level, params, rng, p_jam=p_jam)
+    estimate = resolve_estimate(list(counts[0]), params.tau, level)
+    steps = _naive_broadcast(
+        n_jobs, level, estimate, params, rng, p_jam, units[est_len:], win
+    )
+    used = est_len + steps
+    complete = used == total_active_steps(level, estimate, params.lam)
+    end = int(units[used - 1]) if complete else -1
+    return used, estimate, win, [end if w < 0 else -1 for w in win]
 
 
 def _naive_broadcast(
@@ -380,138 +412,132 @@ def _naive_broadcast(
     params: AlignedParams,
     rng: np.random.Generator,
     p_jam: float,
-) -> Tuple[int, int]:
-    """Scalar reference for the broadcast kernel, same draws, dict counts."""
-    sched = BroadcastSchedule(level, estimate, params.lam)
-    alive = n_jobs
-    steps = 0
-    for phase in range(sched.n_phases):
-        x = sched.subphase_lengths[phase]
-        for _ in range(params.lam):
-            steps += x
-            if alive == 0:
-                continue
-            picks = rng.integers(0, x, size=alive)
-            jam = rng.random(x) < p_jam if p_jam > 0.0 else None
-            counts: Dict[int, int] = {}
-            for p in picks:
-                counts[int(p)] = counts.get(int(p), 0) + 1
-            delivered = 0
-            for p in picks:
-                if counts[int(p)] == 1 and (jam is None or not jam[int(p)]):
-                    delivered += 1
-            alive -= delivered
-    return n_jobs - alive, steps
+    units: np.ndarray,
+    win: List[int],
+) -> int:
+    """Scalar broadcast over ``units``, same draws, per-job lists: sets
+    each winner's unit in ``win`` and returns the steps played.  When the
+    units end inside a subphase, every live job still draws over the
+    whole subphase and only picks before the cut transmit."""
+    lengths = BroadcastSchedule(level, estimate, params.lam).subphase_lengths
+    alive, steps = list(range(n_jobs)), 0
+    for x in [x for x in lengths for _ in range(params.lam)]:
+        cut = min(x, len(units) - steps)
+        if cut <= 0:
+            break
+        if alive:
+            picks = rng.integers(0, x, size=len(alive)).tolist()
+            jam = rng.random(x) < p_jam if p_jam > 0.0 else [False] * x
+            for job, p in zip(alive, picks):
+                if p < cut and picks.count(p) == 1 and not jam[p]:
+                    win[job] = int(units[steps + p])
+            alive = [job for job in alive if win[job] < 0]
+        steps += cut
+    return steps
 
 
-def diff_broadcast_kernel(seed: int) -> List[Discrepancy]:
-    """Broadcast kernel vs a naive scalar reference on identical draws."""
-    out: List[Discrepancy] = []
-    for n_jobs, level, estimate, p_jam in (
-        (10, 5, 16, 0.0),
-        (30, 6, 32, 0.0),
-        (10, 5, 16, 0.25),
-    ):
-        fast = simulate_broadcast_fast(
-            n_jobs, level, estimate, _AL,
-            np.random.default_rng(seed), p_jam=p_jam,
-        )
-        ref_ok, ref_steps = _naive_broadcast(
-            n_jobs, level, estimate, _AL,
-            np.random.default_rng(seed), p_jam,
-        )
-        if (fast.n_succeeded, fast.steps_used) != (ref_ok, ref_steps):
-            out.append(
-                Discrepancy(
-                    case="broadcast-kernel",
-                    seed=seed,
-                    check="paired-draws",
-                    quantity=f"(n_succeeded, steps) at n={n_jobs}, "
-                    f"level={level}, est={estimate}, p_jam={p_jam}",
-                    expected=str((ref_ok, ref_steps)),
-                    actual=str((fast.n_succeeded, fast.steps_used)),
-                )
-            )
-    return out
-
-
-def diff_anarchist_kernel(seed: int) -> List[Discrepancy]:
-    """Anarchist kernel vs a naive scalar reference on identical draws."""
-    out: List[Discrepancy] = []
-    for n_jobs, window, p_jam in ((8, 1024, 0.0), (20, 4096, 0.3)):
-        fast = simulate_anarchists_fast(
-            n_jobs, window, _PU, np.random.default_rng(seed), p_jam=p_jam
-        )
-        rng = np.random.default_rng(seed)
-        p = _PU.anarchist_probability(window)
-        n_slots = window // ROUND_LENGTH
-        alive = n_jobs
-        for _ in range(n_slots):
-            if alive == 0:
-                break
-            tx = rng.binomial(alive, p)
-            if tx == 1 and (p_jam == 0.0 or rng.random() >= p_jam):
-                alive -= 1
-        ref = (n_jobs, n_jobs - alive, n_slots)
-        got = (fast.n_jobs, fast.n_succeeded, fast.slots_used)
-        if got != ref:
-            out.append(
-                Discrepancy(
-                    case="anarchist-kernel",
-                    seed=seed,
-                    check="paired-draws",
-                    quantity=f"(n, ok, slots) at n={n_jobs}, w={window}, "
-                    f"p_jam={p_jam}",
-                    expected=str(ref),
-                    actual=str(got),
-                )
-            )
-    return out
+#: (n_jobs, level, p_jam, units): clean, jammed, an empty class, an
+#: overloaded one (its run ends with jobs undelivered), a cut inside
+#: estimation (49 steps at level 7) and one inside a broadcast subphase.
+#: Every second slot is taken by other classes, as under the pecking
+#: order.
+_CLASS_RUNS = (
+    (6, 5, 0.0, 400),
+    (20, 7, 0.0, 400),
+    (20, 7, 0.3, 400),
+    (0, 6, 0.0, 400),
+    (60, 5, 0.0, 400),
+    (20, 7, 0.0, 30),
+    (20, 7, 0.0, 149),
+)
 
 
 def diff_aligned_kernel(seed: int) -> List[Discrepancy]:
-    """Aligned chain kernel vs estimation + naive broadcast, same draws."""
-    from repro.core.broadcast import total_active_steps
-    from repro.core.estimation import estimation_length
-    from repro.fastpath.aligned_fast import simulate_class_run_fast
+    """ALIGNED class run vs :func:`_naive_class_run` on identical draws.
 
+    Checks :func:`~repro.fastpath.aligned_full._run_occupied`, the class
+    run the full kernel plays for every occupied class and
+    :func:`~repro.fastpath.aligned_fast.simulate_class_run_fast` plays
+    alone.
+    """
     out: List[Discrepancy] = []
-    for n_jobs, level in ((6, 5), (20, 7)):
-        fast = simulate_class_run_fast(
-            n_jobs, level, _AL, np.random.default_rng(seed)
+    for n_jobs, level, p_jam, n_units in _CLASS_RUNS:
+        units = 3 + 2 * np.arange(n_units, dtype=np.int64)
+        success = np.zeros(n_jobs, dtype=bool)
+        win, done = np.full((2, n_jobs), -1, dtype=np.int64)
+        used, estimate = _run_occupied(
+            np.arange(n_jobs), level, units, _AL,
+            np.random.default_rng(seed), p_jam, success, win, done,
         )
-        rng = np.random.default_rng(seed)
-        estimate = int(
-            simulate_estimation_fast(n_jobs, level, _AL, rng, n_trials=1)[0]
+        got = (used, estimate, win.tolist(), done.tolist())
+        ref = _naive_class_run(
+            n_jobs, level, units, _AL, np.random.default_rng(seed), p_jam
         )
-        est_len = estimation_length(level, _AL.lam)
-        if estimate == 0:
-            ref = (n_jobs, 0, 0, est_len, False)
-        else:
-            ref_ok, ref_steps = _naive_broadcast(
-                n_jobs, level, estimate, _AL, rng, 0.0
-            )
-            total = total_active_steps(level, estimate, _AL.lam)
-            used = est_len + ref_steps
-            ref = (n_jobs, estimate, ref_ok, used, used < total)
-        got = (
-            fast.n_jobs,
-            fast.estimate,
-            fast.n_succeeded,
-            fast.active_steps,
-            fast.truncated,
+        if got != ref or success.tolist() != [w >= 0 for w in ref[2]]:
+            out.append(_paired(
+                "aligned-kernel", seed,
+                f"(units used, estimate, win units, end units) at "
+                f"n={n_jobs}, level={level}, p_jam={p_jam}, {n_units} units",
+                ref, got,
+            ))
+    return out
+
+
+def _naive_anarchy(
+    n_jobs: int,
+    slots: np.ndarray,
+    p_tx: float,
+    rng: np.random.Generator,
+    p_jam: float,
+) -> List[int]:
+    """Scalar anarchist stage, same draws as ``_run_anarchy``: each
+    job's winning slot (-1 for none)."""
+    alive, win, i = list(range(n_jobs)), [-1] * n_jobs, 0
+    while alive and i < len(slots):
+        tx = rng.binomial(len(alive), p_tx, size=min(_ANARCHY_CHUNK, len(slots) - i))
+        cand = [k for k, c in enumerate(tx) if c == 1]
+        if p_jam > 0.0 and cand:
+            coins = rng.random(len(cand))
+            cand = [k for k, coin in zip(cand, coins) if coin >= p_jam]
+        if not cand:
+            i += len(tx)
+            continue
+        pick = int(rng.integers(len(alive)))
+        win[alive[pick]] = int(slots[i + cand[0]])
+        alive[pick] = alive[-1]
+        alive.pop()
+        i += cand[0] + 1
+    return win
+
+
+def diff_anarchist_kernel(seed: int) -> List[Discrepancy]:
+    """PUNCTUAL's anarchist stage vs :func:`_naive_anarchy`, same draws.
+
+    Checks :func:`~repro.fastpath.punctual_full._run_anarchy`, the stage
+    the PUNCTUAL kernel plays, on one window's anarchy slots.
+    """
+    out: List[Discrepancy] = []
+    for n_jobs, window, p_jam in ((8, 1024, 0.0), (20, 4096, 0.3), (60, 1024, 0.0)):
+        slots = np.arange(9, window, ROUND_LENGTH, dtype=np.int64)
+        p_tx = _PU.anarchist_probability(window)
+        success = np.zeros(n_jobs, dtype=bool)
+        completion, retire = np.full((2, n_jobs), -1, dtype=np.int64)
+        _run_anarchy(
+            np.arange(n_jobs), slots, p_tx, np.random.default_rng(seed),
+            p_jam, success, completion, retire,
         )
+        win = _naive_anarchy(
+            n_jobs, slots, p_tx, np.random.default_rng(seed), p_jam
+        )
+        got = (success.tolist(), completion.tolist(), retire.tolist())
+        ref = ([t >= 0 for t in win], win, win)
         if got != ref:
-            out.append(
-                Discrepancy(
-                    case="aligned-kernel",
-                    seed=seed,
-                    check="paired-draws",
-                    quantity=f"class run at n={n_jobs}, level={level}",
-                    expected=str(ref),
-                    actual=str(got),
-                )
-            )
+            out.append(_paired(
+                "anarchist-kernel", seed,
+                f"(success, completion, retire) at n={n_jobs}, w={window}, "
+                f"p_jam={p_jam}",
+                ref, got,
+            ))
     return out
 
 
@@ -632,25 +658,14 @@ def diff_fastpath_statistical(
 
     The full-protocol kernels draw from their own ``"fastpath"`` stream,
     so per-seed digests cannot match the engine's; instead the mean
-    per-run success rate over the case's engine seeds must agree with
-    the mean over ``n_trials`` kernel trials within five combined
-    standard errors (plus a small absolute floor, as in
-    :func:`diff_uniform_statistical`).
+    per-run success rates over the case's engine seeds and over
+    ``n_trials`` kernel trials must agree (:func:`_rates_agree`).
     """
-    instance = case.instance()
     plan, reason = plan_fastpath(
-        instance, case.factory(), jammer=case.jammer()
+        case.instance(), case.factory(), jammer=case.jammer()
     )
     if plan is None:
         return [_plan_discrepancy(case, "fastpath-statistical", reason)]
-
-    engine_rates = []
-    for seed in case.seeds:
-        res = simulate(
-            instance, case.factory(), jammer=case.jammer(), seed=seed
-        )
-        engine_rates.append(res.success_rate)
-
     # Kernel trials use a disjoint seed range: the "fastpath" stream is
     # already independent of the engine's streams, this just makes the
     # two samples visibly unpaired.
@@ -658,28 +673,9 @@ def diff_fastpath_statistical(
         simulate_fastpath(plan, 10_000 + t).success_rate
         for t in range(n_trials)
     ]
-
-    e = np.asarray(engine_rates)
-    k = np.asarray(kernel_rates)
-    se = math.sqrt(
-        float(e.var(ddof=1)) / e.size + float(k.var(ddof=1)) / k.size
+    return _rates_agree(
+        case, "fastpath-statistical", kernel_rates, f"{plan.kind} kernel"
     )
-    gap = abs(float(e.mean()) - float(k.mean()))
-    tol = 5.0 * se + 0.02
-    if gap > tol:
-        return [
-            Discrepancy(
-                case=case.name,
-                seed=-1,
-                check="fastpath-statistical",
-                quantity="mean success rate",
-                expected=f"{float(k.mean()):.4f} ± {tol:.4f}",
-                actual=f"{float(e.mean()):.4f}",
-                detail=f"{e.size} engine seeds vs {k.size} "
-                f"{plan.kind} kernel trials",
-            )
-        ]
-    return []
 
 
 # ---------------------------------------------------------------------------

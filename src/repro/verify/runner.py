@@ -168,7 +168,6 @@ def run_verification(
     kernel_seeds = (0,) if smoke else (0, 1, 2)
     for name, check in (
         ("estimation-kernel", differential.diff_estimation_kernel),
-        ("broadcast-kernel", differential.diff_broadcast_kernel),
         ("anarchist-kernel", differential.diff_anarchist_kernel),
         ("aligned-kernel", differential.diff_aligned_kernel),
     ):

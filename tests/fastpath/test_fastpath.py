@@ -7,7 +7,6 @@ from repro.core.broadcast import total_active_steps
 from repro.core.estimation import estimation_length
 from repro.errors import InvalidParameterError
 from repro.fastpath import (
-    simulate_broadcast_fast,
     simulate_class_run_fast,
     simulate_estimation_fast,
     simulate_uniform_fast,
@@ -135,31 +134,44 @@ class TestEstimationFast:
 
 
 class TestBroadcastFast:
-    def test_all_jobs_succeed_with_good_estimate(self, rng):
+    """The broadcast stage of a class run, as the full ALIGNED kernel
+    plays it for every occupied class."""
+
+    def test_all_jobs_succeed_with_good_estimate(self):
         p = AlignedParams(lam=2, tau=4, min_level=2)
-        fails = 0
+        fails = runs = 0
         for s in range(50):
-            res = simulate_broadcast_fast(
-                30, 10, 64, p, np.random.default_rng(s)
-            )
-            fails += res.n_failed
+            res = simulate_class_run_fast(30, 10, p, np.random.default_rng(s))
+            if 2 * 30 <= res.estimate <= p.tau**2 * 30:  # Lemma 8's band
+                fails += res.n_failed
+                runs += 1
+        assert runs >= 45
         assert fails <= 2
 
     def test_zero_jobs(self, rng):
         p = AlignedParams(lam=1, tau=4, min_level=2)
-        res = simulate_broadcast_fast(0, 8, 16, p, rng)
+        res = simulate_class_run_fast(0, 8, p, rng)
         assert res.all_succeeded
-        assert res.steps_used == res.steps_used
+        assert res.estimate == 0
+        assert res.active_steps == estimation_length(8, p.lam)
+        assert not res.truncated
 
     def test_budget_truncates(self, rng):
         p = AlignedParams(lam=1, tau=4, min_level=2)
-        res = simulate_broadcast_fast(8, 8, 16, p, rng, step_budget=5)
-        assert res.steps_used <= 5
+        budget = estimation_length(8, p.lam) + 5
+        res = simulate_class_run_fast(8, 8, p, rng, active_step_budget=budget)
+        assert res.estimate > 0
+        assert res.active_steps == budget
+        assert res.truncated
 
     def test_validation(self, rng):
         p = AlignedParams(lam=1, tau=4, min_level=2)
         with pytest.raises(InvalidParameterError):
-            simulate_broadcast_fast(-1, 8, 16, p, rng)
+            simulate_class_run_fast(-1, 8, p, rng)
+        with pytest.raises(InvalidParameterError):
+            simulate_class_run_fast(1, 0, p, rng)
+        with pytest.raises(InvalidParameterError):
+            simulate_class_run_fast(1, 8, p, rng, p_jam=1.5)
 
 
 class TestClassRunFast:
@@ -187,3 +199,25 @@ class TestClassRunFast:
                 assert res.active_steps == total_active_steps(9, res.estimate, p.lam)
             else:
                 assert res.active_steps == estimation_length(9, p.lam)
+
+    def test_cut_inside_a_subphase_delivers_the_picks_before_it(self):
+        """A budget that ends 50 steps into the first broadcast subphase
+        (length = the estimate) delivers exactly the unique picks before
+        the cut, as the engine does when a window ends mid-subphase."""
+        p = AlignedParams(lam=1, tau=4, min_level=2)
+        est_len = estimation_length(10, p.lam)
+        for s in range(20):
+            res = simulate_class_run_fast(
+                40, 10, p, np.random.default_rng(s),
+                active_step_budget=est_len + 50,
+            )
+            # Replay the run's draws: the estimation, then the picks.
+            rng = np.random.default_rng(s)
+            estimate = int(simulate_estimation_fast(40, 10, p, rng)[0])
+            picks = rng.integers(0, estimate, size=40)
+            unique = np.bincount(picks, minlength=estimate)[picks] == 1
+            delivered = int(np.sum(unique & (picks < 50)))
+            assert res.estimate == estimate > 50
+            assert res.n_succeeded == delivered > 0
+            assert res.active_steps == est_len + 50
+            assert res.truncated

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.punctual import punctual_factory
+from repro.errors import InvalidParameterError
 from repro.fastpath.punctual_full import simulate_punctual_full
 from repro.params import AlignedParams, PunctualParams
 from repro.sim.engine import simulate
@@ -47,6 +48,16 @@ class TestStructure:
             inst, _PARAMS, np.random.default_rng(0)
         )
         assert not res.success.any()
+
+    def test_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError):
+            simulate_punctual_full(batch_instance(4, 64), _PARAMS, rng, p_jam=1.5)
+        staggered = batch_instance(2, 64).merged(
+            batch_instance(2, 128).relabeled(start=2)
+        )
+        with pytest.raises(InvalidParameterError):
+            simulate_punctual_full(staggered, _PARAMS, rng)
 
     def test_deterministic_given_rng_seed(self):
         inst = batch_instance(8, window=4096)

@@ -73,6 +73,20 @@ class TestHorizon:
         assert res.outcome_of(1).status is JobStatus.FAILED
         assert res.outcome_of(1).transmissions == 0
 
+    def test_horizon_admits_only_jobs_released_before_it(self):
+        """Job 0, released before the horizon, runs to its deadline; jobs
+        1 and 2, released after it, never start, whether or not another
+        job is still live when they are released."""
+        from repro.core.uniform import uniform_factory
+
+        inst = Instance([Job(0, 0, 200), Job(1, 150, 180), Job(2, 300, 310)])
+        res = simulate(inst, uniform_factory(), seed=0, horizon=100)
+        assert res.outcome_of(0).transmissions == 1
+        assert res.outcome_of(0).completion_slot >= 100
+        for job_id in (1, 2):
+            assert res.outcome_of(job_id).status is JobStatus.FAILED
+            assert res.outcome_of(job_id).transmissions == 0
+
     def test_horizon_beyond_instance_is_noop(self):
         from repro.core.uniform import uniform_factory
 

@@ -109,6 +109,26 @@ class TestClosedStdout:
         assert rc == 1
 
 
+class TestPrintedOrder:
+    def test_summary_precedes_an_export_to_the_same_pipe(self):
+        """With stdout a pipe (block-buffered: no PYTHONUNBUFFERED), the
+        summary printed before ``--export /dev/stdout`` comes out first."""
+        out = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "simulate",
+                "--workload", "batch", "--n", "2", "--window", "64",
+                "--protocol", "uniform", "--fastpath", "off",
+                "--export", "/dev/stdout",
+            ],
+            stdout=subprocess.PIPE,
+            check=True,
+            timeout=120,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1]), "PATH": ""},
+        ).stdout.decode()
+        assert out.index("success: 2/2") < out.index("job_id,release")
+        assert out.rstrip().endswith("wrote per-job outcomes to /dev/stdout")
+
+
 class TestSimulate:
     def test_punctual_batch(self, capsys):
         rc = main(

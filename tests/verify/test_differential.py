@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.channel.jamming import StochasticJammer
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
 from repro.fastpath.uniform_fast import simulate_uniform_fast
 from repro.sim.engine import simulate
 from repro.sim.instance import Instance
 from repro.sim.job import Job
+from repro.sim.rng import RngFactory
 from repro.verify import VerifyCase, corpus_case
 from repro.verify.differential import (
     diff_aligned_kernel,
     diff_anarchist_kernel,
-    diff_broadcast_kernel,
     diff_estimation_kernel,
     diff_streaming_equivalence,
     diff_uniform_dominance,
@@ -41,6 +42,27 @@ class TestReplay:
                 bool(b) for b in fast.success
             ]
             assert engine.n_succeeded == fast.n_succeeded
+
+    def test_jammed_replay_reproduces_engine_outcomes(self):
+        """Given the engine's offsets and the run's channel stream, jammed
+        UNIFORM draws the jam coins the engine's jammer draws (one per
+        single-transmitter slot, in slot order) and matches it job for
+        job."""
+        instance = corpus_case("uniform-batch").instance()
+        for seed in range(20):
+            picks = replay_uniform_picks(instance, seed)
+            offsets = np.array([int(p[0]) for p in picks], dtype=np.int64)
+            engine = simulate(
+                instance, uniform_factory(), jammer=StochasticJammer(0.3),
+                seed=seed,
+            )
+            fast = simulate_uniform_fast(
+                instance, RngFactory(seed).fresh("channel"), p_jam=0.3,
+                offsets=offsets,
+            )
+            assert [o.succeeded for o in engine.outcomes] == [
+                bool(b) for b in fast.success
+            ], f"seed {seed}"
 
     def test_offsets_are_in_window(self):
         instance = corpus_case("uniform-sparse").instance()
@@ -144,7 +166,6 @@ class TestKernelPairedDraws:
         "check",
         [
             diff_estimation_kernel,
-            diff_broadcast_kernel,
             diff_anarchist_kernel,
             diff_aligned_kernel,
         ],
@@ -152,6 +173,34 @@ class TestKernelPairedDraws:
     def test_kernels_match_naive_references(self, check):
         for seed in (0, 1, 7):
             assert check(seed) == []
+
+    def test_class_run_check_catches_a_lost_winner(self, monkeypatch):
+        """A class run that loses one winner's delivery is flagged."""
+        import repro.verify.differential as differential
+
+        real = differential._run_occupied
+
+        def lossy(jobs, level, units, params, rng, p_jam, success, win, done):
+            used, estimate = real(
+                jobs, level, units, params, rng, p_jam, success, win, done
+            )
+            first = np.flatnonzero(success)[:1]
+            success[first], win[first] = False, -1
+            return used, estimate
+
+        monkeypatch.setattr(differential, "_run_occupied", lossy)
+        assert diff_aligned_kernel(0)
+
+    def test_anarchist_check_catches_a_wrong_winner(self, monkeypatch):
+        import repro.verify.differential as differential
+
+        real = differential._run_anarchy
+
+        def reversed_cohort(alive, slots, p_tx, rng, p_jam, success, comp, ret):
+            real(alive[::-1], slots, p_tx, rng, p_jam, success, comp, ret)
+
+        monkeypatch.setattr(differential, "_run_anarchy", reversed_cohort)
+        assert diff_anarchist_kernel(0)
 
 
 class TestOffsetsParameter:
