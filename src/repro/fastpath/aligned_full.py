@@ -11,7 +11,9 @@ mask therefore replays the schedule without stepping slots:
 
 * an **empty** class run silently consumes ``λℓ²`` free slots (its
   estimation resolves to 0, no broadcast — the ``Σℓ²`` term of
-  Lemma 12) and draws no randomness;
+  Lemma 12) and draws no randomness, so the mask the empty classes
+  below a region's lowest occupied one leave is computed once and
+  copied per trial;
 * an **occupied** run draws per-phase estimation success counts via
   :func:`~repro.fastpath.estimation_fast.estimation_success_counts`,
   resolves the estimate with the shared
@@ -40,7 +42,9 @@ slots can be flipped, so empty-class estimations still resolve to 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +52,74 @@ from repro.core.broadcast import BroadcastSchedule
 from repro.core.estimation import estimation_length, resolve_estimate
 from repro.errors import InvalidParameterError
 from repro.fastpath.estimation_fast import estimation_success_counts
-from repro.fastpath.fullproto import FullProtocolResult, union_active_slots
+from repro.fastpath.fullproto import (
+    FullProtocolResult,
+    JobColumns,
+    job_columns,
+    union_active_slots,
+)
 from repro.params import AlignedParams
 from repro.sim.instance import Instance
 from repro.sim.job import window_class
 
-__all__ = ["run_pecking_region", "simulate_aligned_full"]
+__all__ = [
+    "AlignedLayout",
+    "aligned_layout",
+    "run_pecking_region",
+    "simulate_aligned_full",
+]
 
 #: (level, absolute subwindow start) -> job indices (into result arrays).
 Occupancy = Dict[Tuple[int, int], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class AlignedLayout:
+    """What an ALIGNED trial reads from its instance, derived once.
+
+    ``top`` is the instance's largest class and ``blocks`` lists each
+    ``2^top``-slot region that holds a job, in time order, as its origin
+    and its :data:`Occupancy` (read-only index arrays).
+    """
+
+    columns: JobColumns
+    top: int
+    blocks: Tuple[Tuple[int, Occupancy], ...]
+
+
+def aligned_layout(instance: Instance, params: AlignedParams) -> AlignedLayout:
+    """The :class:`AlignedLayout` of ``instance``, checked for ``params``.
+
+    Requires an aligned instance whose classes are all ``>= min_level``
+    (the same inputs :class:`~repro.core.aligned.AlignedProtocol`
+    accepts) with ``min_level >= 1``.
+    """
+    if params.min_level < 1:
+        raise InvalidParameterError(
+            "simulate_aligned_full requires min_level >= 1"
+        )
+    instance.require_aligned()
+    cols = job_columns(instance)
+    if not len(cols):
+        return AlignedLayout(cols, 0, ())
+    levels = [window_class(w) for w in cols.windows]
+    if min(levels) < params.min_level:
+        raise InvalidParameterError(
+            f"job class {min(levels)} below min_level {params.min_level}"
+        )
+
+    top = max(levels)
+    block = 1 << top
+    grouping: Dict[Tuple[int, int, int], List[int]] = {}
+    for i, (release, level) in enumerate(zip(cols.releases.tolist(), levels)):
+        b0 = (release // block) * block
+        grouping.setdefault((b0, level, release), []).append(i)
+    blocks: Dict[int, Occupancy] = {}
+    for (b0, level, start), idx in grouping.items():
+        jobs_here = np.array(idx, dtype=np.int64)
+        jobs_here.flags.writeable = False
+        blocks.setdefault(b0, {})[(level, start)] = jobs_here
+    return AlignedLayout(cols, top, tuple(sorted(blocks.items())))
 
 
 def _run_occupied(
@@ -127,6 +190,41 @@ def _run_occupied(
     return pos, est
 
 
+def _free_units(
+    consumed: np.ndarray, sub: int, size: int
+) -> Optional[np.ndarray]:
+    """The unconsumed units of ``[sub, sub + size)``; ``None`` if none."""
+    seg = consumed[sub:sub + size]
+    if seg.all():
+        return None
+    if not seg.any():
+        return np.arange(sub, sub + size, dtype=np.int64)
+    return np.flatnonzero(~seg) + sub
+
+
+@functools.lru_cache(maxsize=32)
+def _empty_prefix(
+    top_level: int, min_level: int, first: int, lam: int
+) -> np.ndarray:
+    """The consumed mask of a ``2^top_level`` region after its classes
+    ``min_level .. first - 1`` have all run empty.
+
+    An empty class run claims the earliest ``λℓ²`` free units of its
+    subwindow and draws nothing, so this mask depends on these four
+    numbers alone: regions compute it once and copy it per trial.
+    """
+    consumed = np.zeros(1 << top_level, dtype=bool)
+    for level in range(min_level, first):
+        size = 1 << level
+        est_len = estimation_length(level, lam)
+        for sub in range(0, consumed.size, size):
+            free = _free_units(consumed, sub, size)
+            if free is not None:
+                consumed[free[:est_len]] = True
+    consumed.flags.writeable = False
+    return consumed
+
+
 def run_pecking_region(
     origin: int,
     top_level: int,
@@ -145,27 +243,28 @@ def run_pecking_region(
     hosts one class run (empty unless listed in ``occupants``); smaller
     classes pre-empt larger ones, which the consumed-mask model realizes
     by letting each level claim the earliest still-free slots of its
-    subwindow.  Units are abstract slot indices — the ALIGNED wrapper
-    maps them to real slots 1:1, PUNCTUAL's embedded machine maps them
-    to virtual rounds.
+    subwindow.  The levels below the lowest occupied one are all empty:
+    their mask comes from :func:`_empty_prefix`.  Units are abstract
+    slot indices — the ALIGNED wrapper maps them to real slots 1:1,
+    PUNCTUAL's embedded machine maps them to virtual rounds.
     """
-    region = 1 << top_level
-    consumed = np.zeros(region, dtype=bool)
-    for level in range(min_level, top_level + 1):
+    first = max(
+        min_level,
+        min((lv for (lv, _), idx in occupants.items() if len(idx)),
+            default=top_level + 1),
+    )
+    if first > top_level:
+        return  # every class run is empty: nothing is drawn or delivered
+    consumed = _empty_prefix(top_level, min_level, first, params.lam).copy()
+    for level in range(first, top_level + 1):
         size = 1 << level
-        for sub in range(0, region, size):
-            seg = consumed[sub:sub + size]
-            if seg.all():
+        for sub in range(0, consumed.size, size):
+            free = _free_units(consumed, sub, size)
+            if free is None:
                 continue
-            free = (
-                np.arange(sub, sub + size, dtype=np.int64)
-                if not seg.any()
-                else np.flatnonzero(~seg) + sub
-            )
             jobs_here = occupants.get((level, origin + sub))
             if jobs_here is None or len(jobs_here) == 0:
-                k = min(estimation_length(level, params.lam), free.size)
-                consumed[free[:k]] = True
+                consumed[free[:estimation_length(level, params.lam)]] = True
             else:
                 used, _ = _run_occupied(
                     jobs_here, level, free + origin, params, rng, p_jam,
@@ -180,6 +279,7 @@ def simulate_aligned_full(
     rng: np.random.Generator,
     *,
     p_jam: float = 0.0,
+    layout: Optional[AlignedLayout] = None,
 ) -> FullProtocolResult:
     """One full ALIGNED run over ``instance``, fully vectorized.
 
@@ -187,62 +287,31 @@ def simulate_aligned_full(
     (the same inputs :class:`~repro.core.aligned.AlignedProtocol`
     accepts) with ``min_level >= 1``.  Statistically equivalent to the
     engine; per-job timing bookkeeping matches the engine's rules
-    exactly (see module docstring).
+    exactly (see module docstring).  ``layout``, when given, must be
+    ``aligned_layout(instance, params)``: a plan passes the one it
+    holds instead of deriving it per trial.
     """
     if not 0.0 <= p_jam <= 1.0:
         raise InvalidParameterError(f"p_jam must be in [0, 1], got {p_jam}")
-    if params.min_level < 1:
-        raise InvalidParameterError(
-            "simulate_aligned_full requires min_level >= 1"
-        )
-    instance.require_aligned()
-    jobs = instance.by_release
-    n = len(jobs)
-    if n == 0:
-        return FullProtocolResult(
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            0,
-        )
-    releases = np.array([j.release for j in jobs], dtype=np.int64)
-    deadlines = np.array([j.deadline for j in jobs], dtype=np.int64)
-    levels = [window_class(j.window) for j in jobs]
-    if min(levels) < params.min_level:
-        raise InvalidParameterError(
-            f"job class {min(levels)} below min_level {params.min_level}"
-        )
-
-    top = max(levels)
-    block = 1 << top
-    blocks: Dict[int, Occupancy] = {}
-    grouping: Dict[Tuple[int, int, int], List[int]] = {}
-    for i, job in enumerate(jobs):
-        b0 = (job.release // block) * block
-        grouping.setdefault((b0, levels[i], job.release), []).append(i)
-    for (b0, level, start), idx in grouping.items():
-        blocks.setdefault(b0, {})[(level, start)] = np.array(
-            idx, dtype=np.int64
-        )
-
+    if layout is None:
+        layout = aligned_layout(instance, params)
+    cols = layout.columns
+    n = len(cols)
     success = np.zeros(n, dtype=bool)
     win_unit = np.full(n, -1, dtype=np.int64)
     done_unit = np.full(n, -1, dtype=np.int64)
-    for b0 in sorted(blocks):
+    for b0, occupants in layout.blocks:
         run_pecking_region(
-            b0, top, params.min_level, blocks[b0], params, rng, p_jam,
+            b0, layout.top, params.min_level, occupants, params, rng, p_jam,
             success, win_unit, done_unit,
         )
 
+    last = cols.deadlines - 1
     completion = np.where(success, win_unit, -1)
     retire = np.where(
         success,
         win_unit,
-        np.where(
-            done_unit >= 0,
-            np.minimum(done_unit + 1, deadlines - 1),
-            deadlines - 1,
-        ),
+        np.where(done_unit >= 0, np.minimum(done_unit + 1, last), last),
     )
-    slots = union_active_slots(releases, retire)
+    slots = union_active_slots(cols.releases, retire)
     return FullProtocolResult(success, completion, retire, slots)

@@ -20,6 +20,13 @@ success-jamming stochastic adversary, a watchdog that cannot trip, and
 an instance shape the kernel covers.  Everything else gets a reason
 string back and stays on the reference engine.
 
+A plan also carries what its kernel reads from the instance, derived
+once: the jobs' arrays and the digest's window groups, and ALIGNED's
+occupancy blocks or PUNCTUAL's cohort window.  A trial therefore does
+only the work that depends on its seed — the seed's draws and the
+arithmetic over them — through the same trial code the public kernels
+run after deriving that data from their arguments.
+
 Exactness contract per kind:
 
 * ``uniform`` — **bit-exact** with the engine, including under
@@ -40,23 +47,34 @@ kernel bug from ever poisoning engine-path results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.cache import run_key_batch
 from repro.channel.jamming import Jammer, NoJammer, StochasticJammer
+from repro.core.uniform import draw_offset
 from repro.errors import ReproError
 from repro.experiments.parallel import FactoryBuilder, SeedDigest
-from repro.fastpath.aligned_full import simulate_aligned_full
+from repro.fastpath.aligned_full import (
+    AlignedLayout,
+    aligned_layout,
+    simulate_aligned_full,
+)
 from repro.fastpath.fullproto import (
     FullProtocolResult,
+    JobColumns,
     digest_for,
+    job_columns,
     union_active_slots,
 )
-from repro.fastpath.punctual_full import simulate_punctual_full
-from repro.fastpath.uniform_fast import simulate_uniform_fast
+from repro.fastpath.punctual_full import (
+    PunctualCohort,
+    punctual_cohort,
+    simulate_punctual_full,
+)
+from repro.fastpath.uniform_fast import resolve_slots
 from repro.sim.engine import resolve_adversary
 from repro.sim.instance import Instance
 from repro.sim.job import window_class
@@ -95,6 +113,16 @@ class FastpathPlan:
     ``watchdog`` is the caller's enabled-but-vacuous watchdog (or
     ``None``) — the kernel never trips it, but it must still join cache
     keys because the engine path folds it into its own keys.
+
+    The plan also holds what its kernel reads from the instance, derived
+    once when the plan is made, so a trial does only its seed's draws
+    and the arithmetic over them: ``columns``, the jobs' arrays and the
+    digest's window groups (:func:`~repro.fastpath.fullproto.job_columns`),
+    and ``layout``, the ALIGNED occupancy blocks
+    (:func:`~repro.fastpath.aligned_full.aligned_layout`) or the
+    PUNCTUAL cohort (:func:`~repro.fastpath.punctual_full.punctual_cohort`);
+    UNIFORM needs only the columns.  Neither is a constructor argument,
+    and neither joins the plan's equality or repr.
     """
 
     kind: str  # "uniform" | "aligned" | "punctual"
@@ -102,6 +130,22 @@ class FastpathPlan:
     params: Any
     p_jam: float
     watchdog: Optional[Watchdog] = None
+    columns: JobColumns = field(init=False, repr=False, compare=False)
+    layout: Union[AlignedLayout, PunctualCohort, None] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        layout: Union[AlignedLayout, PunctualCohort, None] = None
+        if self.kind == "aligned":
+            layout = aligned_layout(self.instance, self.params)
+            columns = layout.columns
+        else:
+            columns = job_columns(self.instance)
+            if self.kind == "punctual":
+                layout = punctual_cohort(self.instance, self.params)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "layout", layout)
 
 
 def _watchdog_is_vacuous(wd: Watchdog, instance: Instance) -> bool:
@@ -274,34 +318,34 @@ def seed_route(
 
 
 def _uniform_exact(
-    instance: Instance, seed: int, p_jam: float
+    columns: JobColumns, seed: int, p_jam: float
 ) -> FullProtocolResult:
     """Engine-exact replay of a single-attempt UNIFORM run.
 
     Reproduces the engine's randomness stream-for-stream: each job's
-    slot offset is the first (only) ``choice`` draw of its ``"job"``
-    stream, and :func:`~repro.fastpath.uniform_fast.simulate_uniform_fast`
-    resolves the slots with the ``"channel"`` stream, whose jam coins it
-    draws where :class:`~repro.channel.jamming.StochasticJammer` draws
-    them.  Every job retires at its transmit slot (success or
-    exhausted), so the digest matches the engine field-for-field.
+    slot offset is the one :func:`~repro.core.uniform.draw_offset` draw
+    of its ``"job"`` stream, and
+    :func:`~repro.fastpath.uniform_fast.resolve_slots` resolves the
+    slots with the ``"channel"`` stream, whose jam coins it draws where
+    :class:`~repro.channel.jamming.StochasticJammer` draws them.  Every
+    job retires at its transmit slot (success or exhausted), so the
+    digest matches the engine field-for-field.
     """
-    jobs = instance.by_release
-    n = len(jobs)
+    n = len(columns)
     factory = RngFactory(seed)
-    factory.prepare("job", [job.job_id for job in jobs])
-    releases = np.array([j.release for j in jobs], dtype=np.int64)
-    offsets = np.empty(n, dtype=np.int64)
-    for i, job in enumerate(jobs):
-        picks = factory.fresh("job", job.job_id).choice(
-            job.window, size=1, replace=False
-        )
-        offsets[i] = int(picks[0])
-    slots = releases + offsets
+    factory.prepare("job", columns.ids)
+    fresh = factory.fresh
+    offsets = np.fromiter(
+        (
+            draw_offset(fresh("job", job_id), window)
+            for job_id, window in zip(columns.ids, columns.windows)
+        ),
+        dtype=np.int64,
+        count=n,
+    )
+    slots = columns.releases + offsets
     channel = factory.fresh("channel") if p_jam > 0.0 else None
-    success = simulate_uniform_fast(
-        instance, channel, p_jam=p_jam, offsets=offsets
-    ).success
+    success, _ = resolve_slots(slots, channel, p_jam)
     completion = np.where(success, slots, -1)
     # Single-attempt UNIFORM transmits exactly once per job, jammed or
     # not — engine-exact energy accounting for free.
@@ -309,7 +353,7 @@ def _uniform_exact(
         success,
         completion,
         slots,
-        union_active_slots(releases, slots),
+        union_active_slots(columns.releases, slots),
         attempts=np.ones(n, dtype=np.int64),
     )
 
@@ -320,16 +364,18 @@ def simulate_fastpath(plan: FastpathPlan, seed: int) -> SeedDigest:
     ``aligned``/``punctual`` trials draw from the seed's dedicated
     ``"fastpath"`` stream (untouched by the engine, so statistical
     comparisons never share randomness with engine runs); ``uniform``
-    replays the engine's own streams bit-exactly.
+    replays the engine's own streams bit-exactly.  Each reads the
+    instance's data from the plan.
     """
     if plan.kind == "uniform":
-        result = _uniform_exact(plan.instance, seed, plan.p_jam)
+        result = _uniform_exact(plan.columns, seed, plan.p_jam)
     elif plan.kind == "aligned":
         result = simulate_aligned_full(
             plan.instance,
             plan.params,
             RngFactory(seed).fresh("fastpath"),
             p_jam=plan.p_jam,
+            layout=plan.layout,
         )
     else:
         result = simulate_punctual_full(
@@ -337,8 +383,9 @@ def simulate_fastpath(plan: FastpathPlan, seed: int) -> SeedDigest:
             plan.params,
             RngFactory(seed).fresh("fastpath"),
             p_jam=plan.p_jam,
+            cohort=plan.layout,
         )
-    return digest_for(seed, plan.instance, result)
+    return digest_for(seed, plan.instance, result, columns=plan.columns)
 
 
 def record_trial(

@@ -35,11 +35,19 @@ at any jamming rate the experiments use.
 Agreement with the engine is statistical (the kernel owns its RNG
 stream); per-job timing bookkeeping — completion slots, give-up slots,
 ``slots_simulated`` — follows the engine's rules exactly.
+
+What a trial reads from the instance — the shared window, its
+effective power-of-two prefix and the parameters' per-window pullback
+budget and probabilities — is a :class:`PunctualCohort`, derived once
+per plan (:func:`punctual_cohort`); the anarchist stage draws its
+transmitter counts in chunks of 32 slots and reads each chunk as a
+Python list.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +60,7 @@ from repro.sim.job import window_class
 
 from repro.core.trimming import trimmed_window
 
-__all__ = ["simulate_punctual_full"]
+__all__ = ["PunctualCohort", "punctual_cohort", "simulate_punctual_full"]
 
 #: Slots of the sync preamble (``RoundSynchronizer.LISTEN_BUDGET``).
 _LISTEN = 13
@@ -68,8 +76,8 @@ _ANARCHY_CHUNK = 32
 
 
 def _run_anarchy(
-    alive: np.ndarray,
-    slots: np.ndarray,
+    alive: Sequence[int],
+    slots: Sequence[int],
     p_tx: float,
     rng: np.random.Generator,
     p_jam: float,
@@ -80,62 +88,79 @@ def _run_anarchy(
     """Play the anarchist stage over ``slots`` for the ``alive`` jobs.
 
     Per slot each live job transmits with probability ``p_tx``; a lone
-    un-jammed transmitter succeeds and stops.  Vectorized in epochs of a
+    un-jammed transmitter succeeds and stops.  Drawn in epochs of a
     fixed chunk of slots: the population only shrinks at a success, and
     successes arrive every few slots, so drawing a small chunk of
     per-slot transmitter counts (restarting from just past the first
     success) keeps the draw volume proportional to the success count —
     drawing the whole remaining tail per epoch costs slots × successes.
+    A chunk is at most 32 counts, so it is read as a Python list: a
+    ``count``/``index`` scan costs less than an array operation there.
     """
-    alive = np.array(alive, dtype=np.int64)
-    n_alive = int(alive.size)
-    total = int(slots.size)
+    alive = list(alive)
+    total = len(slots)
+    winners: List[int] = []
+    times: List[int] = []
     i = 0
-    while n_alive and i < total:
+    while alive and i < total:
         end = min(i + _ANARCHY_CHUNK, total)
-        tx = rng.binomial(n_alive, p_tx, size=end - i)
-        cand = np.flatnonzero(tx == 1)
-        if p_jam > 0.0 and cand.size:
-            coins = rng.random(cand.size)
-            cand = cand[coins >= p_jam]
-        if cand.size == 0:
+        tx = rng.binomial(len(alive), p_tx, size=end - i).tolist()
+        first = -1
+        if p_jam > 0.0:
+            singles = tx.count(1)
+            if singles:
+                at = -1
+                for coin in rng.random(singles).tolist():
+                    at = tx.index(1, at + 1)
+                    if coin >= p_jam:
+                        first = at
+                        break
+        elif 1 in tx:
+            first = tx.index(1)
+        if first < 0:
             i = end
             continue
-        pick = int(rng.integers(n_alive))
-        winner = int(alive[pick])
-        t = int(slots[i + int(cand[0])])
-        success[winner] = True
-        completion[winner] = t
-        retire[winner] = t
-        alive[pick] = alive[n_alive - 1]  # swap-remove, order is immaterial
-        n_alive -= 1
-        i += int(cand[0]) + 1
+        pick = int(rng.integers(len(alive)))
+        winners.append(alive[pick])
+        times.append(slots[i + first])
+        alive[pick] = alive[-1]  # swap-remove, order is immaterial
+        alive.pop()
+        i += first + 1
+    success[winners] = True
+    completion[winners] = times
+    retire[winners] = times
 
 
-def simulate_punctual_full(
-    instance: Instance,
-    params: PunctualParams,
-    rng: np.random.Generator,
-    *,
-    p_jam: float = 0.0,
-) -> FullProtocolResult:
-    """One full PUNCTUAL run over a batch instance, fully vectorized.
+@dataclass(frozen=True)
+class PunctualCohort:
+    """What a PUNCTUAL trial reads from its batch instance, derived once.
+
+    The shared window and its effective (power-of-two) prefix, the slot
+    a failed job retires at, and the parameters' per-window values: the
+    pullback budget ``D`` and the claim and anarchist probabilities.
+    """
+
+    n: int
+    release: int
+    eff_w: int
+    eff_end: int
+    fail_retire: int
+    pullback: int
+    p_claim: float
+    p_anarch: float
+
+
+def punctual_cohort(
+    instance: Instance, params: PunctualParams
+) -> PunctualCohort:
+    """The :class:`PunctualCohort` of a batch ``instance``.
 
     Requires every job to share one ``(release, deadline)`` window (the
-    cohort setting; :func:`repro.workloads.batch_instance`).  See the
-    module docstring for the model and its one documented approximation.
+    cohort setting; :func:`repro.workloads.batch_instance`).
     """
-    if not 0.0 <= p_jam <= 1.0:
-        raise InvalidParameterError(f"p_jam must be in [0, 1], got {p_jam}")
     jobs = instance.by_release
-    n = len(jobs)
-    if n == 0:
-        return FullProtocolResult(
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            0,
-        )
+    if not jobs:
+        return PunctualCohort(0, 0, 0, 0, 0, 0, 0.0, 0.0)
     if len(instance.by_window) != 1:
         raise InvalidParameterError(
             "simulate_punctual_full requires a batch instance "
@@ -146,11 +171,51 @@ def simulate_punctual_full(
     window = deadline - release
     eff_w = 1 << (window.bit_length() - 1)  # _floor_pow2(window)
     eff_end = release + eff_w
-    fail_retire = min(eff_end, deadline - 1)
+    return PunctualCohort(
+        n=len(jobs),
+        release=release,
+        eff_w=eff_w,
+        eff_end=eff_end,
+        fail_retire=min(eff_end, deadline - 1),
+        pullback=params.pullback_duration(eff_w),
+        p_claim=params.pullback_probability(eff_w),
+        p_anarch=params.anarchist_probability(eff_w),
+    )
+
+
+def simulate_punctual_full(
+    instance: Instance,
+    params: PunctualParams,
+    rng: np.random.Generator,
+    *,
+    p_jam: float = 0.0,
+    cohort: Optional[PunctualCohort] = None,
+) -> FullProtocolResult:
+    """One full PUNCTUAL run over a batch instance, fully vectorized.
+
+    Requires every job to share one ``(release, deadline)`` window (the
+    cohort setting; :func:`repro.workloads.batch_instance`).  See the
+    module docstring for the model and its one documented approximation.
+    ``cohort``, when given, must be ``punctual_cohort(instance,
+    params)``: a plan passes the one it holds instead of deriving it
+    per trial.
+    """
+    if not 0.0 <= p_jam <= 1.0:
+        raise InvalidParameterError(f"p_jam must be in [0, 1], got {p_jam}")
+    c = punctual_cohort(instance, params) if cohort is None else cohort
+    n = c.n
+    if n == 0:
+        return FullProtocolResult(
+            np.zeros(0, dtype=bool),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            0,
+        )
+    release, eff_w, eff_end = c.release, c.eff_w, c.eff_end
 
     success = np.zeros(n, dtype=bool)
     completion = np.full(n, -1, dtype=np.int64)
-    retire = np.full(n, fail_retire, dtype=np.int64)
+    retire = np.full(n, c.fail_retire, dtype=np.int64)
 
     def finish() -> FullProtocolResult:
         slots = int(retire.max()) - release + 1
@@ -171,9 +236,7 @@ def simulate_punctual_full(
     # -- election ---------------------------------------------------------
     # Stage SLINGSHOT holds while the pullback budget D lasts: the claim
     # at election slot t is drawn iff t <= release + 16 + D.
-    D = params.pullback_duration(eff_w)
-    p_claim = params.pullback_probability(eff_w)
-    p_anarch = params.anarchist_probability(eff_w)
+    D, p_claim, p_anarch = c.pullback, c.p_claim, c.p_anarch
     leader: Optional[int] = None
     k_e = -1
     k = 0
@@ -193,10 +256,9 @@ def simulate_punctual_full(
         # silent and the whole cohort goes ANARCHIST.
         t_rc = release + 16 + _ROUND * ((D + _ROUND) // _ROUND)
         if t_rc < eff_end:
-            anarchy = np.arange(t_rc + 6, eff_end, _ROUND, dtype=np.int64)
             _run_anarchy(
-                np.arange(n), anarchy, p_anarch, rng, p_jam,
-                success, completion, retire,
+                range(n), range(t_rc + 6, eff_end, _ROUND), p_anarch, rng,
+                p_jam, success, completion, retire,
             )
         return finish()
 
@@ -220,9 +282,10 @@ def simulate_punctual_full(
         retire[leader] = t_last
     else:
         # FINISHED without own success: gives up at the next slot.
-        retire[leader] = min(t_last + 1, fail_retire)
+        retire[leader] = min(t_last + 1, c.fail_retire)
 
-    followers = np.setdiff1d(np.arange(n), [leader])
+    everyone = np.arange(n)
+    followers = everyone[everyone != leader]
     if followers.size == 0:
         return finish()
 
@@ -233,10 +296,9 @@ def simulate_punctual_full(
         # If it is jammed too, followers never learn the virtual time
         # and fail at the effective deadline.
         if abd_ok:
-            anarchy = np.arange(t_last + 6, eff_end, _ROUND, dtype=np.int64)
             _run_anarchy(
-                followers, anarchy, p_anarch, rng, p_jam,
-                success, completion, retire,
+                followers.tolist(), range(t_last + 6, eff_end, _ROUND),
+                p_anarch, rng, p_jam, success, completion, retire,
             )
         return finish()
 
@@ -251,10 +313,9 @@ def simulate_punctual_full(
         s, e = trimmed_window(v0 + 1, v0 + rounds_left)
         level = window_class(e - s)
     if rounds_left < 3 or level < params.aligned.min_level:
-        anarchy = np.arange(t_b + 6, eff_end, _ROUND, dtype=np.int64)
         _run_anarchy(
-            followers, anarchy, p_anarch, rng, p_jam,
-            success, completion, retire,
+            followers.tolist(), range(t_b + 6, eff_end, _ROUND), p_anarch,
+            rng, p_jam, success, completion, retire,
         )
         return finish()
 
@@ -271,14 +332,13 @@ def simulate_punctual_full(
     completion[winners] = origin + _ROUND * v_win[winners] + _ALIGNED
     retire[winners] = completion[winners]
     losers = followers[~v_succ[followers]]
-    for i in losers:
-        g = int(v_done[i]) + 1  # first machine step after the run's end
-        if v_done[i] >= 0 and g < e:
-            # The machine reports the completed run and the job gives up
-            # at its next aligned slot.
-            retire[i] = origin + _ROUND * g + _ALIGNED
-        else:
-            # Truncated run (or no step left inside the trim): the job
-            # stays live until the trimmed window expires.
-            retire[i] = origin + _ROUND * e
+    g = v_done[losers] + 1  # first machine step after the run's end
+    # After a completed run with a step left inside the trim, the machine
+    # reports it and the job gives up at its next aligned slot.  After a
+    # truncated run (or with no step left) the job stays live until the
+    # trimmed window expires.
+    reported = (v_done[losers] >= 0) & (g < e)
+    retire[losers] = np.where(
+        reported, origin + _ROUND * g + _ALIGNED, origin + _ROUND * e
+    )
     return finish()

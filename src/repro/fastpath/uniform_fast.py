@@ -18,14 +18,14 @@ difference is irrelevant for the paper's claims (which are stated for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.sim.instance import Instance
 
-__all__ = ["UniformFastResult", "simulate_uniform_fast"]
+__all__ = ["UniformFastResult", "resolve_slots", "simulate_uniform_fast"]
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def simulate_uniform_fast(
                 )
         else:
             offs = (rng.random(n) * windows).astype(np.int64)
-        job_idx = np.arange(n)
-        slots = releases + offs
+        success, counts = resolve_slots(releases + offs, rng, p_jam)
+        n_success_slots = int(np.count_nonzero(success))
     else:
         job_list = []
         slot_list = []
@@ -122,21 +122,33 @@ def simulate_uniform_fast(
             picks = rng.choice(int(windows[i]), size=k, replace=False)
             job_list.append(np.full(k, i, dtype=np.int64))
             slot_list.append(releases[i] + picks.astype(np.int64))
-        job_idx = np.concatenate(job_list)
-        slots = np.concatenate(slot_list)
-
-    _, inverse, counts = np.unique(slots, return_inverse=True, return_counts=True)
-    unique_slot = counts[inverse] == 1
-    if p_jam > 0.0:
-        # One coin per single-transmitter slot, in increasing slot order:
-        # the coins StochasticJammer draws in the engine.
-        single = counts == 1
-        jammed = np.zeros(counts.size, dtype=bool)
-        jammed[single] = rng.random(int(single.sum())) < p_jam
-        unique_slot &= ~jammed[inverse]
-
-    success = np.zeros(n, dtype=bool)
-    np.logical_or.at(success, job_idx, unique_slot)
-    n_success_slots = int(np.sum(unique_slot))
-    n_collision_slots = int(np.sum(counts > 1))
+        unique_slot, counts = resolve_slots(
+            np.concatenate(slot_list), rng, p_jam
+        )
+        success = np.zeros(n, dtype=bool)
+        np.logical_or.at(success, np.concatenate(job_list), unique_slot)
+        n_success_slots = int(np.count_nonzero(unique_slot))
+    n_collision_slots = int(np.count_nonzero(counts > 1))
     return UniformFastResult(success, n_success_slots, n_collision_slots)
+
+
+def resolve_slots(
+    slots: np.ndarray, rng: Optional[np.random.Generator], p_jam: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve one transmission per entry of ``slots`` on the channel.
+
+    Returns, per transmission, whether it succeeds (alone in its slot
+    and not jammed), and the transmitter count of each distinct slot in
+    increasing slot order.  With ``p_jam > 0`` it draws one jam coin
+    from ``rng`` per single-transmitter slot, in increasing slot order:
+    the coins :class:`~repro.channel.jamming.StochasticJammer` draws in
+    the engine.
+    """
+    _, inverse, counts = np.unique(
+        slots, return_inverse=True, return_counts=True
+    )
+    single = counts == 1
+    if p_jam > 0.0:
+        jammed = rng.random(int(np.count_nonzero(single))) < p_jam
+        single[single] = ~jammed
+    return single[inverse], counts

@@ -353,7 +353,6 @@ _CASES = (
         protocol=_punctual_follow,
         seeds=tuple(range(20)),
         kind="fastpath-statistical",
-        smoke=False,
     ),
     # -- the modern zoo (collision-softening / slow-feedback / no-CD) --
     #

@@ -116,10 +116,14 @@ def replay_uniform_picks(
 ) -> List[np.ndarray]:
     """The slot picks each job's protocol draws in the engine.
 
-    Replays, per job in ``by_release`` order, exactly the draw
+    Replays, per job in ``by_release`` order, the draw
     :class:`~repro.core.uniform.UniformProtocol.on_begin` makes from the
-    job's stream: ``choice(window, size=min(attempts, window),
-    replace=False)`` on a fresh ``("job", job_id)`` generator.
+    job's stream, in its reference form: ``choice(window,
+    size=min(attempts, window), replace=False)`` on a fresh
+    ``("job", job_id)`` generator.  For a single pick the protocol calls
+    :func:`~repro.core.uniform.draw_offset` (``integers(window)``, the
+    same value and stream state), so the exact checks cross-check that
+    identity as well.
     """
     rngs = RngFactory(seed)
     picks: List[np.ndarray] = []

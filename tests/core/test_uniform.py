@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.uniform import UniformProtocol, uniform_factory
+from repro.core.uniform import UniformProtocol, draw_offset, uniform_factory
 from repro.params import UniformParams
 from repro.sim.engine import simulate
 from repro.sim.instance import Instance
@@ -93,3 +93,44 @@ class TestEndToEnd:
             counts[next(iter(p.chosen))] += 1
         # each slot expected 250; loose 4-sigma band
         assert np.all(counts > 150) and np.all(counts < 350)
+
+
+class TestDrawOffset:
+    """``draw_offset`` is numpy's one-element ``choice``, bit for bit.
+
+    The engine's UNIFORM once drew ``choice(w, size=1, replace=False)``;
+    the goldens, the engine reference pins and the kernel's bit-exact
+    replay all rest on ``integers(w)`` returning the same value and
+    leaving the stream in the same state.  A numpy release that changes
+    either draw fails here.
+    """
+
+    WINDOWS = sorted(
+        set(range(1, 4097))
+        | {(1 << k) + d for k in range(13, 40) for d in (-1, 0, 1)}
+    )
+
+    @staticmethod
+    def _streams(seed, buffered):
+        # Two generators in one state; ``buffered`` leaves a 32-bit half
+        # in the bit generator, which a 32-bit bounded draw consumes.
+        a = np.random.default_rng(seed)
+        if buffered:
+            a.integers(3)
+            assert a.bit_generator.state["has_uint32"] == 1
+        b = np.random.Generator(np.random.PCG64())
+        b.bit_generator.state = a.bit_generator.state
+        return a, b
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_same_value_and_same_state_as_choice(self, buffered):
+        for w in self.WINDOWS:
+            a, b = self._streams(w, buffered)
+            expected = b.choice(w, size=1, replace=False)[0]
+            assert draw_offset(a, w) == expected, w
+            assert a.bit_generator.state == b.bit_generator.state, w
+
+    def test_protocol_draws_through_it(self):
+        p = proto(window=1000, seed=11)
+        p.begin(0)
+        assert p.chosen == {int(np.random.default_rng(11).integers(1000))}
